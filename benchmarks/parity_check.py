@@ -14,9 +14,11 @@ the default configuration — the parity gate of the Omega-overhaul
 performance work.
 
 With ``--incremental`` each program additionally runs under the
-function-granular verdict cache — no cache, cold cache, warm cache
-(every eligible unit replayed), and cache-with-replay-disabled — and
-every verdict fingerprint must match; a dedicated multi-function
+function-granular verdict cache — no cache, cold cache, warm cache,
+and cache-with-replay-disabled — and every verdict fingerprint must
+match; the unchanged warm re-check must also replay phases 2-4 and
+every phase-5 unit (``unit_hits == unit_lookups``); a dedicated
+multi-function
 program then checks the edit-one-function path: priming the cache with
 the base program and re-checking an edited variant must replay the
 untouched functions (``unit_hits > 0``) and still match a cache-free
@@ -142,12 +144,19 @@ def compare_incremental(name, reference, check, failures):
         == fingerprint(plain)
     stats = warm.prover_stats
     pipeline_hits = stats.get("unit_pipeline_hits", 0)
+    hits = stats.get("unit_hits", 0)
+    lookups = stats.get("unit_lookups", 0)
+    if not ok:
+        status = "PARITY MISMATCH"
+    elif not pipeline_hits:
+        status = "NO PHASE REPLAY"
+    elif hits < lookups:
+        status = "UNITS RE-PROVED"
+    else:
+        status = "parity OK"
     print("%-18s %-14s %s (units: %d/%d hit, %d replayed; "
           "phases 2-4: %d functions replayed)"
-          % (name, "incremental",
-             "parity OK" if ok and pipeline_hits
-             else "PARITY MISMATCH" if not ok else "NO PHASE REPLAY",
-             stats.get("unit_hits", 0), stats.get("unit_lookups", 0),
+          % (name, "incremental", status, hits, lookups,
              stats.get("unit_replayed_obligations", 0),
              stats.get("unit_pipeline_replayed_functions", 0)))
     if not ok:
@@ -156,6 +165,9 @@ def compare_incremental(name, reference, check, failures):
         # An unchanged warm re-check must serve phases 2-4 from the
         # store, not just the phase-5 verdicts.
         failures.append("%s[no phase 2-4 replay]" % name)
+    elif hits < lookups:
+        # ... and every phase-5 unit: the cold run stored each group.
+        failures.append("%s[units re-proved warm]" % name)
 
 
 def run_incremental_edit(failures):

@@ -327,11 +327,11 @@ class SafetyChecker:
 
     def _discharge(self, engine: VerificationEngine, annotations):
         """Run phase 5 through the obligation engine, function unit by
-        function unit: units whose content digest and dependency
-        context match a stored verdict replay it (``unit_hits``), the
-        rest are proved fresh — serially for ``jobs == 1``, on the
-        process pool otherwise.  Without a persistent cache this is
-        exactly the historical discharge."""
+        function unit: groups of units whose content digests and
+        dependency context match a stored verdict replay it
+        (``unit_hits``), the rest are proved fresh — serially for
+        ``jobs == 1``, on the process pool otherwise.  Without a
+        persistent cache this is exactly the historical discharge."""
         from repro.analysis.obligations import generate_obligations
         obligations = generate_obligations(annotations)
         if self.persistent is None:
@@ -345,54 +345,36 @@ class SafetyChecker:
                               enabled=self.options.enable_unit_cache)
         units = partition_units(engine, obligations) \
             if manager.enabled else []
-        replayed = []
-        payloads = {}
+        groups, fresh_units = manager.lookup(units)
         fresh = list(obligations)
-        if units:
-            fresh = []
-            for unit in units:
-                payload = manager.lookup(unit)
-                if payload is not None:
-                    replayed.append(unit)
-                    payloads[unit.label] = payload
-                else:
-                    fresh.extend(unit.obligations)
-            fresh.sort(key=lambda ob: ob.oid)
+        if groups:
+            fresh = sorted((ob for unit in fresh_units
+                            for ob in unit.obligations),
+                           key=lambda ob: ob.oid)
         _, _, pool_info, touched = self._prove(engine, fresh)
-        proved_by_oid = {}
-        if replayed and manager.replay_conflicts(touched, replayed,
-                                                 payloads):
-            # A fresh proof walked into a replayed unit's dependency
+        if manager.replay_conflicts(touched, groups):
+            # A fresh proof walked into a replayed group's dependency
             # set: the uncached counterpart run could have interleaved
             # memo state between them, so only a full fresh run
             # reproduces it bit for bit.  The prover keeps its caches —
             # they are truth-deterministic — so the redo is cheap.
             manager.abort_replay()
-            replayed, payloads = [], {}
+            groups, fresh_units = [], units
             redo = VerificationEngine(engine.cfg, engine.propagation,
                                       engine.preparation, self.spec,
                                       self.options, self.prover)
             redo.tracer = self.tracer
-            fresh = list(obligations)
-            _, _, pool_info, touched = self._prove(redo, fresh)
+            _, _, pool_info, touched = self._prove(redo, obligations)
             engine._induction_runs += redo.induction_runs
-        for unit in replayed:
-            for oid, ok in manager.replay(unit, payloads[unit.label]):
-                proved_by_oid[oid] = ok
+        proved_by_oid = dict(self._fresh_verdicts)
+        for group in groups:
+            proved_by_oid.update(manager.replay(group))
         records = []
         violations = []
         from repro.analysis.obligations import _record
         for ob in obligations:
-            proved = proved_by_oid.get(ob.oid)
-            if proved is None:
-                proved = self._fresh_verdicts[ob.oid]
-            _record(ob, proved, records, violations)
-        if manager.enabled:
-            fresh_units = [unit for unit in units
-                           if unit.label not in payloads]
-            for unit in fresh_units:
-                manager.prepare(unit)
-            manager.store(fresh_units, touched, self._fresh_verdicts)
+            _record(ob, proved_by_oid[ob.oid], records, violations)
+        manager.store(fresh_units, touched, self._fresh_verdicts)
         pool_info = dict(pool_info)
         pool_info.update(manager.stats)
         return records, violations, pool_info

@@ -20,10 +20,10 @@ its verdicts:
   is ``timeout_s`` — a sound verdict replayed under a timeout is a
   feature, and timed-out runs never store units).
 
-The :class:`UnitManager` consults the persistent SQLite store
-(:meth:`repro.logic.persist.PersistentProverCache.get_unit`) before
-proving and replays cached verdicts; warm-path cost for an unchanged
-function is hashing plus one indexed lookup.
+The :class:`UnitManager` stores units as *groups* in the persistent
+SQLite store (:meth:`repro.logic.persist.PersistentProverCache.get_unit`)
+and replays whole groups before proving; warm-path cost for an
+unchanged group is hashing plus one indexed lookup.
 
 **Soundness of replay.**  Induction iteration is incomplete, so the
 engine's cross-obligation memo state (proven invariants, failed
@@ -31,18 +31,38 @@ targets, entry caches) can *flip* verdicts depending on which proofs
 ran before.  All of that state is function-scoped, and the engine
 records which functions each obligation's proof walked
 (:meth:`~repro.analysis.verify.VerificationEngine.touched_snapshot`).
-Replay therefore follows two rules:
+A unit's *dependency set* is its own label plus every function its
+obligations' proofs touched.  Replay follows these rules:
 
-* **store rule** — a unit is stored only when it was *self-contained*
-  in its run: no other unit's proof touched any function the unit
-  touched, so its verdicts equal those of a virgin engine proving the
-  unit alone;
-* **abort rule** — after replaying cached units and proving the rest,
+* **group rule** — after fresh proving, the fresh units split into the
+  connected components of the "dependency sets overlap" relation.
+  Each component whose verdicts and touched sets are all known is
+  stored as one payload, keyed under its first unit (the *anchor*):
+  ``members`` (each member's label and ``[digest, proved]`` list, in
+  unit order) and ``deps`` (the union of the members' dependency sets
+  with their input digests).  No proof outside the component touched
+  any function in it, and the memo state is function-scoped, so
+  proving the component alone in oid order on a virgin engine gives
+  the verdicts of the full run.  A self-contained unit is a one-member
+  group; a caller and callee whose proofs touch each other are one
+  two-member group;
+* **lookup rule** — a hit on the anchor's key replays every member at
+  once, valid only when every member is a unit of the current
+  partition (anchor first, in unit order), each member's obligation
+  digests match, every dependency's input digest matches, and every
+  current unit named in ``deps`` is a member (it would otherwise be
+  proved fresh beside the replay);
+* **claimed-set rule** — an accepted payload claims its ``deps``; a
+  later payload whose ``deps`` overlap a claim is rejected (two
+  replayed groups sharing a dependency could have influenced each
+  other in the uncached counterpart run), and a fresh component whose
+  ``deps`` overlap a claim is not stored;
+* **abort rule** — after replaying cached groups and proving the rest,
   if any freshly proved obligation touched a function inside a
-  replayed unit's dependency set, the run discards the replay and
-  re-proves everything on a virgin engine (``unit_aborts``): the fresh
-  proofs might otherwise observe different memo state than a full
-  uncached run would have produced, and parity is the contract.
+  replayed group's ``deps``, the run discards the replay and re-proves
+  everything on a virgin engine (``unit_aborts``): the fresh proofs
+  might otherwise observe different memo state than a full uncached
+  run would have produced, and parity is the contract.
 
 **Phase 2–4 payloads.**  The same store also holds per-function
 *pipeline* payloads (:class:`PipelineCache`): the typestate-propagation
@@ -57,8 +77,8 @@ phase-5 verdicts: phases 2–4 are *pure, order-independent* functions of
 memo state, so the claimed-set and abort-replay rules do not apply to
 them — validity is exactly "every function's structure digest and the
 program layout match" (propagation is interprocedural, so the
-dependency set of every payload is the whole program: the
-self-contained-store rule holds by construction).  Replay is
+dependency set of every payload is the whole program: one group
+holding every function, by construction).  Replay is
 all-or-nothing for the same reason.  The artifacts are uid-keyed, and
 uid assignment is a deterministic function of the instruction stream,
 so the recorded :func:`program_layout_digest` (labels, uids, absolute
@@ -87,7 +107,7 @@ from repro.logic.serialize import formula_digest, text_digest
 from repro.policy.model import HostSpec
 
 #: Bump when the unit payload layout or digest recipe changes.
-UNIT_SCHEMA = 1
+UNIT_SCHEMA = 2
 
 #: Bump when the pipeline (phase 2–4) payload layout or digest recipe
 #: changes.
@@ -251,6 +271,9 @@ def function_input_digest(engine: VerificationEngine,
     ordinal = {uid: position for position, uid in enumerate(uids)}
     indices = [cfg.node(uid).index for uid in uids if cfg.node(uid).index]
     base_index = min(indices) if indices else 0
+    # Propagation shares a handful of typestate values across thousands
+    # of store entries: render each distinct typestate object once.
+    rendered: Dict[int, str] = {}
     parts: List[str] = []
     for uid in uids:
         node = cfg.node(uid)
@@ -259,7 +282,8 @@ def function_input_digest(engine: VerificationEngine,
             ordinal[uid], relative, node.role.value,
             _render_op(node.instruction, base_index)))
         store = engine.propagation.inputs.get(uid)
-        parts.append(store.render() if store is not None else "-")
+        parts.append(store.render(memo=rendered)
+                     if store is not None else "-")
     edges: List[str] = []
     for uid in uids:
         for edge in cfg.successors(uid):
@@ -292,10 +316,6 @@ class FunctionUnit:
     key: str = ""
     input_digest: str = ""
 
-    @property
-    def oids(self) -> List[int]:
-        return [ob.oid for ob in self.obligations]
-
 
 def partition_units(engine: VerificationEngine,
                     obligations: List) -> List[FunctionUnit]:
@@ -315,8 +335,19 @@ def partition_units(engine: VerificationEngine,
     return ordered
 
 
+@dataclass
+class ReplayedGroup:
+    """A stored unit group accepted for replay: its members (current
+    units, in unit order), each member's recorded verdicts, and the
+    group's dependency set."""
+
+    members: List[FunctionUnit]
+    proved: List[List[bool]]
+    deps: Set[str]
+
+
 class UnitManager:
-    """Content-addressed lookup, replay, and storage of function units.
+    """Content-addressed lookup, replay, and storage of unit groups.
 
     One instance per check; all digests are memoized for the run."""
 
@@ -341,7 +372,7 @@ class UnitManager:
         self._input_digests: Dict[str, str] = {}
         #: Functions claimed by accepted replay payloads; candidate
         #: payloads whose dependency sets overlap are rejected (two
-        #: replayed units sharing a dependency could have influenced
+        #: replayed groups sharing a dependency could have influenced
         #: each other in the uncached counterpart run).
         self._claimed: Set[str] = set()
 
@@ -364,91 +395,143 @@ class UnitManager:
             self._spec_digest, self._options_digest, label,
             self.input_digest(label))
 
-    # -- lookup / replay -----------------------------------------------------
-
     def prepare(self, unit: FunctionUnit) -> None:
         unit.input_digest = self.input_digest(unit.label)
         unit.key = self.unit_key(unit.label)
 
-    def lookup(self, unit: FunctionUnit) -> Optional[Dict[str, Any]]:
-        """A stored payload whose recorded dependencies all match the
-        current program, or None."""
-        if not self.enabled:
-            return None
-        self.prepare(unit)
-        self.stats["unit_lookups"] += 1
-        for payload in self.persistent.get_unit(unit.key):
-            if self._payload_valid(unit, payload):
-                self.stats["unit_hits"] += 1
-                self._claimed.update(payload["deps"])
-                return payload
-        self.stats["unit_misses"] += 1
-        return None
+    # -- lookup / replay -----------------------------------------------------
 
-    def _payload_valid(self, unit: FunctionUnit,
-                       payload: Dict[str, Any]) -> bool:
+    def lookup(self, units: List[FunctionUnit]
+               ) -> Tuple[List[ReplayedGroup], List[FunctionUnit]]:
+        """Split ``units`` (in unit order) into stored groups accepted
+        for replay and the units left to prove fresh.  Each unit not
+        already covered by an accepted group is looked up under its own
+        key; a hit there replays every member of the stored group."""
+        if not self.enabled:
+            return [], list(units)
+        position = {unit.label: index
+                    for index, unit in enumerate(units)}
+        groups: List[ReplayedGroup] = []
+        fresh: List[FunctionUnit] = []
+        covered: Set[str] = set()
+        for unit in units:
+            if unit.label in covered:
+                continue
+            self.prepare(unit)
+            group = None
+            for payload in self.persistent.get_unit(unit.key):
+                group = self._accept(unit, payload, units, position)
+                if group is not None:
+                    break
+            if group is None:
+                self.stats["unit_lookups"] += 1
+                self.stats["unit_misses"] += 1
+                fresh.append(unit)
+                continue
+            self.stats["unit_lookups"] += len(group.members)
+            self.stats["unit_hits"] += len(group.members)
+            self._claimed.update(group.deps)
+            covered.update(member.label for member in group.members)
+            groups.append(group)
+        return groups, fresh
+
+    def _accept(self, anchor: FunctionUnit, payload: Dict[str, Any],
+                units: List[FunctionUnit], position: Dict[str, int]
+                ) -> Optional[ReplayedGroup]:
+        """The group a payload stored under ``anchor``'s key replays,
+        or None unless it is valid here: the members are
+        units of the current partition, anchor first and in unit
+        order; each member's obligation digests match; the recorded
+        dependencies cover every member and every current unit they
+        name, match the current input digests, and are unclaimed."""
         if payload.get("schema") != UNIT_SCHEMA:
-            return False
-        entries = payload.get("obligations")
+            return None
+        entries = payload.get("members")
         deps = payload.get("deps")
-        if not isinstance(entries, list) or not isinstance(deps, dict):
-            return False
+        if not isinstance(entries, list) or not entries \
+                or not isinstance(deps, dict):
+            return None
         try:
-            digests = [entry[0] for entry in entries]
-        except (TypeError, IndexError):
-            return False
-        if digests != [ob.digest for ob in unit.obligations]:
-            return False
-        if unit.label not in deps:
-            return False
+            recorded = [(label, [(entry[0], bool(entry[1]))
+                                 for entry in verdicts])
+                        for label, verdicts in entries]
+        except (TypeError, ValueError, IndexError, KeyError):
+            return None
+        if recorded[0][0] != anchor.label:
+            return None
+        members: List[FunctionUnit] = []
+        proved: List[List[bool]] = []
+        last = position[anchor.label] - 1
+        for label, verdicts in recorded:
+            if not isinstance(label, str):
+                return None
+            index = position.get(label)
+            if index is None or index <= last:
+                return None  # not a current unit, or out of unit order
+            last = index
+            unit = units[index]
+            if [digest for digest, _ in verdicts] \
+                    != [ob.digest for ob in unit.obligations]:
+                return None
+            members.append(unit)
+            proved.append([ok for _, ok in verdicts])
+        labels = {unit.label for unit in members}
+        if not labels <= set(deps):
+            return None
         for label, digest in deps.items():
             if label in self._claimed:
-                return False
+                return None
+            if label in position and label not in labels:
+                # A current unit the group depends on but does not
+                # hold would be proved fresh beside the replay.
+                return None
             if label not in self.engine.cfg.functions:
-                return False
+                return None
             if self.input_digest(label) != digest:
-                return False
-        return True
+                return None
+        for unit in members:
+            self.prepare(unit)
+        return ReplayedGroup(members, proved, set(deps))
 
-    def replay(self, unit: FunctionUnit,
-               payload: Dict[str, Any]) -> List[Tuple[int, bool]]:
-        """Per-obligation ``(oid, proved)`` verdicts from a payload,
-        traced as a ``function:replayed`` span wrapping one provenanced
-        obligation span per verdict (``replayed: True``)."""
+    def replay(self, group: ReplayedGroup) -> List[Tuple[int, bool]]:
+        """Per-obligation ``(oid, proved)`` verdicts of every member,
+        each member traced as a ``function:replayed`` span wrapping one
+        provenanced obligation span per verdict (``replayed: True``)."""
         from repro.analysis.obligations import obligation_provenance
-        proved = [bool(entry[1]) for entry in payload["obligations"]]
         tracer = self.engine.tracer
-        if tracer.enabled:
-            with tracer.span("function:replayed",
-                             function=unit.label,
-                             input_digest=unit.input_digest,
-                             obligations=len(unit.obligations),
-                             proved=sum(1 for p in proved if p)):
-                for ob, ok in zip(unit.obligations, proved):
-                    attrs = obligation_provenance(self.engine, ob)
-                    attrs["proved"] = ok
-                    attrs["replayed"] = True
-                    with tracer.span("obligation", **attrs):
-                        pass
-        self.stats["unit_replayed_obligations"] += len(unit.obligations)
-        return [(ob.oid, ok)
-                for ob, ok in zip(unit.obligations, proved)]
+        verdicts: List[Tuple[int, bool]] = []
+        for unit, proved in zip(group.members, group.proved):
+            if tracer.enabled:
+                with tracer.span("function:replayed",
+                                 function=unit.label,
+                                 input_digest=unit.input_digest,
+                                 obligations=len(unit.obligations),
+                                 proved=sum(1 for p in proved if p)):
+                    for ob, ok in zip(unit.obligations, proved):
+                        attrs = obligation_provenance(self.engine, ob)
+                        attrs["proved"] = ok
+                        attrs["replayed"] = True
+                        with tracer.span("obligation", **attrs):
+                            pass
+            self.stats["unit_replayed_obligations"] += \
+                len(unit.obligations)
+            verdicts.extend((ob.oid, ok)
+                            for ob, ok in zip(unit.obligations, proved))
+        return verdicts
 
     # -- abort check ---------------------------------------------------------
 
-    def replay_conflicts(
-            self, touched_map: Dict[int, FrozenSet[str]],
-            replayed: List[FunctionUnit],
-            payloads: Dict[str, Dict[str, Any]]) -> bool:
+    def replay_conflicts(self, touched_map: Dict[int, FrozenSet[str]],
+                         groups: List[ReplayedGroup]) -> bool:
         """True when a fresh proof touched a function inside a replayed
-        unit's dependency set — the signal that the uncached
+        group's dependency set — the signal that the uncached
         counterpart run could have interleaved memo state between them,
         so the replay must be abandoned."""
-        if not replayed:
+        if not groups:
             return False
         replay_deps: Set[str] = set()
-        for unit in replayed:
-            replay_deps.update(payloads[unit.label]["deps"])
+        for group in groups:
+            replay_deps.update(group.deps)
         for touched in touched_map.values():
             if touched & replay_deps:
                 return True
@@ -465,45 +548,67 @@ class UnitManager:
     def store(self, units: List[FunctionUnit],
               touched_map: Dict[int, FrozenSet[str]],
               proved_by_oid: Dict[int, bool]) -> None:
-        """Persist every *self-contained* freshly proved unit."""
+        """Persist every complete group of the freshly proved ``units``
+        (in unit order): the connected components of the "dependency
+        sets overlap" relation, where a unit's dependency set is its
+        own label plus every function its proofs touched."""
         if not self.enabled:
             return
-        touchers: Dict[str, Set[str]] = {}
-        for unit in units:
-            for oid in unit.oids:
-                for fn in touched_map.get(oid, ()):
-                    touchers.setdefault(fn, set()).add(unit.label)
+        parent: Dict[str, str] = {}
+
+        def find(label: str) -> str:
+            parent.setdefault(label, label)
+            while parent[label] != label:
+                parent[label] = parent[parent[label]]
+                label = parent[label]
+            return label
+
+        unit_deps: List[Set[str]] = []
+        complete: Dict[str, bool] = {}
         for unit in units:
             deps: Set[str] = {unit.label}
-            complete = True
+            done = True
             for ob in unit.obligations:
                 touched = touched_map.get(ob.oid)
                 if touched is None or ob.oid not in proved_by_oid:
-                    complete = False
-                    break
+                    done = False
+                    continue
                 deps.update(touched)
-            if not complete:
-                continue
-            if any(touchers.get(fn, set()) - {unit.label}
-                   for fn in deps):
-                continue  # another unit shares this state: not isolable
-            if any(fn in self._claimed for fn in deps):
-                continue  # overlaps a replayed unit's dependency set
+            root = find(unit.label)
+            for fn in deps:
+                other = find(fn)
+                if other != root:
+                    parent[other] = root
+            unit_deps.append(deps)
+            complete[unit.label] = done
+        components: Dict[str, List[int]] = {}
+        for index, unit in enumerate(units):
+            components.setdefault(find(unit.label), []).append(index)
+        for indices in components.values():
+            members = [units[index] for index in indices]
+            if not all(complete[unit.label] for unit in members):
+                continue  # some verdict or its dependencies is unknown
+            deps = set().union(*(unit_deps[index] for index in indices))
+            if deps & self._claimed:
+                continue  # overlaps a replayed group's dependency set
             dep_digests = {fn: self.input_digest(fn)
                            for fn in sorted(deps)}
+            anchor = members[0]
+            self.prepare(anchor)
             payload = {
                 "schema": UNIT_SCHEMA,
-                "function": unit.label,
-                "obligations": [[ob.digest,
-                                 bool(proved_by_oid[ob.oid])]
-                                for ob in unit.obligations],
+                "function": anchor.label,
+                "members": [[unit.label,
+                             [[ob.digest, bool(proved_by_oid[ob.oid])]
+                              for ob in unit.obligations]]
+                            for unit in members],
                 "deps": dep_digests,
             }
             deps_digest = text_digest(
                 "deps", *("%s=%s" % item
                           for item in sorted(dep_digests.items())))
-            self.persistent.put_unit(unit.key, deps_digest, unit.label,
-                                     payload)
+            self.persistent.put_unit(anchor.key, deps_digest,
+                                     anchor.label, payload)
             self.stats["unit_stores"] += 1
 
 

@@ -154,7 +154,7 @@ def _fingerprint(result) -> dict:
 #: *post-call* state is clobbered), and the masked index bounds every
 #: array access by construction, so no loop needs induction — each
 #: routine proves its obligations from forward facts alone.  Its
-#: verdict unit is therefore self-contained and replayable
+#: verdict unit is therefore a one-member group, replayable
 #: independently of the others, exactly the shape function-granular
 #: caching targets.
 INCREMENTAL_SOURCE = """

@@ -119,15 +119,30 @@ class _AdoptedHTTPServer(ThreadingHTTPServer):
     The sharded server binds one socket in the parent process and every
     forked shard adopts its inherited copy — the kernel then load-
     balances ``accept()`` across the shard processes (one shared accept
-    queue, no SO_REUSEPORT races, ephemeral ports resolve once)."""
+    queue, no SO_REUSEPORT races, ephemeral ports resolve once).
+
+    One connection wakes the ``select()`` of every shard, and all but
+    one lose the ``accept()`` race.  The shared socket is therefore
+    non-blocking: a losing ``accept()`` raises ``BlockingIOError``,
+    which ``socketserver`` swallows, and the loop returns to
+    ``select()`` — where ``shutdown()`` can still reach it — instead of
+    blocking until the next connection."""
 
     def __init__(self, sock: socket.socket, handler) -> None:
         address = sock.getsockname()[:2]
         super().__init__(address, handler, bind_and_activate=False)
         self.socket.close()  # replace the unbound default socket
+        sock.setblocking(False)
         self.socket = sock
         self.server_address = address
         self.server_name, self.server_port = address
+
+    def get_request(self):
+        # Handlers do blocking reads and writes; whether an accepted
+        # socket inherits O_NONBLOCK is platform-dependent.
+        conn, address = self.socket.accept()
+        conn.setblocking(True)
+        return conn, address
 
 
 class CheckServer:

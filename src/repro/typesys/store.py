@@ -91,10 +91,26 @@ class AbstractStore:
 
     # -- rendering ------------------------------------------------------------------
 
-    def render(self, names: Optional[Iterable[str]] = None) -> str:
-        """Pretty-print, one ``name: <type, state, access>`` per line."""
+    def render(self, names: Optional[Iterable[str]] = None,
+               memo: Optional[Dict[int, str]] = None) -> str:
+        """Pretty-print, one ``name: <type, state, access>`` per line.
+
+        ``memo`` maps ``id(typestate)`` to its rendering, so a caller
+        rendering many stores that share typestate objects formats each
+        one once; the caller must keep those stores alive while it
+        holds the memo (ids are only unique among live objects)."""
         chosen = list(names) if names is not None else sorted(self._map)
-        return "\n".join("%s: %s" % (n, self.get(n)) for n in chosen)
+        if memo is None:
+            memo = {}
+        lines = []
+        entries = self._map
+        for name in chosen:
+            typestate = entries.get(name, TOP_TYPESTATE)
+            text = memo.get(id(typestate))
+            if text is None:
+                text = memo[id(typestate)] = str(typestate)
+            lines.append(name + ": " + text)
+        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return "AbstractStore(%d entries)" % len(self._map)

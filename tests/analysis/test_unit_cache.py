@@ -5,8 +5,9 @@ across processes (hash randomization included).
 
 The multi-function program under test is the incremental benchmark
 chain (``main -> fone -> ftwo -> fthree``) whose obligations all stay
-local to their function, so every unit is self-contained and eligible
-for storage.
+local to their function, so every unit is a one-member group.  The
+group tests use a caller/callee pair whose proofs touch each other, so
+both units form one group that stores and replays as a whole.
 """
 
 import json
@@ -245,3 +246,287 @@ class TestReplayTracing:
                        and r.get("type") == "span"
                        and r["attrs"].get("replayed")]
         assert obligations, "replayed obligations carry no spans"
+
+
+# ---------------------------------------------------------------------------
+# unit groups
+# ---------------------------------------------------------------------------
+
+#: A caller/callee pair whose proofs touch each other: fget's load is
+#: bounded only by the caller's loop (its proof walks into ``<main>``),
+#: and main's load uses the offset fget leaves in %g2 (its proof walks
+#: into ``fget``).  Neither unit is self-contained; together they are.
+PAIR_SOURCE = """
+! %o0 = arr (n words), %o1 = n >= 1: main reads arr[i] via fget,
+! then re-reads the slot fget left in %g2.
+    mov %o7,%g4          ! save the host return address
+    clr %o2              ! i = 0
+loop:
+    call fget
+    nop
+    ld [%o0+%g2],%g3     ! offset computed by fget
+    inc %o2
+    cmp %o2,%o1
+    bl loop
+    nop
+    mov %g4,%o7
+    retl
+    nop
+
+fget:
+! fget(a=%o0, i=%o2): %g2 = 4*i, %g3 = a[i]
+    sll %o2,2,%g2
+    ld [%o0+%g2],%g3
+    retl
+    nop
+"""
+
+#: The callee edited so that it reads a[2i]: unsafe, and both members'
+#: verdicts must be re-proved.
+PAIR_EDITED_SOURCE = PAIR_SOURCE.replace("sll %o2,2,%g2", "sll %o2,3,%g2")
+
+PAIR_SPEC = """
+loc e   : int    = initialized  perms ro  region V summary
+loc arr : int[n] = {e}          perms rfo region V
+rule [V : int : ro]
+rule [V : int[n] : rfo]
+invoke %o0 = arr
+invoke %o1 = n
+assume n >= 1
+"""
+
+
+def _check_pair(source, options):
+    return check_assembly(source, PAIR_SPEC, name="pair",
+                          options=options)
+
+
+def _unit_rows(cache):
+    conn = sqlite3.connect(cache)
+    try:
+        return conn.execute(
+            "SELECT unit_key, deps_digest, payload FROM units "
+            "WHERE kind='unit'").fetchall()
+    finally:
+        conn.close()
+
+
+def _rewrite_payloads(cache, rewrite):
+    """Replace every stored unit payload with ``rewrite(payload)``."""
+    conn = sqlite3.connect(cache)
+    try:
+        for key, deps, text in conn.execute(
+                "SELECT unit_key, deps_digest, payload FROM units "
+                "WHERE kind='unit'").fetchall():
+            conn.execute(
+                "UPDATE units SET payload=? "
+                "WHERE unit_key=? AND deps_digest=?",
+                (json.dumps(rewrite(json.loads(text))), key, deps))
+        conn.commit()
+    finally:
+        conn.close()
+
+
+class TestUnitGroups:
+    def test_cold_run_stores_one_group(self, tmp_path):
+        cache = cache_at(tmp_path)
+        cold = _check_pair(PAIR_SOURCE,
+                           CheckerOptions(jobs=1, cache_path=cache))
+        assert cold.safe
+        assert cold.prover_stats["unit_lookups"] == 2
+        assert cold.prover_stats["unit_stores"] == 1
+        rows = _unit_rows(cache)
+        assert len(rows) == 1
+        payload = json.loads(rows[0][2])
+        assert [member[0] for member in payload["members"]] \
+            == ["<main>", "fget"]
+        assert payload["function"] == "<main>"
+        assert sorted(payload["deps"]) == ["<main>", "fget"]
+
+    def test_warm_run_replays_both_members(self, tmp_path):
+        cache = cache_at(tmp_path)
+        _check_pair(PAIR_SOURCE, CheckerOptions(jobs=1, cache_path=cache))
+        warm = _check_pair(PAIR_SOURCE,
+                           CheckerOptions(jobs=1, cache_path=cache))
+        stats = warm.prover_stats
+        assert stats["unit_hits"] == stats["unit_lookups"] == 2
+        assert stats["unit_misses"] == 0
+        assert stats["unit_stores"] == 0
+        assert stats["unit_aborts"] == 0
+        assert warm.prover_queries == 0
+
+    def test_json_identical_across_cache_states(self, tmp_path):
+        cache = cache_at(tmp_path)
+        reference = _check_pair(PAIR_SOURCE, CheckerOptions(jobs=1))
+        cold = _check_pair(PAIR_SOURCE,
+                           CheckerOptions(jobs=1, cache_path=cache))
+        warm = _check_pair(PAIR_SOURCE,
+                           CheckerOptions(jobs=1, cache_path=cache))
+        disabled = _check_pair(
+            PAIR_SOURCE, CheckerOptions(jobs=1, cache_path=cache,
+                                        enable_unit_cache=False))
+        pooled_cache = os.path.join(str(tmp_path), "pooled.sqlite")
+        pooled_cold = _check_pair(
+            PAIR_SOURCE, CheckerOptions(jobs=2, cache_path=pooled_cache))
+        pooled_warm = _check_pair(
+            PAIR_SOURCE, CheckerOptions(jobs=2, cache_path=pooled_cache))
+        assert warm.prover_stats["unit_hits"] == 2
+        assert pooled_warm.prover_stats["unit_hits"] == 2
+        assert disabled.prover_stats.get("unit_lookups", 0) == 0
+        want = _json_bytes(reference)
+        for result in (cold, warm, disabled, pooled_cold, pooled_warm):
+            assert _json_bytes(result) == want
+            assert _fingerprint(result) == _fingerprint(reference)
+
+    def test_callee_edit_misses_both_members(self, tmp_path):
+        cache = cache_at(tmp_path)
+        _check_pair(PAIR_SOURCE, CheckerOptions(jobs=1, cache_path=cache))
+        reference = _check_pair(PAIR_EDITED_SOURCE,
+                                CheckerOptions(jobs=1))
+        assert not reference.safe
+        warm = _check_pair(PAIR_EDITED_SOURCE,
+                           CheckerOptions(jobs=1, cache_path=cache))
+        stats = warm.prover_stats
+        assert stats["unit_lookups"] == stats["unit_misses"] == 2
+        assert stats["unit_hits"] == 0
+        assert _fingerprint(warm) == _fingerprint(reference)
+        assert _json_bytes(warm) == _json_bytes(reference)
+
+    @pytest.mark.parametrize("tamper", [
+        "missing-member", "extra-member", "reordered-members",
+        "duplicate-member", "stale-obligations", "malformed-label",
+        "malformed-verdict",
+    ])
+    def test_tampered_group_is_rejected(self, tmp_path, tamper):
+        def rewrite(payload):
+            members = payload["members"]
+            if tamper == "missing-member":
+                payload["members"] = members[:1]
+            elif tamper == "extra-member":
+                payload["members"] = members + [["ghost", []]]
+            elif tamper == "reordered-members":
+                payload["members"] = members[::-1]
+            elif tamper == "duplicate-member":
+                payload["members"] = members + members[-1:]
+            elif tamper == "malformed-label":
+                members[-1][0] = [members[-1][0]]
+            elif tamper == "malformed-verdict":
+                members[-1][1][0] = members[-1][1][0][:1]
+            else:
+                members[-1][1] = members[-1][1][:-1]
+            return payload
+
+        cache = cache_at(tmp_path)
+        reference = _check_pair(PAIR_SOURCE, CheckerOptions(jobs=1))
+        _check_pair(PAIR_SOURCE, CheckerOptions(jobs=1, cache_path=cache))
+        _rewrite_payloads(cache, rewrite)
+        warm = _check_pair(PAIR_SOURCE,
+                           CheckerOptions(jobs=1, cache_path=cache))
+        stats = warm.prover_stats
+        assert stats["unit_hits"] == 0
+        assert stats["unit_misses"] == stats["unit_lookups"] == 2
+        assert _fingerprint(warm) == _fingerprint(reference)
+
+    def test_schema_1_rows_miss_without_raising(self, tmp_path):
+        """A store written by the per-function layout (``schema`` 1:
+        one ``obligations`` list per row, no ``members``) is a miss,
+        then gets re-stored in the group layout."""
+        def legacy(payload):
+            anchor = payload["members"][0]
+            return {"schema": 1, "function": anchor[0],
+                    "obligations": anchor[1], "deps": payload["deps"]}
+
+        cache = cache_at(tmp_path)
+        reference = _check_pair(PAIR_SOURCE, CheckerOptions(jobs=1))
+        _check_pair(PAIR_SOURCE, CheckerOptions(jobs=1, cache_path=cache))
+        _rewrite_payloads(cache, legacy)
+        warm = _check_pair(PAIR_SOURCE,
+                           CheckerOptions(jobs=1, cache_path=cache))
+        stats = warm.prover_stats
+        assert stats["unit_hits"] == 0
+        assert stats["unit_stores"] == 1
+        assert _fingerprint(warm) == _fingerprint(reference)
+        rewarm = _check_pair(PAIR_SOURCE,
+                             CheckerOptions(jobs=1, cache_path=cache))
+        assert rewarm.prover_stats["unit_hits"] == 2
+
+
+def _plain_input_digest(engine, label):
+    """The function input digest recipe with every store rendered by
+    plain ``AbstractStore.render()`` — the reference bytes."""
+    from repro.analysis.units import _render_op
+    from repro.logic.serialize import formula_digest, text_digest
+    cfg = engine.cfg
+    uids = sorted(cfg.functions[label].node_uids)
+    ordinal = {uid: position for position, uid in enumerate(uids)}
+    indices = [cfg.node(uid).index for uid in uids if cfg.node(uid).index]
+    base_index = min(indices) if indices else 0
+    parts = []
+    for uid in uids:
+        node = cfg.node(uid)
+        relative = node.index - base_index if node.index else -1
+        parts.append("n%d i%d %s %s" % (
+            ordinal[uid], relative, node.role.value,
+            _render_op(node.instruction, base_index)))
+        store = engine.propagation.inputs.get(uid)
+        parts.append(store.render() if store is not None else "-")
+    edges = []
+    for uid in uids:
+        for edge in cfg.successors(uid):
+            dst = str(ordinal[edge.dst]) if edge.dst in ordinal \
+                else "x:" + cfg.node(edge.dst).function
+            edges.append("e %d %s %s %s" % (
+                ordinal[uid], dst, edge.kind.value,
+                edge.condition if edge.condition is not None else "-"))
+    parts.extend(sorted(edges))
+    for loop in sorted(engine.loops[label].loops,
+                       key=lambda l: l.header):
+        parts.append("h%d %s" % (
+            ordinal.get(loop.header, -1),
+            formula_digest(engine.header_facts(loop))))
+    return text_digest("fn", label, *parts)
+
+
+class TestInputDigest:
+    @pytest.mark.parametrize("name", ["md5", "heapsort2"])
+    def test_memoized_render_matches_plain_render(self, name):
+        """The input digest renders each distinct typestate object
+        once; its bytes must equal the plain-render recipe's."""
+        from repro.analysis.prepare import prepare
+        from repro.analysis.propagate import propagate
+        from repro.analysis.units import function_input_digest
+        from repro.analysis.verify import VerificationEngine
+        from repro.cfg import build_cfg
+        from repro.programs import all_programs
+        program = next(p for p in all_programs() if p.name == name)
+        spec = program.spec()
+        preparation = prepare(spec)
+        cfg = build_cfg(program.program(),
+                        trusted_labels=set(spec.functions))
+        propagation = propagate(cfg, preparation, spec)
+        engine = VerificationEngine(cfg, propagation, preparation, spec,
+                                    CheckerOptions())
+        assert len(cfg.functions) == 2
+        for label in cfg.functions:
+            assert function_input_digest(engine, label) \
+                == _plain_input_digest(engine, label)
+
+
+@pytest.mark.bench
+class TestHeavyGroupReplay:
+    @pytest.mark.parametrize("name", ["md5", "heapsort2"])
+    def test_warm_recheck_replays_every_unit(self, tmp_path, name):
+        from repro.programs import all_programs
+        program = next(p for p in all_programs() if p.name == name)
+        cache = cache_at(tmp_path)
+        reference = program.check(options=CheckerOptions(jobs=1))
+        cold = program.check(
+            options=CheckerOptions(jobs=1, cache_path=cache))
+        warm = program.check(
+            options=CheckerOptions(jobs=1, cache_path=cache))
+        stats = warm.prover_stats
+        assert stats["unit_hits"] == stats["unit_lookups"] == 2
+        assert warm.prover_queries == 0
+        assert _fingerprint(reference) == _fingerprint(cold) \
+            == _fingerprint(warm)
+        assert _json_bytes(reference) == _json_bytes(warm)

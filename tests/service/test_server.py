@@ -2,7 +2,11 @@
 ThreadingHTTPServer on an ephemeral port, exercised through the
 ``repro.service.client`` helpers and the ``repro submit`` CLI."""
 
+import http.server
 import json
+import socket
+import threading
+import urllib.request
 
 import pytest
 
@@ -11,7 +15,9 @@ from repro.programs.sum_array import SOURCE, SPEC
 from repro.service.client import (
     ServiceError, build_payload, fetch_json, submit,
 )
-from repro.service.server import CheckServer, ServeConfig
+from repro.service.server import (
+    CheckServer, ServeConfig, _AdoptedHTTPServer,
+)
 
 
 @pytest.fixture(scope="module")
@@ -222,3 +228,89 @@ class TestSubmitCli:
                    "http://127.0.0.1:1"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+class _Hello(http.server.BaseHTTPRequestHandler):
+    def do_GET(self):
+        body = b"hello"
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+class _Racing(_AdoptedHTTPServer):
+    """Holds each server that select() woke until the other one has
+    woken too, so both always try to accept the one connection."""
+
+    def __init__(self, sock, handler, barrier):
+        super().__init__(sock, handler)
+        self.barrier = barrier
+
+    def _handle_request_noblock(self):
+        try:
+            self.barrier.wait(timeout=5)
+        except threading.BrokenBarrierError:
+            pass
+        super()._handle_request_noblock()
+
+
+class TestSharedListenSocket:
+    def test_shutdown_returns_after_a_lost_accept_race(self):
+        """Two servers on one listening socket (the shard layout): one
+        connection wakes both, one loses the accept() race, and
+        shutdown() must still return on both."""
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(16)
+        barrier = threading.Barrier(2)
+        servers = [_Racing(listener, _Hello, barrier) for _ in range(2)]
+        for httpd in servers:
+            httpd.daemon_threads = True
+            threading.Thread(target=httpd.serve_forever,
+                             kwargs={"poll_interval": 0.05},
+                             daemon=True).start()
+        host, port = listener.getsockname()[:2]
+        with urllib.request.urlopen(
+                "http://%s:%d/" % (host, port), timeout=10) as response:
+            assert response.read() == b"hello"
+        stoppers = [threading.Thread(target=httpd.shutdown, daemon=True)
+                    for httpd in servers]
+        for stopper in stoppers:
+            stopper.start()
+        for stopper in stoppers:
+            stopper.join(timeout=10)
+        hung = [stopper for stopper in stoppers if stopper.is_alive()]
+        if hung:
+            # Free the blocked accept() so the thread can exit.
+            socket.create_connection((host, port), timeout=5).close()
+        listener.close()
+        assert not hung, "a server blocked in accept() after the race"
+
+    def test_accepted_connections_are_blocking(self):
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        httpd = _AdoptedHTTPServer(listener, _Hello)
+        try:
+            assert listener.getblocking() is False
+            client = socket.create_connection(
+                listener.getsockname()[:2], timeout=5)
+            try:
+                conn = None
+                for _ in range(200):
+                    try:
+                        conn, _ = httpd.get_request()
+                        break
+                    except BlockingIOError:
+                        threading.Event().wait(0.01)
+                assert conn is not None
+                assert conn.getblocking() is True
+                conn.close()
+            finally:
+                client.close()
+        finally:
+            listener.close()
