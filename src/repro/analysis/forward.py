@@ -115,6 +115,8 @@ class FactSet:
         counter loops converge instead of drifting one step per
         iteration."""
         out = FactSet()
+        self_equalities = self._equalities()
+        other_equalities = other._equalities()
         for direction, c1 in self.lower.items():
             c2 = other.lower.get(direction)
             if c2 is None:
@@ -128,7 +130,7 @@ class FactSet:
                 # Retention: a side that pins the direction to a single
                 # value consistent with the congruence still implies it.
                 direction, modulus = key
-                pinned = other._equalities().get(direction)
+                pinned = other_equalities.get(direction)
                 if pinned is not None and pinned % modulus == r1:
                     out.congruences[key] = r1
                 continue
@@ -141,7 +143,6 @@ class FactSet:
                     out._add_cong(Linear(dict(direction), -(r1 % weaker)),
                                   weaker)
         # Retention in the other direction as well.
-        self_equalities = self._equalities()
         for key, r2 in other.congruences.items():
             if key in self.congruences or key in out.congruences:
                 continue
@@ -153,7 +154,7 @@ class FactSet:
         # *different* constants (d·x⃗ = v₁ vs = v₂) agree modulo their
         # difference — how a stride-4 counter learns x ≡ 0 (mod 4).
         for direction, v1 in self_equalities.items():
-            v2 = other._equalities().get(direction)
+            v2 = other_equalities.get(direction)
             if v2 is not None and v1 != v2 and abs(v1 - v2) >= 2:
                 out._add_cong(Linear(dict(direction), -v1),
                               abs(v1 - v2))

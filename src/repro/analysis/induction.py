@@ -25,15 +25,19 @@ Enhancements implemented (paper Sections 5.2.1 and 6):
 
 Candidates are ranked by a simple heuristic and explored breadth-first
 (paper: "test the potential candidates for W(i) using a breadth-first
-strategy").
+strategy").  They are produced lazily, in that order: the wlp's DNF
+disjuncts are expanded, simplified and ranked only once the search
+asks for a candidate past the wlp itself, so a chain that the one-step
+lookahead closes on an early candidate never pays for the expansion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.cfg.loops import Loop
+from repro.errors import ProverError
 from repro.logic.formula import (
     And, Cong, Eq, FalseFormula, Formula, Geq, TRUE, TrueFormula,
     conj, disj, formula_size, neg,
@@ -190,14 +194,23 @@ class InductionIteration:
 
     # -- candidate generation -------------------------------------------------------
 
-    def _candidates_for(self, body_wlp: Formula) -> List[Formula]:
-        """W(i+1) candidates, in exploration order: generalizations of
-        the wlp first (they carry the facts the plain chain can never
-        learn), then the wlp itself, then its DNF disjuncts.  Every
-        candidate implies the wlp, keeping the chain argument sound."""
+    def _candidates_for(self, body_wlp: Formula) -> Iterator[Formula]:
+        """W(i+1) candidates, in exploration order: invariant atoms and
+        generalizations of the wlp first (they carry the facts the plain
+        chain can never learn), then the wlp itself, then its DNF
+        disjuncts.  Every candidate implies the wlp, keeping the chain
+        argument sound.
+
+        The stream is lazy: the atoms and generalizations (with their
+        admission queries) are computed up front, but the wlp's DNF is
+        expanded only when the consumer asks for a candidate past the
+        wlp.  ``_step`` stops at the first candidate that closes the
+        chain, and a loop-body wlp can expand to tens of thousands of
+        disjuncts of which only a few hundred survive the filters."""
         self.prover.check_deadline()
         if isinstance(body_wlp, (TrueFormula, FalseFormula)):
-            return [body_wlp]
+            yield body_wlp
+            return
         # Every admission check below has the shape "candidate →
         # body_wlp", i.e. "¬body_wlp ∧ candidate is unsatisfiable":
         # one session keyed on ¬body_wlp pre-eliminates and pre-expands
@@ -224,27 +237,31 @@ class InductionIteration:
                     generalized.append(gen)
                 else:
                     generalized.append(conj(gen, body_wlp))
-        disjuncts: List[Formula] = []
-        if self.options.enable_disjunct_candidates:
-            try:
-                disjuncts = [conj(*atoms)
-                             for atoms in to_dnf(to_nnf(body_wlp))]
-            except Exception:
-                disjuncts = []
-            if len(disjuncts) <= 1:
-                disjuncts = []
         generalized.sort(key=self._rank)
-        disjuncts.sort(key=self._rank)
-        out: List[Formula] = []
-        for f in atoms + generalized + [body_wlp] + disjuncts:
-            f = simplify(f)
-            if isinstance(f, FalseFormula):
-                continue
-            if self._rank(f)[0] > 120:
-                continue  # oversized candidates only grind the prover
-            if f not in out:
-                out.append(f)
-        return out
+        emitted: Set[Formula] = set()
+
+        def fresh(formulas: Iterable[Formula]) -> Iterator[Formula]:
+            for f in formulas:
+                f = simplify(f)
+                if isinstance(f, FalseFormula):
+                    continue
+                if self._rank(f)[0] > 120:
+                    continue  # oversized candidates only grind the prover
+                if f not in emitted:
+                    emitted.add(f)
+                    yield f
+
+        yield from fresh(atoms + generalized + [body_wlp])
+        if not self.options.enable_disjunct_candidates:
+            return
+        try:
+            conjuncts = to_dnf(to_nnf(body_wlp))
+        except ProverError:
+            return  # DNF blow-up: no disjunct candidates
+        if len(conjuncts) <= 1:
+            return
+        yield from fresh(sorted((conj(*parts) for parts in conjuncts),
+                                key=self._rank))
 
     def generalizations(self, f: Formula) -> List[Formula]:
         """The paper's generalization: ``¬(elimination(¬f))`` where

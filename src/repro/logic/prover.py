@@ -336,7 +336,12 @@ class Prover:
         if cached is not None:
             self.stats.conjunct_cache_hits += 1
             return cached
-        result = self._conjunct_satisfiable(tuple(key))
+        # A frozenset iterates in an order that depends on the hash
+        # seed and on its insertion history; decide its atoms in a
+        # process-stable order so the component split and the
+        # short-circuit below do the same work in every process.
+        result = self._conjunct_satisfiable(
+            tuple(sorted(key, key=_atom_order)))
         self._conjunct_cache.put(key, result)
         return result
 
@@ -436,6 +441,13 @@ class Prover:
         raise TypeError("unexpected formula %r" % (f,))
 
 
+def _atom_order(atom: Formula) -> tuple:
+    """A process-stable sort key for the quantifier-free atoms of a
+    canonical conjunct key (distinct atoms get distinct keys)."""
+    return (atom.__class__.__name__, getattr(atom, "modulus", 0),
+            atom.term.key())
+
+
 def _split_components(atoms) -> List[tuple]:
     """Partition a conjunct into variable-connected components.
 
@@ -444,8 +456,10 @@ def _split_components(atoms) -> List[tuple]:
     into one component of their own.  A conjunction of independent
     components is satisfiable iff each component is, so deciding them
     separately is exact — and much cheaper, because Omega cost is
-    super-linear in system size.  Component order follows first atom
-    appearance, keeping the decomposition deterministic."""
+    super-linear in system size.  Component order, and the atom order
+    within each component, follow the order of *atoms*: the split is
+    as deterministic as its input order, so callers holding an
+    unordered key sort it first."""
     roots: dict = {}
 
     def find(v):

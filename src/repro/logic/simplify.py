@@ -205,7 +205,9 @@ def _try_merge(a: Or, b: Or) -> Formula:
     total = atom_a.term + atom_b.term
     if not (total.is_constant and total.constant == -1):
         return None
-    shared = sa & sb
+    # In a's part order, not set order: the merged disjunction's part
+    # order must not depend on the process's hash seed.
+    shared = [p for p in a.parts if p in sb]
     if not shared:
         return None
     return disj(*shared)

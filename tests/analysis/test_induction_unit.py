@@ -4,9 +4,14 @@ generation, generalization, ranking, and the outcome bookkeeping."""
 import pytest
 
 from repro import parse_spec
+from repro.analysis import induction
 from repro.analysis.annotate import annotate
-from repro.analysis.induction import InductionIteration
-from repro.logic.formula import formula_size
+from repro.analysis.induction import InductionIteration, _collect_atoms
+from repro.logic.formula import (
+    FALSE, TRUE, FalseFormula, TrueFormula, formula_size, neg,
+)
+from repro.logic.normalize import to_dnf, to_nnf
+from repro.logic.simplify import simplify
 from repro.analysis.options import CheckerOptions
 from repro.analysis.prepare import prepare
 from repro.analysis.propagate import propagate
@@ -112,6 +117,118 @@ class TestCandidates:
     def test_atom_count(self):
         f = conj(ge(v("a"), 0), disj(ge(v("b"), 0), ge(v("c"), 0)))
         assert formula_size(f) == 3
+
+
+def _eager_candidates(ii, body_wlp):
+    """Reference recipe: the whole candidate list, built eagerly.  The
+    lazy stream must yield exactly this sequence."""
+    if isinstance(body_wlp, (TrueFormula, FalseFormula)):
+        return [body_wlp]
+    admission = ii.prover.prefix_session(neg(body_wlp))
+    atoms = []
+    modified = ii.engine.modified_variables(ii.loop)
+    for atom in _collect_atoms(body_wlp):
+        if atom.free_variables() & modified:
+            continue
+        if atom not in atoms and admission.refutes(atom):
+            atoms.append(atom)
+    generalized = []
+    if ii.options.enable_generalization:
+        for gen in ii.generalizations(body_wlp):
+            if admission.refutes(gen):
+                generalized.append(gen)
+            else:
+                generalized.append(conj(gen, body_wlp))
+    disjuncts = []
+    if ii.options.enable_disjunct_candidates:
+        disjuncts = [conj(*parts) for parts in to_dnf(to_nnf(body_wlp))]
+        if len(disjuncts) <= 1:
+            disjuncts = []
+    generalized.sort(key=ii._rank)
+    disjuncts.sort(key=ii._rank)
+    out = []
+    for f in atoms + generalized + [body_wlp] + disjuncts:
+        f = simplify(f)
+        if isinstance(f, FalseFormula):
+            continue
+        if ii._rank(f)[0] > 120:
+            continue
+        if f not in out:
+            out.append(f)
+    return out
+
+
+def _paper_wlp():
+    return implies(lt(v("%g3") + 1, v("%o1")), lt(v("%g3") + 1, v("n")))
+
+
+def _rich_wlp(oversized=True):
+    """A loop-body wlp whose 64 DNF disjuncts include duplicates after
+    simplification and contradictions that simplify to false; with
+    *oversized*, one branch (and so the wlp itself) has 121 atoms, past
+    the rank cut-off."""
+    g3, o1, n = v("%g3"), v("%o1"), v("n")
+    if oversized:
+        wide = conj(*(ge(v("a%d" % k), k) for k in range(121)))
+    else:
+        wide = ge(v("%o2"), 0)
+    return conj(
+        disj(lt(g3 + 1, o1), lt(g3 + 1, n)),
+        disj(ge(g3, 1), le(g3, 0)),
+        disj(ge(g3, 1), wide),
+        disj(le(g3, 0), ge(o1, 0)),
+        disj(ge(o1, 0), ge(n, 0)),
+        disj(ge(o1, 1), ge(n, 0)),
+    )
+
+
+class TestLazyCandidates:
+    def test_rich_wlp_covers_every_filter(self, sum_engine):
+        engine, loop = sum_engine
+        ii = InductionIteration(engine, loop, {}, 0)
+        simplified = [simplify(conj(*parts))
+                      for parts in to_dnf(to_nnf(_rich_wlp()))]
+        assert len(simplified) == 64
+        assert any(isinstance(f, FalseFormula) for f in simplified)
+        assert any(ii._rank(f)[0] > 120 for f in simplified)
+        kept = [f for f in simplified
+                if not isinstance(f, FalseFormula)
+                and ii._rank(f)[0] <= 120]
+        assert len(set(kept)) < len(kept)  # duplicates to drop
+
+    @pytest.mark.parametrize("generalize", [True, False])
+    @pytest.mark.parametrize("disjuncts", [True, False])
+    def test_stream_equals_eager_reference(self, sum_engine, generalize,
+                                           disjuncts):
+        engine, loop = sum_engine
+        engine.options.enable_generalization = generalize
+        engine.options.enable_disjunct_candidates = disjuncts
+        for wlp in (_rich_wlp(), _rich_wlp(oversized=False),
+                    _paper_wlp(), TRUE, FALSE):
+            reference = _eager_candidates(
+                InductionIteration(engine, loop, {}, 0), wlp)
+            stream = InductionIteration(engine, loop, {}, 0) \
+                ._candidates_for(wlp)
+            assert list(stream) == reference
+
+    def test_first_candidate_does_not_expand_the_wlp(self, sum_engine,
+                                                      monkeypatch):
+        engine, loop = sum_engine
+        wlp = _rich_wlp(oversized=False)
+        expanded = []
+        real_to_dnf = induction.to_dnf
+
+        def counting_to_dnf(f):
+            expanded.append(f)
+            return real_to_dnf(f)
+
+        monkeypatch.setattr(induction, "to_dnf", counting_to_dnf)
+        stream = InductionIteration(engine, loop, {}, 0) \
+            ._candidates_for(wlp)
+        next(stream)
+        assert to_nnf(wlp) not in expanded
+        assert len(list(stream)) > 1
+        assert expanded.count(to_nnf(wlp)) == 1
 
 
 class TestRun:
