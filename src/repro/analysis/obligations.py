@@ -271,8 +271,10 @@ def worker_discharge(blob: bytes):
 
     ``verdicts`` is ``[(oid, True/False/None)]`` — ``None`` marks a
     worker-side error; the parent re-proves those (and plain failures)
-    serially.  The stats delta uses :meth:`Prover.reset_stats`, which
-    zeroes counters *without* dropping the worker's warm caches.
+    serially.  Each task starts from empty per-check state — the
+    engine's memos and the prover's result caches and counters are
+    reset first — so its verdicts and stats do not depend on which
+    earlier tasks the pool happened to give the same worker.
     ``trace records`` is the drained span buffer when the parent is
     tracing (empty otherwise); the parent re-roots the records into
     its own trace via :meth:`repro.trace.Tracer.forward`.
@@ -280,7 +282,8 @@ def worker_discharge(blob: bytes):
     its proof (see :meth:`VerificationEngine.touched_snapshot`)."""
     engine: VerificationEngine = _WORKER_STATE["engine"]  # type: ignore
     obligations: List[Obligation] = pickle.loads(blob)
-    engine.prover.reset_stats()
+    engine.reset_memos()
+    engine.prover.reset()
     induction_before = engine.induction_runs
     verdicts: List[Tuple[int, Optional[bool]]] = []
     touched: Dict[int, List[str]] = {}

@@ -20,18 +20,22 @@ whenever possible."  This module is that canonical form:
 :class:`Formula` usable as a cache key whose ``__eq__``/``__hash__``
 are O(1)-ish thanks to interning.  :func:`canonical_conjunct` is the
 same idea specialized to the per-conjunct satisfiability cache of the
-prover's DNF loop, where most of the repeated work lives.
+prover's DNF loop, where most of the repeated work lives, and
+:func:`conjunct_keys` yields those keys for a whole quantifier-free
+formula straight from its NNF tree, without building the DNF.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from itertools import repeat
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.logic.formula import (
     And, Cong, Eq, Exists, FalseFormula, Forall, Formula, Geq, Not, Or,
     TrueFormula, conj, disj, neg,
 )
 from repro.logic.memo import BoundedCache
+from repro.logic.normalize import dnf_length
 from repro.logic.simplify import normalize_atom
 
 #: Stem for canonical bound-variable names; nothing else in the
@@ -41,14 +45,16 @@ _BOUND_STEM = "$canon"
 
 _CANON_CACHE = BoundedCache()
 
-#: Conjunct-key memo: DNF conjunct tuples repeat across queries (the
-#: memoized :func:`repro.logic.normalize.to_dnf` returns shared lists),
-#: so the frozenset key of a conjunct is itself worth caching.
-_CONJUNCT_CACHE = BoundedCache()
+#: A canonical conjunct key: None for a trivially unsatisfiable
+#: conjunct, else its frozenset of normalized atoms.
+ConjunctKey = Optional[FrozenSet[Formula]]
 
-#: Sentinel distinguishing a cached None (= trivially-unsat conjunct)
-#: from a cache miss inside :data:`_CONJUNCT_CACHE`.
-_FALSE_KEY = ("conjunct-false",)
+#: Nodes whose DNF has at most this many conjuncts keep their key list
+#: memoized: sub-formulas recur across queries, and their lists are
+#: short.  Larger nodes are enumerated on demand and keep nothing.
+_SMALL_NODE_KEYS = 32
+
+_KEYS_CACHE = BoundedCache(1 << 12)
 
 _RANK: Dict[type, int] = {
     FalseFormula: 0, TrueFormula: 1, Geq: 2, Eq: 3, Cong: 4,
@@ -107,27 +113,103 @@ def _canon(f: Formula, env: Dict[str, str], depth: int) -> Formula:
     raise TypeError("unexpected formula %r" % (f,))
 
 
-def canonical_conjunct(atoms: Iterable[Formula]
-                       ) -> Optional[FrozenSet[Formula]]:
+def canonical_conjunct(atoms: Iterable[Formula]) -> ConjunctKey:
     """Canonical key of one DNF conjunct (a bag of quantifier-free
     atoms): gcd/sign-normalized, deduplicated, order-independent.
 
     Returns ``None`` when an atom normalizes to *false* (the conjunct
     is trivially unsatisfiable); an empty frozenset means trivially
     satisfiable."""
-    key = atoms if isinstance(atoms, tuple) else tuple(atoms)
-    cached = _CONJUNCT_CACHE.get(key)
-    if cached is not None:
-        return None if cached is _FALSE_KEY else cached
     out = set()
-    for atom in key:
+    for atom in atoms:
         normalized = normalize_atom(atom)
         if isinstance(normalized, FalseFormula):
-            _CONJUNCT_CACHE.put(key, _FALSE_KEY)
             return None
         if isinstance(normalized, TrueFormula):
             continue
         out.add(normalized)
-    result = frozenset(out)
-    _CONJUNCT_CACHE.put(key, result)
-    return result
+    return frozenset(out)
+
+
+def conjunct_keys(f: Formula) -> Iterable[ConjunctKey]:
+    """The canonical keys of *f*'s DNF conjuncts, in DNF order:
+    ``[canonical_conjunct(c) for c in to_dnf(f)]``, without building
+    a conjunct tuple.
+
+    *f* must be quantifier-free NNF.  The key of a conjunction is the
+    union of its parts' keys (None if any is None), so an And yields
+    the product of its parts' key streams, first part outermost, and an
+    Or the concatenation of its parts' streams.  Raises
+    :class:`~repro.errors.ProverError` exactly where ``to_dnf`` would,
+    before yielding anything; past that check, keys are built only as
+    the caller reads them."""
+    return _keys(f, dnf_length(f))
+
+
+def _keys(f: Formula, length: int) -> Iterable[ConjunctKey]:
+    if length > _SMALL_NODE_KEYS:
+        if isinstance(f, Or):
+            return _or_keys(f.parts)
+        if isinstance(f, And):
+            return _and_keys(f.parts)
+    return _small_keys(f)
+
+
+def _small_keys(f: Formula) -> List[ConjunctKey]:
+    if isinstance(f, (And, Or)):
+        cached = _KEYS_CACHE.get(f)
+        if cached is None:
+            cached = _small_keys_uncached(f)
+            _KEYS_CACHE.put(f, cached)
+        return cached
+    if isinstance(f, TrueFormula):
+        return [frozenset()]
+    if isinstance(f, FalseFormula):
+        return []
+    return [canonical_conjunct((f,))]
+
+
+def _small_keys_uncached(f: Formula) -> List[ConjunctKey]:
+    if isinstance(f, Or):
+        out: List[ConjunctKey] = []
+        for part in f.parts:
+            out.extend(_small_keys(part))
+        return out
+    if dnf_length(f) == 0:
+        return []  # a part is false; the other parts may be large
+    product: List[ConjunctKey] = [frozenset()]
+    for part in f.parts:
+        branches = _small_keys(part)
+        product = [None if left is None or right is None else left | right
+                   for left in product for right in branches]
+    return product
+
+
+def _or_keys(parts: Tuple[Formula, ...]) -> Iterator[ConjunctKey]:
+    for part in parts:
+        yield from _keys(part, dnf_length(part))
+
+
+def _and_keys(parts: Tuple[Formula, ...]) -> Iterator[ConjunctKey]:
+    # ``rest[i]`` counts the conjuncts of ``parts[i:]``: a None key of
+    # part i-1 stands for that many None keys of the whole product.
+    lengths = [dnf_length(part) for part in parts]
+    rest = [1] * (len(parts) + 1)
+    for index in range(len(parts) - 1, -1, -1):
+        rest[index] = rest[index + 1] * lengths[index]
+    last = len(parts) - 1
+
+    def walk(index: int, acc: FrozenSet[Formula]
+             ) -> Iterator[ConjunctKey]:
+        branches = _keys(parts[index], lengths[index])
+        if index == last:
+            for key in branches:
+                yield None if key is None else acc | key
+            return
+        for key in branches:
+            if key is None:
+                yield from repeat(None, rest[index + 1])
+            else:
+                yield from walk(index + 1, acc | key)
+
+    return walk(0, frozenset())

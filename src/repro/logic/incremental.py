@@ -9,19 +9,26 @@ scratch pipeline re-eliminates and re-expands the whole conjunction
 each time, then re-canonicalizes every atom of every prefix conjunct.
 
 A :class:`PrefixSession` does that work once.  At construction it
-runs quantifier elimination and DNF expansion on the prefix and keeps
-each prefix conjunct as its canonical frozenset key (the per-conjunct
-cache key of :class:`~repro.logic.prover.Prover`).  A query then only
-eliminates/expands its delta and decides the pairwise unions
+runs quantifier elimination on the prefix and keeps each prefix
+conjunct as its canonical frozenset key (the per-conjunct cache key of
+:class:`~repro.logic.prover.Prover`).  A query then only eliminates
+its delta and decides the pairwise unions
 
     key(p ∪ d) = key(p) | key(d)
 
-— the same keys the from-scratch path would compute for the conjuncts
-of ``to_dnf(prefix ∧ delta)`` (concatenation of DNF conjuncts is the
-DNF of the conjunction, and canonical conjunct keys are unions over
-atoms), so both paths share the prover's conjunct cache and agree on
-every verdict by construction.  Resource limits mirror the plain path:
-the pairwise product is bounded by the same ``MAX_DNF_CONJUNCTS``, and
+— the same keys, in the same order, that the from-scratch path would
+compute for the conjuncts of ``to_dnf(prefix ∧ delta)``, less the
+trivially false ones: concatenating
+DNF conjuncts gives the DNF of the conjunction, canonical conjunct
+keys are unions over atoms, and the pairs are walked prefix-major.  So
+both paths share the prover's conjunct cache and agree on every
+verdict by construction.  The delta's keys come lazily off its NNF
+tree (:func:`~repro.logic.canonical.conjunct_keys`) and are read once,
+during the first prefix key: a satisfiable query stops at its first
+satisfiable pair without building the rest of the delta's keys.
+Resource limits mirror the plain path: the pairwise product is
+bounded by the same ``MAX_DNF_CONJUNCTS``, checked from
+:func:`~repro.logic.normalize.dnf_length` before any key is built, and
 any :class:`~repro.errors.ProverError` degrades to the conservative
 "may be satisfiable" fallback, never cached.
 
@@ -34,14 +41,16 @@ ordinary cache ladder.
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ProverError
-from repro.logic.canonical import canonical_conjunct, canonicalize
-from repro.logic.formula import (
-    FalseFormula, Formula, TrueFormula, conj, formula_size, neg,
+from repro.logic.canonical import (
+    ConjunctKey, canonicalize, conjunct_keys,
 )
-from repro.logic.normalize import MAX_DNF_CONJUNCTS, to_dnf
+from repro.logic.formula import (
+    Formula, TrueFormula, conj, formula_size, neg,
+)
+from repro.logic.normalize import MAX_DNF_CONJUNCTS, dnf_length
 from repro.logic.serialize import canonical_digest
 
 __all__ = ["PrefixSession"]
@@ -64,9 +73,6 @@ class PrefixSession:
         #: Canonical frozenset keys of the prefix DNF conjuncts
         #: (trivially-false conjuncts dropped); None until ready.
         self._prefix_keys: Optional[List[FrozenSet[Formula]]] = None
-        #: Raw prefix conjuncts for the ``enable_canonical_cache=False``
-        #: configuration, where no canonical keys exist.
-        self._prefix_atoms: Optional[List[Tuple[Formula, ...]]] = None
         self._ready = False
         if not (prover.enable_incremental
                 and prover.enable_canonical_cache):
@@ -76,17 +82,7 @@ class PrefixSession:
             return
         try:
             qf = prover.eliminate_quantifiers(prefix)
-            if isinstance(qf, FalseFormula):
-                dnf: List[Tuple[Formula, ...]] = []
-            elif isinstance(qf, TrueFormula):
-                dnf = [()]
-            else:
-                dnf = to_dnf(qf)
-            keys = []
-            for atoms in dnf:
-                key = canonical_conjunct(atoms)
-                if key is not None:
-                    keys.append(key)
+            keys = [key for key in conjunct_keys(qf) if key is not None]
         except ProverError:
             # Prefix too big to pre-process: stay in fallback mode (the
             # plain path may still decide individual queries, or hit
@@ -139,33 +135,19 @@ class PrefixSession:
 
     def _decide_delta(self, extra: Formula) -> Tuple[bool, str]:
         prover = self.prover
-        if not self._prefix_keys:
+        prefix_keys = self._prefix_keys
+        if not prefix_keys:
             return False, "decided"  # unsatisfiable prefix
         try:
             qf = prover.eliminate_quantifiers(extra)
-            if isinstance(qf, FalseFormula):
-                return False, "decided"
-            if isinstance(qf, TrueFormula):
-                delta_dnf: List[Tuple[Formula, ...]] = [()]
-            else:
-                delta_dnf = to_dnf(qf)
-            if len(self._prefix_keys) * len(delta_dnf) \
-                    > MAX_DNF_CONJUNCTS:
+            delta_keys = conjunct_keys(qf)
+            if len(prefix_keys) * dnf_length(qf) > MAX_DNF_CONJUNCTS:
                 raise ProverError("DNF blow-up: more than %d conjuncts"
                                   % MAX_DNF_CONJUNCTS)
-            delta_keys = []
-            for atoms in delta_dnf:
-                key = canonical_conjunct(atoms)
-                if key is not None:
-                    delta_keys.append(key)
-            if not delta_keys:
-                return False, "decided"
-            for prefix_key in self._prefix_keys:
-                for delta_key in delta_keys:
-                    prover.stats.conjunct_queries += 1
-                    if prover._conjunct_decide_key(
-                            prefix_key | delta_key):
-                        return True, "decided"
+            for key in _unions(prefix_keys, delta_keys):
+                prover.stats.conjunct_queries += 1
+                if prover._conjunct_decide_key(key):
+                    return True, "decided"
             return False, "decided"
         except ProverError:
             # Same conservative degradation as Prover._query: "may be
@@ -188,3 +170,26 @@ class PrefixSession:
             from repro.logic.serialize import formula_to_obj
             attrs["formula"] = formula_to_obj(full)
         prover.tracer.event("prover:query", **attrs)
+
+
+def _unions(prefix_keys: List[FrozenSet[Formula]],
+            delta_keys: Iterable[ConjunctKey]
+            ) -> Iterator[FrozenSet[Formula]]:
+    """``p | d`` for every prefix key *p* and every non-None delta key
+    *d*, prefix-major: the conjunct order of ``to_dnf(prefix ∧ delta)``.
+    The delta stream is read once, lazily, during the first prefix key;
+    its keys are kept only while more prefix keys remain to pair."""
+    first = prefix_keys[0]
+    if len(prefix_keys) == 1:
+        for key in delta_keys:
+            if key is not None:
+                yield first | key
+        return
+    read = []
+    for key in delta_keys:
+        if key is not None:
+            read.append(key)
+            yield first | key
+    for prefix_key in prefix_keys[1:]:
+        for key in read:
+            yield prefix_key | key

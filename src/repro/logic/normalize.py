@@ -32,6 +32,7 @@ MAX_DNF_CONJUNCTS = 50_000
 #: switchable through :func:`repro.logic.memo.set_memoization`.
 _NNF_CACHE = BoundedCache()
 _DNF_CACHE = BoundedCache(1 << 12)
+_SIZE_CACHE = BoundedCache()
 
 
 def to_nnf(f: Formula) -> Formula:
@@ -95,10 +96,17 @@ def to_dnf(f: Formula) -> List[Conjunct]:
     """Disjunctive normal form of a quantifier-free NNF formula.
 
     Returns a list of conjuncts; the empty list means *false*, and a
-    conjunct with no atoms means *true*.  Results for composite nodes
-    are memoized and shared — callers must treat the returned list as
-    immutable (every caller in the tree only iterates it).
+    conjunct with no atoms means *true*.  Raises :class:`ProverError`
+    where :func:`dnf_length` does, before building any conjunct.
+    Results for composite nodes are memoized and shared — callers must
+    treat the returned list as immutable (every caller in the tree only
+    iterates it).
     """
+    dnf_length(f)
+    return _dnf(f)
+
+
+def _dnf(f: Formula) -> List[Conjunct]:
     if isinstance(f, (And, Or)):
         cached = _DNF_CACHE.get(f)
         if cached is None:
@@ -118,30 +126,70 @@ def _dnf_uncached(f: Formula) -> List[Conjunct]:
     if isinstance(f, Or):
         out: List[Conjunct] = []
         for part in f.parts:
-            out.extend(to_dnf(part))
-            if len(out) > MAX_DNF_CONJUNCTS:
-                raise ProverError("DNF blow-up: more than %d conjuncts"
-                                  % MAX_DNF_CONJUNCTS)
+            out.extend(_dnf(part))
         return out
     if isinstance(f, And):
         product: List[Conjunct] = [()]
         for part in f.parts:
-            branches = to_dnf(part)
-            # The product length is exactly len(product)*len(branches),
-            # so checking the bound before materializing raises in
-            # precisely the same cases — without first allocating up to
-            # MAX_DNF_CONJUNCTS*len(branches) doomed tuples.
-            if len(product) * len(branches) > MAX_DNF_CONJUNCTS:
-                raise ProverError("DNF blow-up: more than %d conjuncts"
-                                  % MAX_DNF_CONJUNCTS)
+            branches = _dnf(part)
             product = [existing + branch
                        for existing in product for branch in branches]
         return product
+    raise TypeError("unexpected formula %r" % (f,))
+
+
+def dnf_length(f: Formula) -> int:
+    """``len(to_dnf(f))``, computed without building a conjunct.
+
+    This is the one bound rule of DNF expansion: it raises
+    :class:`ProverError` when *f* has a quantifier or a ``Not``, or when
+    the expansion would pass :data:`MAX_DNF_CONJUNCTS` on the way —
+    a running disjunct count or an intermediate conjunction product,
+    even one a later *false* child would empty again."""
+    length, peak = _dnf_size(f)
+    if peak > MAX_DNF_CONJUNCTS:
+        raise ProverError("DNF blow-up: more than %d conjuncts"
+                          % MAX_DNF_CONJUNCTS)
+    return length
+
+
+def _dnf_size(f: Formula) -> Tuple[int, int]:
+    """``(length, peak)`` of *f*'s DNF: its exact conjunct count, and
+    the largest count the left-to-right expansion reaches (an Or's
+    running sums, an And's running products, and its parts' peaks).
+    Exact integers, so the memo stays valid whatever the bound."""
+    if isinstance(f, (And, Or)):
+        cached = _SIZE_CACHE.get(f)
+        if cached is None:
+            cached = _dnf_size_uncached(f)
+            _SIZE_CACHE.put(f, cached)
+        return cached
+    if isinstance(f, (Geq, Eq, Cong, TrueFormula)):
+        return 1, 0
+    if isinstance(f, FalseFormula):
+        return 0, 0
     if isinstance(f, (Exists, Forall, Not)):
         raise ProverError(
             "to_dnf requires a quantifier-free NNF formula, got %r"
             % type(f).__name__)
     raise TypeError("unexpected formula %r" % (f,))
+
+
+def _dnf_size_uncached(f: Formula) -> Tuple[int, int]:
+    peak = 0
+    if isinstance(f, Or):
+        total = 0
+        for part in f.parts:
+            length, part_peak = _dnf_size(part)
+            total += length
+            peak = max(peak, part_peak, total)
+        return total, peak
+    product = 1
+    for part in f.parts:
+        length, part_peak = _dnf_size(part)
+        product *= length
+        peak = max(peak, part_peak, product)
+    return product, peak
 
 
 def dnf_to_formula(conjuncts: List[Conjunct]) -> Formula:

@@ -19,7 +19,12 @@ form and use previous results whenever possible") at three levels:
 3. a **conjunct cache** keyed on the canonicalized atom set of each
    DNF conjunct — the same conjunctions reappear across hundreds of
    queries during induction iteration, and each hit skips an entire
-   Omega-test (or difference-solver) run.
+   Omega-test (or difference-solver) run.  The keys are enumerated
+   lazily from the quantifier-free NNF tree, in DNF order
+   (:func:`repro.logic.canonical.conjunct_keys`), so a satisfiable
+   query builds only the keys up to its first satisfiable conjunct and
+   no DNF tuple at all; the DNF bound is checked first, without
+   building anything (:func:`repro.logic.normalize.dnf_length`).
 
 Each level can be disabled independently for the ablation benchmarks.
 """
@@ -31,7 +36,7 @@ from dataclasses import dataclass, fields
 from typing import List, Optional
 
 from repro.errors import ProverError, ProverTimeout
-from repro.logic.canonical import canonical_conjunct, canonicalize
+from repro.logic.canonical import canonicalize, conjunct_keys
 from repro.logic.formula import (
     And, Cong, Eq, Exists, FalseFormula, Forall, Formula, Geq, Not, Or,
     TrueFormula, conj, disj, formula_size, neg, )
@@ -170,8 +175,8 @@ class Prover:
 
     def reset_stats(self) -> None:
         """Zero the statistics counters *without* dropping any cache —
-        long-lived pool workers report per-task stats deltas while
-        keeping their warm caches."""
+        the service's long-lived warm prover reports per-job stats
+        while keeping its caches."""
         self.stats.reset()
 
     def clear_caches(self) -> None:
@@ -309,27 +314,23 @@ class Prover:
             return True
         if isinstance(qf, FalseFormula):
             return False
-        for atoms in to_dnf(qf):
-            if self._conjunct_decide(atoms):
+        if not self.enable_canonical_cache:
+            return any(self._conjunct_satisfiable(atoms)
+                       for atoms in to_dnf(qf))
+        # Keys come lazily off the NNF tree, so a satisfiable query
+        # builds only the keys up to its first satisfiable conjunct.
+        for key in conjunct_keys(qf):
+            self.stats.conjunct_queries += 1
+            if key is not None and self._conjunct_decide_key(key):
                 return True
         return False
 
-    def _conjunct_decide(self, atoms) -> bool:
-        """One DNF conjunct through the canonical-key cache (when
-        enabled) down to the decision procedure.  Shared by the
-        from-scratch path above and the incremental delta path of
-        :class:`~repro.logic.incremental.PrefixSession`, so both hit
-        the same cache with the same keys."""
-        if not self.enable_canonical_cache:
-            return self._conjunct_satisfiable(atoms)
-        self.stats.conjunct_queries += 1
-        key = canonical_conjunct(atoms)
-        if key is None:
-            return False  # an atom folded to false: unsat conjunct
-        return self._conjunct_decide_key(key)
-
     def _conjunct_decide_key(self, key) -> bool:
-        """Decide a conjunct given its canonical frozenset key."""
+        """Decide a conjunct given its canonical frozenset key, through
+        the per-conjunct cache.  Shared by the from-scratch path above
+        and the delta path of
+        :class:`~repro.logic.incremental.PrefixSession`, so both hit the
+        same cache with the same keys."""
         if not key:
             return True  # every atom folded to true
         cached = self._conjunct_cache.get(key)

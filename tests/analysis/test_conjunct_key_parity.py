@@ -1,0 +1,152 @@
+"""Lazy conjunct keys change no verdict and no prover counter.
+
+The prover's decide path reads canonical conjunct keys lazily off the
+NNF tree (:func:`repro.logic.canonical.conjunct_keys`).  The eager
+recipe it replaced — expand ``to_dnf``, canonicalize every conjunct
+with ``canonical_conjunct``, then decide the keys (pairwise, prefix-
+major, for a :class:`~repro.logic.incremental.PrefixSession` delta) —
+is copied below and patched in; every check must come out with a
+byte-identical verdict projection and identical integer
+``prover_stats``, ``conjunct_queries`` and ``resource_fallbacks``
+included.  All checks are store-free and unlimited.
+"""
+
+import json
+
+import pytest
+
+import repro.logic.incremental as incremental
+from repro.analysis.checker import SafetyChecker
+from repro.analysis.options import CheckerOptions
+from repro.analysis.report import result_to_json, verdict_projection
+from repro.errors import ProverError
+from repro.logic.canonical import canonical_conjunct
+from repro.logic.formula import FalseFormula, TrueFormula
+from repro.logic.incremental import PrefixSession
+from repro.logic.memo import clear_all_caches
+from repro.logic.normalize import MAX_DNF_CONJUNCTS, to_dnf
+from repro.logic.prover import Prover
+from repro.policy.parser import parse_spec
+
+
+# -- the eager reference recipe ---------------------------------------------
+
+
+def _eager_keys(qf):
+    return [canonical_conjunct(atoms) for atoms in to_dnf(qf)]
+
+
+def _eager_decide_satisfiable(self, f):
+    qf = self.eliminate_quantifiers(f)
+    if isinstance(qf, TrueFormula):
+        return True
+    if isinstance(qf, FalseFormula):
+        return False
+    if not self.enable_canonical_cache:
+        return any(self._conjunct_satisfiable(atoms)
+                   for atoms in to_dnf(qf))
+    for atoms in to_dnf(qf):
+        self.stats.conjunct_queries += 1
+        key = canonical_conjunct(atoms)
+        if key is not None and self._conjunct_decide_key(key):
+            return True
+    return False
+
+
+def _eager_decide_delta(self, extra):
+    prover = self.prover
+    if not self._prefix_keys:
+        return False, "decided"
+    try:
+        qf = prover.eliminate_quantifiers(extra)
+        if isinstance(qf, FalseFormula):
+            return False, "decided"
+        if isinstance(qf, TrueFormula):
+            delta_dnf = [()]
+        else:
+            delta_dnf = to_dnf(qf)
+        if len(self._prefix_keys) * len(delta_dnf) > MAX_DNF_CONJUNCTS:
+            raise ProverError("DNF blow-up")
+        delta_keys = [key for key in map(canonical_conjunct, delta_dnf)
+                      if key is not None]
+        if not delta_keys:
+            return False, "decided"
+        for prefix_key in self._prefix_keys:
+            for delta_key in delta_keys:
+                prover.stats.conjunct_queries += 1
+                if prover._conjunct_decide_key(prefix_key | delta_key):
+                    return True, "decided"
+        return False, "decided"
+    except ProverError:
+        prover.stats.resource_fallbacks += 1
+        return True, "fallback"
+
+
+@pytest.fixture
+def eager(monkeypatch):
+    """A context that patches the eager recipe in while it is open."""
+    def patch():
+        # The prefix keys of a session come from conjunct_keys.
+        monkeypatch.setattr(incremental, "conjunct_keys", _eager_keys)
+        monkeypatch.setattr(Prover, "_decide_satisfiable",
+                            _eager_decide_satisfiable)
+        monkeypatch.setattr(PrefixSession, "_decide_delta",
+                            _eager_decide_delta)
+    return patch
+
+
+# -- the checks ---------------------------------------------------------------
+
+
+def _figure9(name):
+    from repro.programs import all_programs
+    program = next(p for p in all_programs() if p.name == name)
+    return program.source, program.spec_text, "sparc"
+
+
+def _fuzz(seed, arch):
+    from repro.fuzz.generator import generate_sketch, lower, spec_text
+    sketch = generate_sketch(seed)
+    return lower(sketch, arch), spec_text(sketch, arch), arch
+
+
+def _outcome(source, spec_text, arch):
+    clear_all_caches()
+    checker = SafetyChecker(source, parse_spec(spec_text),
+                            options=CheckerOptions(jobs=1), arch=arch)
+    try:
+        result = checker.check()
+    finally:
+        checker.close()
+    projection = json.dumps(verdict_projection(result_to_json(result)),
+                            sort_keys=True)
+    counters = {name: value for name, value in result.prover_stats.items()
+                if isinstance(value, int) and not isinstance(value, bool)}
+    return projection, counters
+
+
+def _assert_parity(case, eager):
+    lazy = _outcome(*case)
+    eager()
+    reference = _outcome(*case)
+    assert lazy[0] == reference[0]
+    assert lazy[1] == reference[1]
+    assert lazy[1]["conjunct_queries"] > 0
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(_figure9("sum"), id="sum"),
+    pytest.param(_figure9("hash"), id="hash"),
+    pytest.param(_fuzz(47, "riscv"), id="fuzz-47-riscv"),
+])
+def test_counters_match_eager_recipe(case, eager):
+    _assert_parity(case, eager)
+
+
+@pytest.mark.bench
+@pytest.mark.parametrize("case", [
+    pytest.param(_figure9("md5"), id="md5"),
+    pytest.param(_fuzz(41, "riscv"), id="fuzz-41-riscv"),
+])
+def test_counters_match_eager_recipe_heavy(case, eager):
+    _assert_parity(case, eager)

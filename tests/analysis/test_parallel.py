@@ -156,3 +156,42 @@ class TestStatsSplit:
         assert prover.stats.satisfiability_queries == queries
         prover.is_satisfiable(ge(Linear.var("x"), 0))
         assert prover.stats.cache_hits == 0  # cache really was dropped
+
+
+class TestWorkerTaskIsolation:
+    """A pool worker runs whichever tasks the pool hands it, in any
+    order; each task must report the same verdicts and counters as if
+    it ran first, or a ``--jobs 2`` check's counters would depend on
+    scheduling."""
+
+    def discharge_in_order(self, machine, spec, groups):
+        import pickle
+        ob.worker_initialize(pickle.dumps((machine, spec,
+                                           CheckerOptions(jobs=1))))
+        try:
+            outcomes = {}
+            for group in groups:
+                verdicts, stats, induction, __, touched = \
+                    ob.worker_discharge(pickle.dumps(list(group)))
+                stats = {name: value for name, value in stats.items()
+                         if not name.endswith("seconds")}
+                outcomes[group[0].oid] = (verdicts, stats, induction,
+                                          touched)
+            return outcomes
+        finally:
+            ob._WORKER_STATE.clear()
+
+    def test_task_outcome_does_not_depend_on_earlier_tasks(self):
+        from repro.analysis.annotate import annotate
+        benchmark = program_named("hash")
+        machine = benchmark.program().lower()
+        spec = benchmark.spec()
+        engine = ob.build_engine(machine, spec, CheckerOptions())
+        annotations = annotate(engine.cfg, engine.propagation.inputs,
+                               spec, engine.preparation.locations)
+        groups = ob.obligation_groups(
+            engine, ob.generate_obligations(annotations))
+        assert len(groups) >= 2
+        forward = self.discharge_in_order(machine, spec, groups)
+        backward = self.discharge_in_order(machine, spec, groups[::-1])
+        assert forward == backward
