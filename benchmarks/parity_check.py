@@ -9,9 +9,12 @@ the determinism guarantee of the parallel engine.
 
 With ``--ablations`` each program additionally runs under the prover
 ablations (``--no-matrix``, ``--no-slicing``, ``--no-incremental``,
-and all three off at once) and every verdict fingerprint must match
-the default configuration — the parity gate of the Omega-overhaul
-performance work.
+all three off at once, and ``seed``: those three plus the canonical
+prover cache and formula memoization off, the configuration of this
+checker before its performance work) and every verdict fingerprint
+must match the default configuration.  This is the verdict gate of
+every performance feature; the timed benchmark is perfbench
+(``perfbench/run.py``).
 
 With ``--incremental`` each program additionally runs under the
 function-granular verdict cache — no cache, cold cache, warm cache,
@@ -107,13 +110,19 @@ def compare(name, serial, parallel, failures):
 
 
 #: The Omega-overhaul ablations: default minus one feature each, then
-#: everything off (the pre-overhaul pipeline).
+#: all three off (the pre-overhaul pipeline), then ``seed``: also no
+#: canonical prover cache and no formula memoization (the pipeline
+#: before any of the performance work).
 ABLATIONS = [
     ("no-matrix", dict(enable_matrix_kernel=False)),
     ("no-slicing", dict(enable_slicing=False)),
     ("no-incremental", dict(enable_incremental=False)),
     ("all-off", dict(enable_matrix_kernel=False, enable_slicing=False,
                      enable_incremental=False)),
+    ("seed", dict(enable_canonical_prover_cache=False,
+                  enable_formula_memoization=False,
+                  enable_matrix_kernel=False, enable_slicing=False,
+                  enable_incremental=False)),
 ]
 
 
@@ -174,7 +183,7 @@ def run_incremental_edit(failures):
     """The edit-one-function path: prime with the base program, check
     the edited variant warm — untouched functions must replay and the
     verdicts must match a cache-free check of the edited program."""
-    from repro.bench import (
+    from repro.programs.incremental import (
         INCREMENTAL_EDITED_SOURCE, INCREMENTAL_SOURCE, INCREMENTAL_SPEC,
     )
     scratch = tempfile.mkdtemp(prefix="repro-parity-")
@@ -280,8 +289,8 @@ def main():
     parser.add_argument("--ablations", action="store_true",
                         help="also check the prover ablations "
                              "(no-matrix / no-slicing / "
-                             "no-incremental / all-off) against the "
-                             "default configuration")
+                             "no-incremental / all-off / seed) against "
+                             "the default configuration")
     parser.add_argument("--incremental", action="store_true",
                         help="also check the function-granular "
                              "verdict cache (no cache / cold / warm / "

@@ -9,8 +9,8 @@
     repro cfg CODE.s --dot                # control-flow graph (Graphviz)
     repro run CODE.s --reg %o0=7 ...      # concrete emulation
     repro fig9 [--full]                   # regenerate the paper's table
-    repro bench [--full]                  # pipeline benchmark (seed vs
-                                          # enhanced), BENCH_pipeline.json
+    repro bench --prover-replay T.jsonl   # re-discharge a recorded query
+                                          # stream, BENCH_prover.json
     repro bench --service                 # sharded-service load test,
                                           # BENCH_service.json
     repro serve [--port N] [--shards N]   # run the check service
@@ -166,58 +166,30 @@ def _build_parser() -> argparse.ArgumentParser:
                            "stack-smashing, MD5)")
     fig9.set_defaults(handler=_cmd_fig9)
 
-    bench = sub.add_parser("bench", help="benchmark the pipeline "
-                                         "(seed vs enhanced config)")
-    bench.add_argument("--full", action="store_true",
-                       help="include the heavyweight programs")
-    bench.add_argument("--repeat", type=int, default=3,
-                       help="timings per program; rows record the "
-                            "min and median (default: 3)")
-    bench.add_argument("--output", default="BENCH_pipeline.json",
-                       help="report path (default: BENCH_pipeline.json)")
+    bench = sub.add_parser("bench", help="prover-replay or service "
+                                         "load-test benchmark")
+    bench.add_argument("--output", default=None,
+                       help="report path (default: BENCH_prover.json "
+                            "with --prover-replay, BENCH_service.json "
+                            "with --service)")
     bench.add_argument("--quiet", action="store_true",
-                       help="suppress per-program progress lines")
-    bench.add_argument("--jobs", "-j", type=int, default=1,
-                       metavar="N",
-                       help="also benchmark a parallel config with N "
-                            "prover workers (default: 1 = skip)")
-    bench.add_argument("--cache", nargs="?", const=_DEFAULT_CACHE,
-                       default=None, metavar="PATH",
-                       help="also benchmark cold/warm persistent-cache "
-                            "configs at PATH (default path when PATH "
-                            "is omitted: %s)" % _DEFAULT_CACHE)
-    bench.add_argument("--ablations", action="store_true",
-                       help="also benchmark the prover ablations "
-                            "(no-matrix, no-slicing, no-incremental)")
-    bench.add_argument("--incremental", action="store_true",
-                       help="also benchmark the function-granular "
-                            "verdict cache: cold check of an edited "
-                            "multi-function program vs a warm re-check "
-                            "after editing one function (verdict "
-                            "parity is cross-checked)")
-    bench.add_argument("--prover-replay", default=None,
-                       metavar="TRACE",
-                       help="instead of the program suite, re-"
-                            "discharge the exact prover-query stream "
-                            "of a JSONL trace recorded with `repro "
-                            "check --trace --trace-formulas` under "
-                            "every prover config; writes "
-                            "BENCH_prover.json and exits non-zero on "
-                            "any verdict mismatch")
-    bench.add_argument("--compare", nargs=2, default=None,
-                       metavar=("OLD.json", "NEW.json"),
-                       help="instead of running anything, print the "
-                            "per-program speedup table between two "
-                            "bench reports; exits non-zero when their "
-                            "verdict fingerprints differ")
-    bench.add_argument("--service", action="store_true",
-                       help="instead of the pipeline suite, load-test "
-                            "the sharded check service (1-shard "
-                            "baseline, N-shard fresh, N-shard mixed-"
-                            "duplicate) and write the scaling "
-                            "scoreboard to BENCH_service.json; exits "
-                            "non-zero on any verdict-fingerprint "
-                            "mismatch")
+                       help="with --service: suppress progress lines")
+    mode = bench.add_mutually_exclusive_group()
+    mode.add_argument("--prover-replay", default=None,
+                      metavar="TRACE",
+                      help="re-discharge the exact prover-query stream "
+                           "of a JSONL trace recorded with `repro "
+                           "check --trace --trace-formulas` under "
+                           "every prover config; writes "
+                           "BENCH_prover.json and exits non-zero on "
+                           "any verdict mismatch")
+    mode.add_argument("--service", action="store_true",
+                      help="load-test the sharded check service "
+                           "(1-shard baseline, N-shard fresh, N-shard "
+                           "mixed-duplicate) and write the scaling "
+                           "scoreboard to BENCH_service.json; exits "
+                           "non-zero on any verdict-fingerprint "
+                           "mismatch")
     bench.add_argument("--requests", type=int, default=240,
                        metavar="N",
                        help="with --service: submissions per "
@@ -570,29 +542,24 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.bench import main as bench_main
-    output = args.output
     if args.service:
         import tempfile
 
         from repro.service.loadtest import default_configs, run_suite
-        if output == "BENCH_pipeline.json":
-            output = "BENCH_service.json"
         with tempfile.TemporaryDirectory(
                 prefix="repro-bench-service-") as cache_dir:
             configs = default_configs(
                 requests=args.requests, clients=args.clients,
                 shards=args.shards or None, cache_dir=cache_dir)
-            return run_suite(configs, output, quiet=args.quiet)
-    if args.prover_replay and output == "BENCH_pipeline.json":
-        output = "BENCH_prover.json"
-    return bench_main(full=args.full, repeat=args.repeat,
-                      output=output, quiet=args.quiet,
-                      jobs=args.jobs, cache_path=args.cache,
-                      ablations=args.ablations,
-                      incremental=args.incremental,
-                      prover_replay=args.prover_replay,
-                      compare=args.compare)
+            return run_suite(configs, args.output or "BENCH_service.json",
+                             quiet=args.quiet)
+    if args.prover_replay:
+        from repro.bench import main as bench_main
+        return bench_main(args.prover_replay,
+                          args.output or "BENCH_prover.json")
+    raise ReproError("bench needs --prover-replay TRACE or --service; "
+                     "the checker's benchmark is perfbench: "
+                     "python3 perfbench/run.py --workload fig9")
 
 
 def _cmd_cache_stats(args) -> int:

@@ -310,15 +310,31 @@ def write_findings(path: str, summary: dict,
                                     sort_keys=True) + "\n")
 
 
+def _json_object(text: str, path: str, lineno: int, what: str) -> dict:
+    """Parse *text* (starting at line *lineno* of *path*) as one JSON
+    object; anything else is a :class:`FuzzError` naming the line."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise FuzzError("%s:%d: not valid JSON: %s"
+                        % (path, lineno + error.lineno - 1, error.msg))
+    if not isinstance(obj, dict):
+        start = len(text) - len(text.lstrip())
+        raise FuzzError("%s:%d: %s is not a JSON object"
+                        % (path, lineno + text.count("\n", 0, start),
+                           what))
+    return obj
+
+
 def load_findings(path: str) -> List[dict]:
     """The finding records of a campaign JSONL file (header skipped)."""
     findings = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            record = _json_object(line, path, lineno, "findings record")
             if record.get("type") == "finding":
                 findings.append(record)
     return findings
@@ -466,7 +482,7 @@ def replay_corpus(paths: Sequence[str],
     failures: List[Tuple[str, List[str]]] = []
     for path in corpus_paths(paths):
         with open(path, encoding="utf-8") as handle:
-            entry = json.load(handle)
+            entry = _json_object(handle.read(), path, 1, "corpus entry")
         problems = replay_entry(entry, check_timeout_s=check_timeout_s)
         if problems:
             failures.append((path, problems))

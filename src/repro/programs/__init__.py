@@ -34,7 +34,8 @@ def all_programs() -> List[BenchmarkProgram]:
 def fast_programs() -> List[BenchmarkProgram]:
     """The examples whose checks complete in a few seconds each (used
     by quick test runs; the heavyweight sorts and generated giants are
-    exercised by the benchmark harness)."""
+    exercised by ``bench``-marked tests, ``--full`` runs and
+    perfbench)."""
     return [SUM, PAGING_POLICY, START_TIMER, HASH, BUBBLE_SORT,
             STOP_TIMER, BTREE, BTREE2, JPVM]
 

@@ -450,9 +450,8 @@ def run_suite(configs: List[LoadConfig], output: str,
         "parity_ok": parity_ok,
         "local_fingerprints": reference,
         "shard_speedup": speedup,
-        #: Mirrors BENCH_pipeline's parallel_speedup_valid: on a
-        #: single-core runner the N-shard fleet time-slices one core,
-        #: so the >=2x acceptance threshold is not evaluable.
+        #: On a single-core runner the N-shard fleet time-slices one
+        #: core, so the >=2x acceptance threshold is not evaluable.
         "shard_speedup_valid": cores > 1,
         "configs": rows,
     }

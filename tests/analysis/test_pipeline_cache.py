@@ -16,7 +16,7 @@ import sys
 from repro.analysis.checker import check_assembly
 from repro.analysis.options import CheckerOptions
 from repro.analysis.report import result_to_json, verdict_projection
-from repro.bench import (
+from repro.programs.incremental import (
     INCREMENTAL_EDITED_SOURCE, INCREMENTAL_SOURCE, INCREMENTAL_SPEC,
 )
 
@@ -225,7 +225,7 @@ import sqlite3, sys
 sys.path.insert(0, %r)
 from repro.analysis.checker import check_assembly
 from repro.analysis.options import CheckerOptions
-from repro.bench import INCREMENTAL_SOURCE, INCREMENTAL_SPEC
+from repro.programs.incremental import INCREMENTAL_SOURCE, INCREMENTAL_SPEC
 check_assembly(INCREMENTAL_SOURCE, INCREMENTAL_SPEC,
                name="incremental",
                options=CheckerOptions(jobs=1, cache_path=%r))
@@ -269,7 +269,7 @@ class TestDigestStability:
             "sys.path.insert(0, %r)\n"
             "from repro.analysis.checker import check_assembly\n"
             "from repro.analysis.options import CheckerOptions\n"
-            "from repro.bench import INCREMENTAL_SOURCE, "
+            "from repro.programs.incremental import INCREMENTAL_SOURCE, "
             "INCREMENTAL_SPEC\n"
             "r = check_assembly(INCREMENTAL_SOURCE, INCREMENTAL_SPEC,"
             " name='incremental',"

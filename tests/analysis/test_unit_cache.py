@@ -21,7 +21,7 @@ import pytest
 from repro.analysis.checker import check_assembly
 from repro.analysis.options import CheckerOptions
 from repro.analysis.report import result_to_json, verdict_projection
-from repro.bench import (
+from repro.programs.incremental import (
     INCREMENTAL_EDITED_SOURCE, INCREMENTAL_SOURCE, INCREMENTAL_SPEC,
 )
 
@@ -168,7 +168,7 @@ import sqlite3, sys
 sys.path.insert(0, %r)
 from repro.analysis.checker import check_assembly
 from repro.analysis.options import CheckerOptions
-from repro.bench import INCREMENTAL_SOURCE, INCREMENTAL_SPEC
+from repro.programs.incremental import INCREMENTAL_SOURCE, INCREMENTAL_SPEC
 check_assembly(INCREMENTAL_SOURCE, INCREMENTAL_SPEC,
                name="incremental",
                options=CheckerOptions(jobs=1, cache_path=%r))

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -80,3 +82,22 @@ class TestFuzzReduceAndReplay:
         assert main(["fuzz", "replay", str(path),
                      "--check-timeout", "60"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, name, text, message", [
+    ("replay", "entry.json", '{"name": "x",\n "sketch": oops}\n',
+     "entry.json:2: not valid JSON"),
+    ("replay", "entry.json", "[1]\n",
+     "entry.json:1: corpus entry is not a JSON object"),
+    ("reduce", "findings.jsonl", '{"type": "summary"}\nnot json\n',
+     "findings.jsonl:2: not valid JSON"),
+    ("reduce", "findings.jsonl", '{"type": "summary"}\n[1]\n',
+     "findings.jsonl:2: findings record is not a JSON object"),
+])
+def test_malformed_fuzz_file_is_a_clean_error(tmp_path, capsys, command,
+                                              name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["fuzz", command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

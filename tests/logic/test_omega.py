@@ -154,3 +154,50 @@ class TestExactnessProperty:
         pieces = project(c, ["x"])
         projected = any(satisfiable(p) for p in pieces)
         assert direct == projected
+
+
+_BOX = 4
+
+
+def _holds(c, env):
+    return (all(t.evaluate(env) >= 0 for t in c.geqs)
+            and all(t.evaluate(env) == 0 for t in c.eqs)
+            and all(t.evaluate(env) % m == 0 for t, m in c.congs))
+
+
+_atom3 = st.builds(
+    lambda coeffs, const, kind, mod: (
+        Geq(Linear(coeffs, const)) if kind == 0
+        else Eq(Linear(coeffs, const)) if kind == 1
+        else Cong(Linear(coeffs, const), mod)),
+    st.dictionaries(st.sampled_from(["x", "y", "z"]), st.integers(-4, 4),
+                    min_size=1, max_size=3),
+    st.integers(-10, 10),
+    st.integers(0, 2),
+    st.sampled_from([2, 3, 4]),
+)
+
+
+class TestExactProjection:
+    """``project(c, ["z"])`` is exactly ``∃z: c``, checked against
+    enumeration (an oracle independent of both Omega backends)."""
+
+    @given(st.lists(_atom3, min_size=1, max_size=4),
+           st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_brute_force_on_boxed_systems(self, atoms,
+                                                  use_matrix):
+        box = [Geq(Linear({v: sign}, _BOX))
+               for v in ("x", "y", "z") for sign in (1, -1)]
+        c = Constraints.from_atoms(atoms + box)
+        pieces = project(c, ["z"], use_matrix=use_matrix)
+        for piece in pieces:
+            assert piece.variables() <= {"x", "y"}
+        # The (x, y) window is wider than the box, so a piece that
+        # admits a point outside it fails too.
+        window = range(-_BOX - 2, _BOX + 3)
+        for vx, vy in itertools.product(window, repeat=2):
+            want = any(_holds(c, {"x": vx, "y": vy, "z": vz})
+                       for vz in range(-_BOX, _BOX + 1))
+            got = any(_holds(p, {"x": vx, "y": vy}) for p in pieces)
+            assert got == want, (vx, vy)

@@ -540,7 +540,9 @@ class TestWriteBehindFlush:
         flushed recency must keep them alive, and a warm re-check must
         still hit."""
         from repro.analysis.options import CheckerOptions
-        from repro.bench import INCREMENTAL_SOURCE, INCREMENTAL_SPEC
+        from repro.programs.incremental import (
+            INCREMENTAL_SOURCE, INCREMENTAL_SPEC,
+        )
         from repro.service.scheduler import CheckRequest, Scheduler
         from repro.service.worker import WorkerPool
 

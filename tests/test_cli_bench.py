@@ -1,5 +1,5 @@
-"""CLI surface of the benchmark layer: ``bench --prover-replay``,
-``bench --compare``, and ``trace summarize --hotspots``."""
+"""CLI surface of the benchmark layer: ``bench --prover-replay``, bare
+``bench``, and ``trace summarize --hotspots``."""
 
 import json
 
@@ -56,41 +56,9 @@ class TestProverReplay:
         assert "--trace-formulas" in capsys.readouterr().err
 
 
-def _report(seconds, proofs="PP"):
-    return {
-        "configs": {
-            "enhanced": {
-                "programs": [{
-                    "name": "sum_array",
-                    "seconds": seconds,
-                    "verdicts": {"safe": True,
-                                 "proof_verdicts": proofs,
-                                 "violations": []},
-                }],
-                "total_seconds": seconds,
-            },
-        },
-    }
-
-
-class TestCompare:
-    def test_speedup_table(self, tmp_path, capsys):
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        old.write_text(json.dumps(_report(2.0)))
-        new.write_text(json.dumps(_report(1.0)))
-        assert main(["bench", "--compare", str(old), str(new)]) == 0
-        out = capsys.readouterr().out
-        assert "2.00x" in out
-        assert "verdicts identical" in out
-
-    def test_verdict_mismatch_fails(self, tmp_path, capsys):
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        old.write_text(json.dumps(_report(2.0, proofs="PP")))
-        new.write_text(json.dumps(_report(1.0, proofs="PF")))
-        assert main(["bench", "--compare", str(old), str(new)]) == 1
-        assert "MISMATCH" in capsys.readouterr().err
+def test_bench_without_a_mode_points_at_perfbench(capsys):
+    assert main(["bench"]) == 2
+    assert "perfbench/run.py" in capsys.readouterr().err
 
 
 class TestHotspots:
