@@ -123,8 +123,13 @@ def guarded_havoc(q: Formula, var: str, guard_of) -> Formula:
     return _eager_eliminate(forall([fresh], body))
 
 
-def _power_of_two(value: int) -> Optional[int]:
-    if value > 0 and value & (value - 1) == 0:
+def _mask_width(operand) -> Optional[int]:
+    """k when *operand* is the constant 2^k − 1 with k ≥ 1: an and-mask
+    that keeps the low k bits."""
+    if not isinstance(operand, ConstOp):
+        return None
+    value = operand.value + 1
+    if value > 1 and value & (value - 1) == 0:
         return value.bit_length() - 1
     return None
 
@@ -156,13 +161,23 @@ class WlpTransfer(OpVisitor):
     @staticmethod
     def _assign(q: Formula, dest: Optional[str],
                 value: Optional[Linear]) -> Formula:
-        if dest is None:
+        if dest not in q.free_variables():
             return q
         if value is None:
             return havoc(q, dest)
         return q.substitute(dest, value)
 
     def visit_assign(self, op: Assign, node: Node, q: Formula) -> Formula:
+        # An op that writes nothing free in Q leaves Q as it is; skip
+        # building its operand terms and rebuilding Q.
+        free = q.free_variables()
+        if op.dest not in free and not (op.sets_cc and ICC in free):
+            return q
+        return self._assign_op(op, q)
+
+    def _assign_op(self, op: Assign, q: Formula) -> Formula:
+        """wlp of an ALU op by substitution or havoc of dest, then
+        $icc."""
         rs1 = operand_term(op.src1)
         op2 = operand_term(op.src2)
 
@@ -179,16 +194,17 @@ class WlpTransfer(OpVisitor):
             elif _is_zero(op.src2):
                 result = rs1
         elif op.op is BinOp.AND:
-            if isinstance(op.src2, ConstOp):
-                k = _power_of_two(op.src2.value + 1)
-                if k is not None:
-                    # dest = src1 mod 2^k (for non-negative src1): exact
-                    # characterization v ≡ src1 (mod 2^k), 0 ≤ v < 2^k.
-                    modulus = 1 << k
-                    guard = lambda v, rs1=rs1, modulus=modulus: conj(
-                        Cong((v - rs1), modulus) if not (v - rs1).is_constant
-                        else TRUE,
-                        ge(v, 0), lt(v, modulus))
+            k = _mask_width(op.src2)
+            if _is_zero(op.src2):
+                result = Linear.const(0)
+            elif k is not None:
+                # dest = src1 mod 2^k (for non-negative src1): exact
+                # characterization v ≡ src1 (mod 2^k), 0 ≤ v < 2^k.
+                modulus = 1 << k
+                guard = lambda v, rs1=rs1, modulus=modulus: conj(
+                    Cong((v - rs1), modulus) if not (v - rs1).is_constant
+                    else TRUE,
+                    ge(v, 0), lt(v, modulus))
         elif op.op is BinOp.SLL:
             if isinstance(op.src2, ConstOp):
                 result = rs1.scale(1 << (op.src2.value & 31))
@@ -232,8 +248,8 @@ class WlpTransfer(OpVisitor):
                 return q.substitute(ICC, op2)
             if _is_zero(op.src2):
                 return q.substitute(ICC, rs1)
-        if op.op is BinOp.AND and isinstance(op.src2, ConstOp):
-            k = _power_of_two(op.src2.value + 1)
+        if op.op is BinOp.AND:
+            k = _mask_width(op.src2)
             if k is not None:
                 modulus = 1 << k
                 return guarded_havoc(
@@ -247,7 +263,9 @@ class WlpTransfer(OpVisitor):
     # -- other register writers ----------------------------------------------
 
     def visit_set_const(self, op, node: Node, q: Formula) -> Formula:
-        return self._assign(q, op.dest, Linear.const(op.value))
+        if op.dest not in q.free_variables():
+            return q
+        return q.substitute(op.dest, Linear.const(op.value))
 
     def visit_call(self, op, node: Node, q: Formula) -> Formula:
         if op.link is not None:

@@ -47,6 +47,7 @@ from repro.sparc.assembler import assemble
 from repro.sparc.decoder import decode_program
 from repro.sparc.emulator import Emulator
 from repro.sparc.encoder import encode_program
+from repro.textfile import read_text
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -425,8 +426,7 @@ def _load_program(args):
         if arch == "sparc":
             return decode_program(blob, name=args.code)
         return get_frontend(arch).decode(blob, name=args.code)
-    with open(args.code) as handle:
-        text = handle.read()
+    text = read_text(args.code)
     if arch == "sparc":
         return assemble(text, name=args.code)
     return get_frontend(arch).assemble(text, name=args.code)
@@ -435,8 +435,7 @@ def _load_program(args):
 def _cmd_check(args) -> int:
     from repro.analysis.report import result_to_json
     program = _load_program(args)
-    with open(args.spec) as handle:
-        spec = parse_spec(handle.read())
+    spec = parse_spec(read_text(args.spec))
     options = CheckerOptions()
     if args.jobs is not None:
         options.jobs = args.jobs
@@ -675,11 +674,9 @@ def _cmd_submit(args) -> int:
             code = handle.read()
         binary = True
     else:
-        with open(args.code) as handle:
-            code = handle.read()
+        code = read_text(args.code)
         binary = False
-    with open(args.spec) as handle:
-        spec = handle.read()
+    spec = read_text(args.spec)
     payload = build_payload(
         code, spec, arch=args.arch, binary=binary,
         name=os.path.basename(args.code), jobs=args.jobs,

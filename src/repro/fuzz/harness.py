@@ -47,6 +47,7 @@ from repro.fuzz.oracle import (
     check_options, classify, compare_archs,
 )
 from repro.fuzz.reducer import reduce_sketch
+from repro.textfile import read_text
 
 #: A seed whose examination itself crashed (generator, assembler, or
 #: checker raised) — always a bug somewhere in the pipeline.
@@ -327,16 +328,28 @@ def _json_object(text: str, path: str, lineno: int, what: str) -> dict:
 
 
 def load_findings(path: str) -> List[dict]:
-    """The finding records of a campaign JSONL file (header skipped)."""
+    """The finding records of a campaign JSONL file (header skipped).
+    Every finding must carry an integer "seed", a string "class" and,
+    when present, a string or null "arch"."""
     findings = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            record = _json_object(line, path, lineno, "findings record")
-            if record.get("type") == "finding":
-                findings.append(record)
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        record = _json_object(line, path, lineno, "findings record")
+        if record.get("type") != "finding":
+            continue
+        seed, cls = record.get("seed"), record.get("class")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise FuzzError('%s:%d: finding record has no integer "seed"'
+                            % (path, lineno))
+        if not isinstance(cls, str):
+            raise FuzzError('%s:%d: finding record has no string "class"'
+                            % (path, lineno))
+        if not isinstance(record.get("arch"), (str, type(None))):
+            raise FuzzError('%s:%d: finding record\'s "arch" is not a '
+                            'string' % (path, lineno))
+        findings.append(record)
     return findings
 
 
@@ -375,6 +388,10 @@ def finding_predicate(finding: dict,
         raise FuzzError("error findings mark harness bugs; fix the "
                         "pipeline instead of reducing them")
     vector_seed = finding["seed"]
+    arch = finding.get("arch")
+    if target != DIVERGENCE and arch not in ARCHS:
+        raise FuzzError("finding for seed %d names no architecture"
+                        % vector_seed)
     count = finding.get("vector_count", config.vectors)
 
     def predicate(candidate: Sketch) -> bool:
@@ -383,7 +400,7 @@ def finding_predicate(finding: dict,
         if target == DIVERGENCE:
             return bool(compare_archs(candidate, vectors))
         verdict = classify(
-            candidate, finding["arch"], vectors,
+            candidate, arch, vectors,
             options=check_options(config.check_timeout_s,
                                   config.checker_overrides))
         return verdict.kind == target
@@ -454,6 +471,11 @@ def replay_entry(entry: dict,
     try:
         sketch = sketch_from_obj(entry["sketch"])
         expected = entry["expected"]
+        if not isinstance(expected, dict) or not all(
+                arch in ARCHS and isinstance(cls, str)
+                for arch, cls in expected.items()):
+            raise TypeError('"expected" must map architectures (%s) '
+                            'to class names' % ", ".join(ARCHS))
         vectors = make_vectors(entry["vector_seed"],
                                sketch.array_size,
                                entry["vector_count"])
@@ -481,9 +503,11 @@ def replay_corpus(paths: Sequence[str],
     files whose expectations no longer hold."""
     failures: List[Tuple[str, List[str]]] = []
     for path in corpus_paths(paths):
-        with open(path, encoding="utf-8") as handle:
-            entry = _json_object(handle.read(), path, 1, "corpus entry")
-        problems = replay_entry(entry, check_timeout_s=check_timeout_s)
+        entry = _json_object(read_text(path), path, 1, "corpus entry")
+        try:
+            problems = replay_entry(entry, check_timeout_s=check_timeout_s)
+        except FuzzError as error:
+            raise FuzzError("%s: %s" % (path, error))
         if problems:
             failures.append((path, problems))
     return failures

@@ -190,22 +190,26 @@ def load_trace(path: str, validate: bool = True,
                limit: Optional[int] = None) -> List[Dict]:
     """Parse (and by default validate) a JSONL trace file."""
     records: List[Dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise TraceError("%s:%d: not valid JSON: %s"
-                                 % (path, lineno, error))
-            if validate:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
                 try:
-                    validate_record(record)
-                except TraceError as error:
-                    raise TraceError("%s:%d: %s" % (path, lineno, error))
-            records.append(record)
-            if limit is not None and len(records) >= limit:
-                break
+                    record = json.loads(line)
+                except json.JSONDecodeError as error:
+                    raise TraceError("%s:%d: not valid JSON: %s"
+                                     % (path, lineno, error))
+                if validate:
+                    try:
+                        validate_record(record)
+                    except TraceError as error:
+                        raise TraceError("%s:%d: %s"
+                                         % (path, lineno, error))
+                records.append(record)
+                if limit is not None and len(records) >= limit:
+                    break
+    except UnicodeDecodeError:
+        raise TraceError("%s: not UTF-8 text" % path) from None
     return records

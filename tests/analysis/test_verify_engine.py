@@ -5,6 +5,7 @@ import pytest
 
 from repro import parse_spec
 from repro.analysis.annotate import annotate
+from repro.analysis.checker import SafetyChecker, check_assembly
 from repro.analysis.prepare import prepare
 from repro.analysis.propagate import propagate
 from repro.analysis.verify import VerificationEngine
@@ -12,7 +13,9 @@ from repro.analysis.options import CheckerOptions
 from repro.cfg import CFG, build_cfg
 from repro.logic import TRUE, conj, congruent, eq, ge, le, lt, ne
 from repro.logic.terms import Linear
+from repro.programs import fast_programs
 from repro.sparc import assemble
+from tests.ir import test_parity as parity
 
 
 def build_engine(source, spec_text, options=None):
@@ -212,3 +215,113 @@ class TestEngineBookkeeping:
         # A weaker consequence is discharged by the recorded invariant.
         assert engine.prove_at(uid, le(v("%o2"), v("a") + 5), {}, 0)
         assert engine.induction_runs == runs
+
+
+# ---------------------------------------------------------------------------
+# sliced sweeps
+# ---------------------------------------------------------------------------
+
+
+def _every_item(self, function, loop, seeds, back):
+    """Reference live set: the full sweep visits every level item."""
+    return tuple(self._level_structure(function, loop).order)
+
+
+def _phase5(check, monkeypatch, full):
+    """Proof records, integer prover counters and per-obligation
+    touched sets of one check, sliced or (``full``) full-sweep."""
+    touched = {}
+    prove = SafetyChecker._prove
+
+    def recording(self, engine, obligations):
+        out = prove(self, engine, obligations)
+        touched.update(out[3])
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SafetyChecker, "_prove", recording)
+        if full:
+            patch.setattr(VerificationEngine, "_live_order", _every_item)
+        result = check()
+    stats = {name: value for name, value in result.prover_stats.items()
+             if isinstance(value, int)}
+    return result.proofs, stats, touched
+
+
+_RISCV_SUM = parity.TestLoopParity.RISCV_SUM
+_RISCV_SUM_SPEC = parity.TestLoopParity.RISCV_SUM_SPEC
+_RISCV_CASES = [
+    ("riscv-sum", _RISCV_SUM, _RISCV_SUM_SPEC),
+    ("riscv-sum-oob", _RISCV_SUM.replace("blt t0,a1,5", "bge a1,t0,5"),
+     _RISCV_SUM_SPEC),
+    ("riscv-write", parity.RISCV_WRITE.format(offset=0),
+     parity.RISCV_SPEC),
+    ("riscv-write-oob", parity.RISCV_WRITE.format(offset=40),
+     parity.RISCV_SPEC),
+]
+
+
+class TestSlicedSweep:
+    """Each sweep visits only the items with a level-DAG path to a
+    seed; forcing every item live (the full sweep) must change no
+    proof, no prover counter and no touched-function set."""
+
+    @pytest.mark.parametrize("program", fast_programs(),
+                             ids=lambda p: p.name)
+    def test_figure9_programs(self, program, monkeypatch):
+        check = lambda: program.check(options=CheckerOptions(jobs=1))
+        sliced = _phase5(check, monkeypatch, full=False)
+        assert sliced == _phase5(check, monkeypatch, full=True)
+
+    @pytest.mark.parametrize("name, source, spec", _RISCV_CASES,
+                             ids=[case[0] for case in _RISCV_CASES])
+    def test_riscv_parity_programs(self, name, source, spec,
+                                   monkeypatch):
+        check = lambda: check_assembly(source, spec, name=name,
+                                       arch="riscv",
+                                       options=CheckerOptions(jobs=1))
+        sliced = _phase5(check, monkeypatch, full=False)
+        assert sliced == _phase5(check, monkeypatch, full=True)
+
+    # The call on the %o1 == 0 branch never reaches instruction 4, yet
+    # at the call-depth bound crossing it yields FALSE: the sliced
+    # sweep must still visit it (untrusted call sites always seed).
+    OFF_PATH_CALL = """
+    1: cmp %o1,0
+    2: be 6
+    3: nop
+    4: retl
+    5: nop
+    6: mov %o7,%g4
+    7: call helper
+    8: nop
+    9: mov %g4,%o7
+    10: retl
+    11: nop
+    helper:
+    12: retl
+    13: nop
+    """
+
+    @pytest.mark.parametrize("max_call_depth", [0, 8])
+    def test_untrusted_call_off_the_slice(self, max_call_depth,
+                                          monkeypatch):
+        q = ne(v("%o1"), 0)
+
+        def prove():
+            engine, cfg, anns = build_engine(
+                self.OFF_PATH_CALL, BASIC_SPEC,
+                CheckerOptions(max_call_depth=max_call_depth))
+            engine.reset_touched()
+            proved = engine.prove_at(node_at(cfg, anns, 4), q, {}, 0)
+            return proved, engine.touched_snapshot()
+
+        sliced = prove()
+        with monkeypatch.context() as patch:
+            patch.setattr(VerificationEngine, "_live_order", _every_item)
+            full = prove()
+        assert sliced == full
+        # At the bound the off-path call makes the %o1 == 0 branch
+        # FALSE; below it the callee is walked and charged.
+        assert sliced[0] is (max_call_depth > 0)
+        assert ("helper" in sliced[1]) is (max_call_depth > 0)

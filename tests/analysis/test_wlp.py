@@ -1,14 +1,20 @@
 """Unit tests for the wlp transfer functions and edge conditions."""
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.wlp import (
     ICC, WlpTransfer, condition_formula, guarded_havoc, havoc,
     operand_term,
 )
 from repro.cfg.graph import BranchCondition, Node, NodeRole
-from repro.logic import Prover, TRUE, conj, congruent, eq, ge, le, lt
+from repro.logic import (
+    Prover, TRUE, conj, congruent, disj, eq, ge, le, lt,
+)
 from repro.logic.terms import Linear
+from repro.riscv.assembler import assemble as rv_assemble
 from repro.sparc import assemble
 from repro.typesys.access import access
 from repro.typesys.locations import AbstractLocation, LocationTable
@@ -22,8 +28,9 @@ def v(name, coeff=1):
     return Linear.var(name, coeff)
 
 
-def make_node(text, uid=0):
-    inst = assemble(text).lower().instruction(1)
+def make_node(text, uid=0, arch="sparc"):
+    assembler = rv_assemble if arch == "riscv" else assemble
+    inst = assembler(text).lower().instruction(1)
     return Node(uid=uid, instruction=inst, role=NodeRole.NORMAL, index=1)
 
 
@@ -100,6 +107,14 @@ class TestGuardedEncodings:
             make_node("srl %o1,1,%g1"), q)
         prover = Prover()
         assert prover.implies(ge(v("%o1"), 0), out)
+
+    def test_and_with_zero_clears(self, plain_transfer):
+        # x & 0 = 0 (a zero mask keeps no low bits), and andcc sets the
+        # condition codes from that 0.
+        q = conj(eq(v("%g1"), 0), eq(v(ICC), 0))
+        out = plain_transfer.node_transfer(
+            make_node("andcc %o1,%g0,%g1"), q)
+        assert out is TRUE
 
     def test_register_shift_havocs(self, plain_transfer):
         q = lt(v("%g1"), 64)
@@ -234,3 +249,96 @@ class TestHavocHelpers:
         assert operand_term(Reg(0)) == Linear.const(0)   # %g0
         assert operand_term(Reg(8)) == v("%o0")
         assert operand_term(Imm(-5)) == Linear.const(-5)
+
+
+class TestUnwrittenDestination:
+    """An op whose destination is not free in Q returns Q itself: no
+    operand terms are built and Q is not rebuilt."""
+
+    Q = conj(ge(v("%l0"), 0), lt(v("a2"), v("n")), eq(v(ICC), 0))
+
+    @pytest.mark.parametrize("text, arch", [
+        ("add %o1,%o2,%o3", "sparc"),
+        ("sub %o1,3,%o3", "sparc"),
+        ("sll %o1,2,%o3", "sparc"),
+        ("and %o1,7,%o3", "sparc"),
+        ("sra %o1,2,%o3", "sparc"),
+        ("sethi 1,%o3", "sparc"),
+        ("mov 5,%o3", "sparc"),
+        ("add t0,t1,t2", "riscv"),
+        ("sub t0,t1,t2", "riscv"),
+        ("slli t0,t1,2", "riscv"),
+        ("andi t0,t1,7", "riscv"),
+        ("srai t0,t1,2", "riscv"),
+        ("li t0,5", "riscv"),
+        ("lui t0,1", "riscv"),
+    ])
+    def test_returns_q_itself(self, plain_transfer, text, arch):
+        node = make_node(text, arch=arch)
+        assert plain_transfer.node_transfer(node, self.Q) is self.Q
+
+    def test_subcc_into_unrelated_register_still_binds_icc(
+            self, plain_transfer):
+        q = conj(lt(v(ICC), 0), ge(v("%l0"), 0))
+        out = plain_transfer.node_transfer(
+            make_node("subcc %o1,%o2,%g5"), q)
+        assert out == conj(lt(v("%o1") - v("%o2"), 0), ge(v("%l0"), 0))
+
+    def test_cc_op_without_icc_in_q_is_skipped(self, plain_transfer):
+        q = ge(v("%l0"), 0)
+        assert plain_transfer.node_transfer(
+            make_node("subcc %o1,%o2,%g5"), q) is q
+
+
+_REGS = ["%o0", "%o1", "%g1", "%g2"]
+_ALU = ["add", "sub", "and", "or", "xor", "sll", "srl", "sra", "umul",
+        "addcc", "subcc", "andcc", "orcc"]
+_OPERAND2 = _REGS + ["%g0", "0", "1", "2", "3", "7"]
+
+
+def _atom(parts):
+    a, b, coeff, const, kind = parts
+    term = v(a) - v(b).scale(coeff)
+    if kind == "ge":
+        return ge(term, const)
+    if kind == "eq":
+        return eq(term, const)
+    return congruent(term, 4, const % 4)
+
+
+_ATOMS = st.tuples(
+    st.sampled_from(_REGS + [ICC, "n"]), st.sampled_from(_REGS + [ICC]),
+    st.integers(-2, 2), st.integers(-4, 4),
+    st.sampled_from(["ge", "eq", "cong"])).map(_atom)
+_FORMULAS = st.tuples(st.lists(_ATOMS, min_size=1, max_size=3),
+                      st.booleans()).map(
+    lambda parts: conj(*parts[0]) if parts[1] else disj(*parts[0]))
+_OPS = st.tuples(st.sampled_from(_ALU), st.sampled_from(_REGS + ["%g0"]),
+                 st.sampled_from(_OPERAND2),
+                 st.sampled_from(_REGS + ["%g0"])).map(
+    lambda parts: "%s %s,%s,%s" % parts)
+
+
+def _fresh_names_erased(f):
+    return re.sub(r"\$h\d+", "$h", repr(f))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_OPS, q=_FORMULAS)
+def test_early_out_agrees_with_substitution_path(text, q):
+    """Where the early-out fires, substituting the destination would
+    have left Q unchanged; everywhere else the transfer is the
+    substitution/havoc path (``_assign`` then ``_set_icc``)."""
+    transfer = WlpTransfer({}, LocationTable())
+    node = make_node(text)
+    op = node.instruction
+    out = transfer.node_transfer(node, q)
+    free = q.free_variables()
+    if op.dest not in free and not (op.sets_cc and ICC in free):
+        assert out is q
+        if op.dest is not None:
+            assert q.substitute(op.dest, v("%l7") + 1) == q
+    else:
+        full = transfer._assign_op(op, q)
+        # Each havoc names a fresh variable: compare up to those names.
+        assert _fresh_names_erased(out) == _fresh_names_erased(full)

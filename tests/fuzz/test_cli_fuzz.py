@@ -84,9 +84,32 @@ class TestFuzzReduceAndReplay:
         assert "FAIL" in capsys.readouterr().out
 
 
+_SKETCH = {"seed": 1, "array_size": 4, "array_writable": False,
+           "statements": [["load", "t0", 9]]}
+_ENTRY = {"name": "x", "sketch": _SKETCH, "vector_seed": 1,
+          "vector_count": 2, "expected": ["sparc"]}
+
+
 @pytest.mark.parametrize("command, name, text, message", [
     ("replay", "entry.json", '{"name": "x",\n "sketch": oops}\n',
      "entry.json:2: not valid JSON"),
+    ("replay", "entry.json", json.dumps(_ENTRY),
+     "entry.json: malformed corpus entry 'x': \"expected\" must map"),
+    ("replay", "entry.json",
+     json.dumps(dict(_ENTRY, expected={"mips": "agree"})),
+     "entry.json: malformed corpus entry 'x'"),
+    ("reduce", "findings.jsonl",
+     '{"type": "summary"}\n{"type": "finding", "class": "soundness"}\n',
+     'findings.jsonl:2: finding record has no integer "seed"'),
+    ("reduce", "findings.jsonl", '{"type": "finding", "seed": 3}\n',
+     'findings.jsonl:1: finding record has no string "class"'),
+    ("reduce", "findings.jsonl",
+     '{"type": "finding", "seed": 3, "class": "x", "arch": 1}\n',
+     'findings.jsonl:1: finding record\'s "arch" is not a string'),
+    ("reduce", "findings.jsonl",
+     json.dumps({"type": "finding", "seed": 3, "class": "soundness",
+                 "sketch": _SKETCH}) + "\n",
+     "finding for seed 3 names no architecture"),
     ("replay", "entry.json", "[1]\n",
      "entry.json:1: corpus entry is not a JSON object"),
     ("reduce", "findings.jsonl", '{"type": "summary"}\nnot json\n',
@@ -101,3 +124,14 @@ def test_malformed_fuzz_file_is_a_clean_error(tmp_path, capsys, command,
     assert main(["fuzz", command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command, name", [
+    ("replay", "entry.json"), ("reduce", "findings.jsonl")])
+def test_non_utf8_fuzz_file_is_a_clean_error(tmp_path, capsys, command,
+                                             name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["fuzz", command, str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: %s: not UTF-8 text\n" % path

@@ -31,6 +31,17 @@ class TestCheck:
         assert main(["check", str(buggy), str(spec)]) == 1
         assert "VIOLATION" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("which", ["code", "spec"])
+    def test_non_utf8_input_is_a_clean_error(self, files, capsys, which):
+        code, spec, tmp = files
+        bad = tmp / "bad.txt"
+        bad.write_bytes(b"\xff\xfe" + SOURCE.encode())
+        argv = [str(bad), str(spec)] if which == "code" \
+            else [str(code), str(bad)]
+        assert main(["check"] + argv) == 2
+        assert capsys.readouterr().err == \
+            "error: %s: not UTF-8 text\n" % bad
+
     def test_json_output(self, files, capsys):
         code, spec, __ = files
         assert main(["check", str(code), str(spec), "--json"]) == 0

@@ -82,6 +82,15 @@ class TestTraceSubcommands:
         assert summary["obligations"]["total"] > 0
         assert summary["queries"]["total"] > 0
 
+    @pytest.mark.parametrize("command", ["validate", "summarize"])
+    def test_non_utf8_file_is_a_clean_error(self, tmp_path, capsys,
+                                            command):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\xfe{}\n")
+        assert main(["trace", command, str(bad)]) == 2
+        assert capsys.readouterr().err == \
+            "error: %s: not UTF-8 text\n" % bad
+
     def test_summarize_missing_file_exits_two(self, capsys):
         assert main(["trace", "summarize", "/nonexistent.jsonl"]) == 2
         assert "error:" in capsys.readouterr().err
