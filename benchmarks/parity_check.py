@@ -8,10 +8,10 @@ outcome, and every violation are identical.  CI runs this to enforce
 the determinism guarantee of the parallel engine.
 
 With ``--ablations`` each program additionally runs under the prover
-ablations (``--no-matrix``, ``--no-slicing``, ``--no-incremental``,
-all three off at once, and ``seed``: those three plus the canonical
-prover cache and formula memoization off, the configuration of this
-checker before its performance work) and every verdict fingerprint
+ablations (``--no-slicing``, ``--no-incremental``, both off at once,
+and ``seed``: those two plus the canonical prover cache and formula
+memoization off, the configuration of this checker before its
+performance work) and every verdict fingerprint
 must match the default configuration.  This is the verdict gate of
 every performance feature; the timed benchmark is perfbench
 (``perfbench/run.py``).
@@ -110,19 +110,16 @@ def compare(name, serial, parallel, failures):
 
 
 #: The Omega-overhaul ablations: default minus one feature each, then
-#: all three off (the pre-overhaul pipeline), then ``seed``: also no
-#: canonical prover cache and no formula memoization (the pipeline
-#: before any of the performance work).
+#: both off, then ``seed``: also no canonical prover cache and no
+#: formula memoization (the pipeline before any of the performance
+#: work, on today's one Omega kernel).
 ABLATIONS = [
-    ("no-matrix", dict(enable_matrix_kernel=False)),
     ("no-slicing", dict(enable_slicing=False)),
     ("no-incremental", dict(enable_incremental=False)),
-    ("all-off", dict(enable_matrix_kernel=False, enable_slicing=False,
-                     enable_incremental=False)),
+    ("all-off", dict(enable_slicing=False, enable_incremental=False)),
     ("seed", dict(enable_canonical_prover_cache=False,
                   enable_formula_memoization=False,
-                  enable_matrix_kernel=False, enable_slicing=False,
-                  enable_incremental=False)),
+                  enable_slicing=False, enable_incremental=False)),
 ]
 
 
@@ -288,9 +285,8 @@ def main():
                         help="include the heavyweight SPARC programs")
     parser.add_argument("--ablations", action="store_true",
                         help="also check the prover ablations "
-                             "(no-matrix / no-slicing / "
-                             "no-incremental / all-off / seed) against "
-                             "the default configuration")
+                             "(no-slicing / no-incremental / all-off / "
+                             "seed) against the default configuration")
     parser.add_argument("--incremental", action="store_true",
                         help="also check the function-granular "
                              "verdict cache (no cache / cold / warm / "

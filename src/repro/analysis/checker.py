@@ -108,7 +108,6 @@ class SafetyChecker:
             enable_cache=self.options.enable_prover_cache,
             enable_canonical_cache=(
                 self.options.enable_canonical_prover_cache),
-            enable_matrix=self.options.enable_matrix_kernel,
             enable_slicing=self.options.enable_slicing,
             enable_incremental=self.options.enable_incremental,
             persistent=self.persistent,

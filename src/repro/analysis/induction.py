@@ -43,7 +43,7 @@ from repro.logic.formula import (
     conj, disj, formula_size, neg,
 )
 from repro.logic.normalize import to_dnf, to_nnf
-from repro.logic.omega import Constraints
+from repro.logic.omega import Constraints, project_real
 from repro.logic.serialize import formula_text
 from repro.logic.simplify import simplify
 from repro.trace import NULL_TRACER
@@ -278,7 +278,7 @@ class InductionIteration:
         try:
             negated = self.engine.quantifier_free(to_nnf(neg(f)))
             disjuncts = to_dnf(to_nnf(negated))
-        except Exception:
+        except ProverError:
             return []
         pieces: List[Formula] = []
         for atoms in disjuncts:
@@ -289,7 +289,7 @@ class InductionIteration:
             eliminate = sorted(set(constraints.variables()) & modified)
             if not eliminate:
                 continue
-            eliminated = self.prover.project_real(constraints, eliminate)
+            eliminated = project_real(constraints, eliminate)
             pieces.append(eliminated.to_formula())
         if pieces:
             self.tracer.event("induction:generalize",

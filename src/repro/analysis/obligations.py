@@ -227,7 +227,6 @@ def build_engine(program, spec, options: CheckerOptions
     prover = Prover(
         enable_cache=options.enable_prover_cache,
         enable_canonical_cache=options.enable_canonical_prover_cache,
-        enable_matrix=options.enable_matrix_kernel,
         enable_slicing=options.enable_slicing,
         enable_incremental=options.enable_incremental,
         persistent=persistent)

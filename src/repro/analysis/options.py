@@ -66,11 +66,6 @@ class CheckerOptions:
     #: and use previous results whenever possible").
     enable_canonical_prover_cache: bool = True
 
-    #: Run the Omega kernel over the flat integer-row matrix backend
-    #: (:mod:`repro.logic.matrix`); off (``--no-matrix``) uses the
-    #: dict-based reference implementation.
-    enable_matrix_kernel: bool = True
-
     #: Obligation slicing: decompose prover conjuncts into independent
     #: variable components and keep quantifier-free residue out of
     #: projections; off (``--no-slicing``) decides whole systems.

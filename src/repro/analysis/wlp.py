@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.cfg.graph import BranchCondition, Node
+from repro.errors import ProverError
 from repro.ir.ops import (
     CC_VAR, Assign, BinOp, ConstOp, Load, OpVisitor, Store,
 )
@@ -87,7 +88,7 @@ def _eager_eliminate(f: Formula) -> Formula:
         return f
     try:
         return simplify(DEFAULT_PROVER.eliminate_quantifiers(f))
-    except Exception:
+    except ProverError:
         return f
 
 

@@ -112,10 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "of every prover query, enabling `repro "
                             "bench --prover-replay` on the trace "
                             "(larger trace files)")
-    check.add_argument("--no-matrix", action="store_true",
-                       help="decide Omega queries on the dict-based "
-                            "reference kernel instead of the integer-"
-                            "matrix backend (verdicts are identical)")
     check.add_argument("--no-slicing", action="store_true",
                        help="disable obligation slicing (independent-"
                             "component decomposition of prover "
@@ -447,8 +443,6 @@ def _cmd_check(args) -> int:
         options.trace_path = args.trace
     if args.trace_formulas:
         options.trace_formulas = True
-    if args.no_matrix:
-        options.enable_matrix_kernel = False
     if args.no_slicing:
         options.enable_slicing = False
     if args.no_incremental:

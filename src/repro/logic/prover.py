@@ -43,8 +43,7 @@ from repro.logic.formula import (
 from repro.logic.memo import BoundedCache
 from repro.logic.normalize import to_dnf, to_nnf
 from repro.logic.omega import (
-    Constraints, constraints_to_formula, project, project_real,
-    satisfiable,
+    Constraints, constraints_to_formula, project, satisfiable,
 )
 from repro.logic.serialize import canonical_digest
 from repro.trace import NULL_TRACER
@@ -123,7 +122,6 @@ class Prover:
                  enable_difference_fast_path: bool = True,
                  enable_canonical_cache: bool = True,
                  persistent=None,
-                 enable_matrix: bool = True,
                  enable_slicing: bool = True,
                  enable_incremental: bool = True):
         self.enable_cache = enable_cache
@@ -132,10 +130,6 @@ class Prover:
         #: independent of the raw cache so the ablation benchmarks can
         #: measure each level.
         self.enable_canonical_cache = enable_canonical_cache
-        #: Run the Omega kernel over the flat-row matrix backend
-        #: (:mod:`repro.logic.matrix`); off = dict-based reference
-        #: implementation (the ``--no-matrix`` ablation).
-        self.enable_matrix = enable_matrix
         #: Obligation slicing: decompose DNF conjuncts into independent
         #: variable components and drop quantifier-free residue out of
         #: projections (the ``--no-slicing`` ablation).
@@ -374,14 +368,7 @@ class Prover:
             if fast is not None:
                 self.stats.difference_fast_path_hits += 1
                 return fast
-        return satisfiable(Constraints.from_atoms(atoms),
-                           use_matrix=self.enable_matrix)
-
-    def project_real(self, c: Constraints, variables) -> Constraints:
-        """Rational FM projection through this prover's backend flag —
-        the entry point the generalization heuristics use, so the
-        ``--no-matrix`` ablation covers them too."""
-        return project_real(c, variables, use_matrix=self.enable_matrix)
+        return satisfiable(Constraints.from_atoms(atoms))
 
     def prefix_session(self, prefix: Formula):
         """A :class:`~repro.logic.incremental.PrefixSession` that keeps
@@ -423,14 +410,12 @@ class Prover:
                         pieces.append(conj(*outer))
                         continue
                     projected = project(Constraints.from_atoms(inner),
-                                        f.variables,
-                                        use_matrix=self.enable_matrix)
+                                        f.variables)
                     pieces.append(
                         conj(constraints_to_formula(projected), *outer))
                 else:
                     projected = project(Constraints.from_atoms(atoms),
-                                        f.variables,
-                                        use_matrix=self.enable_matrix)
+                                        f.variables)
                     pieces.append(constraints_to_formula(projected))
             return disj(*pieces)
         if isinstance(f, Forall):

@@ -68,7 +68,6 @@ class Worker(threading.Thread):
         configuration; a throwaway prover otherwise."""
         if options.enable_prover_cache \
                 and options.enable_canonical_prover_cache \
-                and options.enable_matrix_kernel \
                 and options.enable_slicing \
                 and options.enable_incremental:
             prover = self._warm_prover()
@@ -77,7 +76,6 @@ class Worker(threading.Thread):
         return Prover(
             enable_cache=options.enable_prover_cache,
             enable_canonical_cache=options.enable_canonical_prover_cache,
-            enable_matrix=options.enable_matrix_kernel,
             enable_slicing=options.enable_slicing,
             enable_incremental=options.enable_incremental)
 

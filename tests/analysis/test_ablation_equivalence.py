@@ -1,7 +1,7 @@
-"""The Omega-overhaul features (matrix kernel, obligation slicing,
-incremental sessions) are pure optimizations: every ablation must
-return exactly the same verdict, proof outcomes, and violations on the
-benchmark corpus.
+"""The Omega-overhaul features (obligation slicing, incremental
+sessions) are pure optimizations: every ablation must return exactly
+the same verdict, proof outcomes, and violations on the benchmark
+corpus.
 
 The fast programs run in tier-1; the heavyweight rows carry the
 ``bench`` marker, mirroring ``test_cache_equivalence.py``.  The
@@ -15,11 +15,9 @@ from repro.analysis.options import CheckerOptions
 from repro.programs import all_programs, fast_programs
 
 ABLATIONS = {
-    "no-matrix": dict(enable_matrix_kernel=False),
     "no-slicing": dict(enable_slicing=False),
     "no-incremental": dict(enable_incremental=False),
-    "all-off": dict(enable_matrix_kernel=False, enable_slicing=False,
-                    enable_incremental=False),
+    "all-off": dict(enable_slicing=False, enable_incremental=False),
 }
 
 _FAST = {p.name for p in fast_programs()}

@@ -7,8 +7,11 @@ from repro import parse_spec
 from repro.analysis import induction
 from repro.analysis.annotate import annotate
 from repro.analysis.induction import InductionIteration, _collect_atoms
+from repro.errors import ProverError
+from repro.logic import omega
+from repro.logic import prover as prover_module
 from repro.logic.formula import (
-    FALSE, TRUE, FalseFormula, TrueFormula, formula_size, neg,
+    FALSE, TRUE, FalseFormula, TrueFormula, forall, formula_size, neg,
 )
 from repro.logic.normalize import to_dnf, to_nnf
 from repro.logic.simplify import simplify
@@ -16,6 +19,7 @@ from repro.analysis.options import CheckerOptions
 from repro.analysis.prepare import prepare
 from repro.analysis.propagate import propagate
 from repro.analysis.verify import VerificationEngine
+from repro.analysis.wlp import _eager_eliminate
 from repro.cfg import CFG, build_cfg, find_loops
 from repro.logic import conj, disj, ge, implies, le, lt
 from repro.logic.terms import Linear
@@ -272,3 +276,79 @@ class TestOptionsRespected:
         ii = InductionIteration(engine, loop, {}, 0)
         outcome = ii.run(lt(v("%g3"), v("n")))
         assert not outcome.success
+
+
+class _KernelBug(Exception):
+    """Stands in for a crash inside the Omega kernel (not a
+    ProverError)."""
+
+
+def _failing_kernel(error):
+    def fail(*args, **kwargs):
+        raise error
+    return fail
+
+
+def _quantified():
+    """∀h.(h < 0 ∨ h ≥ %o1): its elimination reaches ``project``."""
+    return forall(["$h"], disj(lt(v("$h"), 0), ge(v("$h") - v("%o1"), 0)))
+
+
+_KERNEL_ERRORS = pytest.mark.parametrize(
+    "error", [_KernelBug("crash"), ProverError("limit")],
+    ids=["crash", "limit"])
+
+
+class TestKernelFailures:
+    """The four prover-facing handlers degrade on a ProverError (a
+    resource limit) but let any other exception through, so a kernel
+    crash surfaces instead of reading as an unproven condition."""
+
+    @_KERNEL_ERRORS
+    def test_eager_elimination(self, monkeypatch, error):
+        monkeypatch.setattr(prover_module, "project",
+                            _failing_kernel(error))
+        f = _quantified()
+        if isinstance(error, ProverError):
+            assert _eager_eliminate(f) is f
+        else:
+            with pytest.raises(_KernelBug):
+                _eager_eliminate(f)
+
+    @_KERNEL_ERRORS
+    def test_quantifier_free(self, sum_engine, monkeypatch, error):
+        engine, __ = sum_engine
+        monkeypatch.setattr(prover_module, "project",
+                            _failing_kernel(error))
+        f = _quantified()
+        if isinstance(error, ProverError):
+            assert engine.quantifier_free(f) == simplify(f)
+        else:
+            with pytest.raises(_KernelBug):
+                engine.quantifier_free(f)
+
+    @_KERNEL_ERRORS
+    def test_generalize_away(self, sum_engine, monkeypatch, error):
+        engine, __ = sum_engine
+        monkeypatch.setattr(omega, "project_real", _failing_kernel(error))
+        f = ge(v("%g3") - v("%o1"), 0)
+        if isinstance(error, ProverError):
+            assert engine._generalize_away(f, {"%g3"}) is FALSE
+        else:
+            with pytest.raises(_KernelBug):
+                engine._generalize_away(f, {"%g3"})
+
+    @_KERNEL_ERRORS
+    def test_induction_generalization(self, sum_engine, monkeypatch,
+                                      error):
+        engine, loop = sum_engine
+        monkeypatch.setattr(prover_module, "project",
+                            _failing_kernel(error))
+        ii = InductionIteration(engine, loop, {}, 0)
+        f = conj(_quantified(), ge(v("%g3"), 0))
+        if isinstance(error, ProverError):
+            # quantifier_free keeps the ∃ and to_dnf then refuses it.
+            assert ii.generalizations(f) == []
+        else:
+            with pytest.raises(_KernelBug):
+                ii.generalizations(f)

@@ -197,7 +197,6 @@ class TestInvalidation:
         result = _check(
             INCREMENTAL_SOURCE,
             CheckerOptions(jobs=1, cache_path=cache,
-                           enable_matrix_kernel=False,
                            enable_slicing=False))
         assert _pipeline_stats(result)["unit_pipeline_hits"] == 1
 

@@ -157,7 +157,6 @@ class TestInvalidation:
         result = _check(
             INCREMENTAL_SOURCE,
             CheckerOptions(jobs=1, cache_path=cache,
-                           enable_matrix_kernel=False,
                            enable_slicing=False))
         stats = result.prover_stats
         assert stats["unit_hits"] == stats["unit_lookups"] > 0

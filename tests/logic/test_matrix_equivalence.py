@@ -1,19 +1,21 @@
-"""Randomized equivalence of the matrix-backed Omega kernel against
-the dict-based reference implementation.
+"""The flat-row Omega kernel against enumeration, on 500 seeded systems.
 
-The matrix backend (:mod:`repro.logic.matrix`) is a pure representation
-change: it mirrors the reference kernel's pivot choices, list orders,
-and resource limits exactly, so on the same input both backends must
-produce **structurally identical** outputs — not merely equivalent
-ones.  That strong contract is what makes verdict parity across the
-``--no-matrix`` ablation hold by construction; these tests enforce it
-on 500+ randomized constraint systems.
+Each system constrains x, y and z with random Geq, Eq and Cong atoms
+(coefficients within ±5, moduli 2/3/4/8) inside the box [-4, 4]³, so
+brute force over the box decides every question exactly.  The two
+deciders compared are the kernel and that enumeration, and they must
+agree on whole solution sets, not only on the sat/unsat bit:
 
-Both backends consume fresh ``$q`` variables from the shared global
-counter when lowering congruences, so each comparison pins the counter
-to the same value before each run — production never leaks fresh names
-into outputs, but structural equality of intermediate systems needs
-identical names.
+* ``satisfiable(c)`` equals "some point of the box satisfies c";
+* ``project(c, ["z"])`` holds at (x, y) exactly when some z does, over
+  an (x, y) window wider than the box;
+* ``project_real(c, ["z"])`` holds at every such (x, y) (a superset);
+* ``eliminate_equalities`` is exact projection of the variables it
+  removes.
+
+:func:`test_oracle_reaches_dark_shadow_and_splinters` keeps the suite
+honest about coverage: the seeded systems must reach the dark-shadow/
+splinter projection and the splinter branch of satisfiability.
 """
 
 import itertools
@@ -21,12 +23,10 @@ import random
 
 import pytest
 
-from repro.errors import ProverError
-from repro.logic import formula as F
-from repro.logic import matrix
+from repro.logic import omega
 from repro.logic.omega import (
-    Constraints, _satisfiable_dict, eliminate_equalities, normalize,
-    project, project_real,
+    Constraints, eliminate_equalities, from_constraints, project,
+    project_real, satisfiable, to_constraints,
 )
 from repro.logic.terms import Linear
 
@@ -35,106 +35,125 @@ from repro.logic.terms import Linear
 #: splinters, real-shadow FM) while staying inside tier-1 budget.
 CASES = 500
 
+VARIABLES = ("x", "y", "z")
+BOX = 4
+_BOX_RANGE = range(-BOX, BOX + 1)
+#: Wider than the box, so a projected piece admitting a point outside
+#: it is caught too.
+_WINDOW = range(-BOX - 2, BOX + 3)
 
-def _linear(rng, variables, coeff_range=6, const_range=40):
+
+def _linear(rng):
     coefficients = {}
-    for v in variables:
-        if rng.random() < 0.5:
-            k = rng.randint(-coeff_range, coeff_range)
-            if k:
-                coefficients[v] = k
-    return Linear(coefficients, rng.randint(-const_range, const_range))
+    while not coefficients:
+        for v in VARIABLES:
+            if rng.random() < 0.6:
+                k = rng.randint(-5, 5)
+                if k:
+                    coefficients[v] = k
+    return Linear(coefficients, rng.randint(-10, 10))
 
 
-def _system(rng, seed):
-    variables = ["a", "b", "c", "d", "e", "f", "g", "h"][
-        : rng.randint(1, 8)]
-    geqs = [_linear(rng, variables)
-            for _ in range(rng.randint(0, 6))]
-    eqs = [_linear(rng, variables)
-           for _ in range(rng.randint(0, 3))]
-    congs = [(_linear(rng, variables), rng.choice([2, 3, 4, 8]))
-             for _ in range(rng.randint(0, 2))]
-    return Constraints(geqs=geqs, eqs=eqs, congs=congs), variables
+def _system(seed):
+    rng = random.Random(987_000 + seed)
+    c = Constraints()
+    for __ in range(rng.randint(1, 5)):
+        kind = rng.random()
+        if kind < 0.6:
+            c.geqs.append(_linear(rng))
+        elif kind < 0.8:
+            c.eqs.append(_linear(rng))
+        else:
+            c.congs.append((_linear(rng), rng.choice([2, 3, 4, 8])))
+    c.geqs.extend(Linear({v: sign}, BOX)
+                  for v in VARIABLES for sign in (1, -1))
+    return c
 
 
-def _pinned(fn, *args):
-    """Run *fn* with the fresh-variable counter pinned, capturing both
-    the value and any ProverError (resource limits must agree too)."""
-    F._fresh_counter = itertools.count(10 ** 6)
-    try:
-        return ("ok", fn(*args))
-    except ProverError as error:
-        return ("error", str(error))
+def _holds(c, env):
+    return (all(t.evaluate(env) >= 0 for t in c.geqs)
+            and all(t.evaluate(env) == 0 for t in c.eqs)
+            and all(t.evaluate(env) % m == 0 for t, m in c.congs))
 
 
-def _key(c):
-    """Structural identity of a Constraints value."""
-    if c is None:
-        return None
-    return (tuple(str(g) for g in c.geqs),
-            tuple(str(e) for e in c.eqs),
-            tuple((str(t), m) for t, m in c.congs))
+def _solutions(c):
+    return [dict(zip(VARIABLES, point))
+            for point in itertools.product(_BOX_RANGE, repeat=3)
+            if _holds(c, dict(zip(VARIABLES, point)))]
 
 
 @pytest.mark.parametrize("seed", range(CASES))
 def test_backends_agree_structurally(seed):
-    rng = random.Random(987_000 + seed)
-    c, variables = _system(rng, seed)
-    eliminate = [v for v in variables if rng.random() < 0.5]
+    c = _system(seed)
+    solutions = _solutions(c)
+    assert satisfiable(c) == bool(solutions)
 
-    def norm_matrix():
-        result = matrix.normalize_system(matrix.from_constraints(c))
-        return None if result is None \
-            else _key(matrix.to_constraints(result))
-
-    def norm_dict():
-        result = normalize(c)
-        return None if result is None else _key(result)
-
-    assert _pinned(norm_matrix) == _pinned(norm_dict)
-
-    tag, got = _pinned(matrix.satisfiable_system, c)
-    ref_tag, ref = _pinned(_satisfiable_dict, c)
-    assert (tag, got) == (ref_tag, ref)
-
-    def proj_matrix():
-        return [_key(s) for s in matrix.project_system(c, eliminate)]
-
-    def proj_dict():
-        return [_key(s) for s in project(c, eliminate,
-                                         use_matrix=False)]
-
-    assert _pinned(proj_matrix) == _pinned(proj_dict)
-
-    tag, got = _pinned(matrix.project_real_system, c, eliminate)
-    ref_tag, ref = _pinned(project_real, c, eliminate, False)
-    assert (tag, _key(got) if tag == "ok" else got) \
-        == (ref_tag, _key(ref) if ref_tag == "ok" else ref)
+    shadow = {(p["x"], p["y"]) for p in solutions}
+    pieces = project(c, ["z"])
+    real = project_real(c, ["z"])
+    for piece in pieces:
+        assert piece.variables() <= {"x", "y"}
+    assert real.variables() <= {"x", "y"}
+    for vx, vy in itertools.product(_WINDOW, repeat=2):
+        env = {"x": vx, "y": vy}
+        want = (vx, vy) in shadow
+        assert any(_holds(p, env) for p in pieces) == want, (vx, vy)
+        if want:
+            assert _holds(real, env), (vx, vy)
 
 
 @pytest.mark.parametrize("seed", range(0, CASES, 10))
 def test_equality_elimination_agrees(seed):
+    c = _system(seed)
     rng = random.Random(550_000 + seed)
-    c, variables = _system(rng, seed)
-    eliminable = {v for v in variables if rng.random() < 0.6}
-
-    def elim_matrix():
-        result = matrix.eliminate_equalities_system(
-            matrix.from_constraints(c), eliminable)
-        return None if result is None \
-            else _key(matrix.to_constraints(result))
-
-    def elim_dict():
-        result = eliminate_equalities(c, eliminable)
-        return None if result is None else _key(result)
-
-    assert _pinned(elim_matrix) == _pinned(elim_dict)
+    eliminable = {v for v in VARIABLES if rng.random() < 0.6}
+    solved = eliminate_equalities(from_constraints(c), eliminable)
+    solutions = _solutions(c)
+    if solved is None:
+        assert not solutions
+        return
+    result = to_constraints(solved)
+    kept = sorted(result.variables())
+    assert not set(kept) - set(VARIABLES)
+    assert set(VARIABLES) - set(kept) <= eliminable
+    projected = {tuple(p[v] for v in kept) for p in solutions}
+    for point in itertools.product(_WINDOW, repeat=len(kept)):
+        got = _holds(result, dict(zip(kept, point)))
+        assert got == (point in projected), point
 
 
 def test_roundtrip_preserves_structure():
-    rng = random.Random(7)
+    def key(c):
+        return (tuple(str(g) for g in c.geqs),
+                tuple(str(e) for e in c.eqs),
+                tuple((str(t), m) for t, m in c.congs))
+
     for seed in range(200):
-        c, _ = _system(rng, seed)
-        assert _key(matrix.to_constraints(matrix.from_constraints(c))) \
-            == _key(c)
+        c = _system(seed)
+        assert key(to_constraints(from_constraints(c))) == key(c)
+
+
+def test_oracle_reaches_dark_shadow_and_splinters(monkeypatch):
+    """The seeded systems must keep covering the inexact paths: the
+    dark-shadow/splinter projection and the splinter branch of
+    satisfiability."""
+    calls = {"hard_split": 0, "splinters": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(omega, "_hard_split",
+                        counting("hard_split", omega._hard_split))
+    for seed in range(CASES):
+        project(_system(seed), ["z"])
+    # Projection splinters run inside _hard_split; count only the ones
+    # satisfiability reaches.
+    monkeypatch.setattr(omega, "_splinters",
+                        counting("splinters", omega._splinters))
+    for seed in range(CASES):
+        satisfiable(_system(seed))
+    assert calls["hard_split"] > 0
+    assert calls["splinters"] > 0

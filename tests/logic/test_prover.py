@@ -1,6 +1,7 @@
 """Prover tests: validity, quantifiers, caching, and the paper's
 Section 5.2.2 derivation."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.logic import (
@@ -89,6 +90,28 @@ class TestQuantifiers:
         assert self.prover.is_valid(f.substitute("x", Linear.const(7)))
         assert not self.prover.is_valid(
             f.substitute("x", Linear.const(-5)))
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "Prover._eliminate negates a Forall body that is already NNF: "
+        "each residue disjunct h-%o0-r = 0 (mod 8) becomes a 7-way "
+        "residue fan, 7^7 conjuncts > MAX_DNF_CONJUNCTS"))
+    def test_alpha_variants_of_a_residue_forall_are_equivalent(self):
+        # wlp of `and %o0,7,%o0` under %o0 >= 0.  is_valid meets each
+        # variant only negated (a small ∃); equivalent also meets the ∀
+        # itself, and eliminating it gives up on the DNF bound.
+        o0 = v("%o0")
+
+        def variant(h):
+            bound = v(h)
+            return forall([h], disj(
+                neg(conj(congruent(bound - o0, 8), ge(bound, 0),
+                         le(bound, 7))),
+                ge(bound, 0)))
+
+        a, b = variant("$h1"), variant("$h2")
+        assert self.prover.is_valid(a) and self.prover.is_valid(b)
+        assert self.prover.equivalent(a, b)
+        assert self.prover.stats.resource_fallbacks == 0
 
 
 class TestPaperDerivation:
