@@ -7,13 +7,12 @@ fails loudly unless the safety verdict, every per-condition proof
 outcome, and every violation are identical.  CI runs this to enforce
 the determinism guarantee of the parallel engine.
 
-With ``--ablations`` each program additionally runs under the prover
-ablations (``--no-slicing``, ``--no-incremental``, both off at once,
-and ``seed``: those two plus the canonical prover cache and formula
-memoization off, the configuration of this checker before its
-performance work) and every verdict fingerprint
-must match the default configuration.  This is the verdict gate of
-every performance feature; the timed benchmark is perfbench
+With ``--ablations`` each program additionally runs under the paper's
+prover cache ablation (``no-prover-cache``: every query decided from
+scratch, no result cache or session memo) and every verdict
+fingerprint must match the default configuration; the ablated run
+must also answer nothing from a cache.  This is the verdict gate of
+the prover cache; the timed benchmark is perfbench
 (``perfbench/run.py``).
 
 With ``--incremental`` each program additionally runs under the
@@ -109,29 +108,30 @@ def compare(name, serial, parallel, failures):
         failures.append(name)
 
 
-#: The Omega-overhaul ablations: default minus one feature each, then
-#: both off, then ``seed``: also no canonical prover cache and no
-#: formula memoization (the pipeline before any of the performance
-#: work, on today's one Omega kernel).
+#: The paper's one prover ablation: the result caches off.
 ABLATIONS = [
-    ("no-slicing", dict(enable_slicing=False)),
-    ("no-incremental", dict(enable_incremental=False)),
-    ("all-off", dict(enable_slicing=False, enable_incremental=False)),
-    ("seed", dict(enable_canonical_prover_cache=False,
-                  enable_formula_memoization=False,
-                  enable_slicing=False, enable_incremental=False)),
+    ("no-prover-cache", dict(enable_prover_cache=False)),
 ]
+
+#: prover_stats counters of queries and conjuncts answered from a
+#: result cache; all must stay 0 with the cache off.
+CACHE_HITS = ("cache_hits", "canonical_cache_hits", "conjunct_cache_hits")
 
 
 def compare_ablations(name, reference, check, failures):
     for ablation, overrides in ABLATIONS:
         result = check(CheckerOptions(jobs=1, **overrides))
         ok = fingerprint(reference) == fingerprint(result)
+        hits = sum(result.prover_stats[k] for k in CACHE_HITS)
         print("%-18s %-14s %s"
               % (name, ablation,
-                 "parity OK" if ok else "PARITY MISMATCH"))
+                 "PARITY MISMATCH" if not ok else
+                 "CACHE HITS" if hits else "parity OK"))
         if not ok:
             failures.append("%s[%s]" % (name, ablation))
+        elif hits:
+            failures.append("%s[%s: %d cache hits]"
+                            % (name, ablation, hits))
 
 
 def compare_incremental(name, reference, check, failures):
@@ -284,9 +284,9 @@ def main():
     parser.add_argument("--full", action="store_true",
                         help="include the heavyweight SPARC programs")
     parser.add_argument("--ablations", action="store_true",
-                        help="also check the prover ablations "
-                             "(no-slicing / no-incremental / all-off / "
-                             "seed) against the default configuration")
+                        help="also check the prover cache ablation "
+                             "(no-prover-cache) against the default "
+                             "configuration")
     parser.add_argument("--incremental", action="store_true",
                         help="also check the function-granular "
                              "verdict cache (no cache / cold / warm / "
@@ -307,7 +307,7 @@ def main():
         return 1
     print("all verdicts identical at --jobs 1 and --jobs %d%s%s"
           % (args.jobs,
-             " and under every prover ablation" if args.ablations
+             " and under the prover cache ablation" if args.ablations
              else "",
              " and across every unit-cache state"
              if args.incremental else ""))

@@ -7,7 +7,7 @@ the examples that exercise it:
 
 * *generalization off* — the sum upper bound becomes unprovable (the
   chain can never learn %o1 ≤ n);
-* *prover cache off* — same verdicts, more prover queries;
+* *prover cache off* — same verdicts, no query answered from a cache;
 * *formula grouping off* — same verdicts, more induction runs.
 """
 
@@ -52,14 +52,23 @@ class TestGeneralizationAblation:
         assert not result.safe
 
 
+#: The prover_stats counters of queries and conjuncts answered from a
+#: result cache (the session memo counts as a raw-cache hit).
+CACHE_HITS = ("cache_hits", "canonical_cache_hits", "conjunct_cache_hits")
+
+
 class TestCacheAblation:
-    def test_cache_reduces_prover_queries(self, benchmark):
+    def test_cache_off_answers_nothing_from_a_cache(self, benchmark):
         cached = SUM.check(_options(enable_prover_cache=True))
         uncached = benchmark.pedantic(
             SUM.check, args=(_options(enable_prover_cache=False),),
             rounds=1, iterations=1)
         assert cached.safe and uncached.safe
-        assert cached.prover_queries <= uncached.prover_queries
+        assert cached.violations == uncached.violations
+        assert [(p.uid, p.proved) for p in cached.proofs] \
+            == [(p.uid, p.proved) for p in uncached.proofs]
+        assert sum(cached.prover_stats[k] for k in CACHE_HITS) > 0
+        assert all(uncached.prover_stats[k] == 0 for k in CACHE_HITS)
 
 
 class TestGroupingAblation:

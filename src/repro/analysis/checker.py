@@ -30,7 +30,6 @@ from repro.cfg.loops import find_loops
 from repro.ir.frontend import get_frontend
 from repro.ir.ops import Call
 from repro.ir.program import MachineProgram
-from repro.logic.memo import memoization_enabled, set_memoization
 from repro.logic.prover import Prover
 from repro.policy.model import HostSpec
 from repro.trace import NULL_TRACER, Tracer
@@ -106,10 +105,6 @@ class SafetyChecker:
                 self.options.cache_path)
         self.prover = Prover(
             enable_cache=self.options.enable_prover_cache,
-            enable_canonical_cache=(
-                self.options.enable_canonical_prover_cache),
-            enable_slicing=self.options.enable_slicing,
-            enable_incremental=self.options.enable_incremental,
             persistent=self.persistent,
         )
 
@@ -137,11 +132,6 @@ class SafetyChecker:
     # -- pipeline -----------------------------------------------------------------
 
     def check(self) -> CheckResult:
-        # The memoization switch is process-global; scope this run's
-        # setting so constructing a checker never perturbs other
-        # checkers, and concurrent-construction state cannot leak.
-        saved_memoization = memoization_enabled()
-        set_memoization(self.options.enable_formula_memoization)
         self._deadline = None
         if self.options.timeout_s is not None:
             if self.options.deadline_epoch is not None:
@@ -170,7 +160,6 @@ class SafetyChecker:
             # finished check's budget or trace sink.
             self.prover.deadline = None
             self.prover.tracer = NULL_TRACER
-            set_memoization(saved_memoization)
 
     def _timeout_result(self) -> CheckResult:
         """The distinct "undecided: timeout" verdict: the check was

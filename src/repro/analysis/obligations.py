@@ -224,12 +224,8 @@ def build_engine(program, spec, options: CheckerOptions
     if options.cache_path:
         from repro.logic.persist import PersistentProverCache
         persistent = PersistentProverCache(options.cache_path)
-    prover = Prover(
-        enable_cache=options.enable_prover_cache,
-        enable_canonical_cache=options.enable_canonical_prover_cache,
-        enable_slicing=options.enable_slicing,
-        enable_incremental=options.enable_incremental,
-        persistent=persistent)
+    prover = Prover(enable_cache=options.enable_prover_cache,
+                    persistent=persistent)
     # Pool workers inherit the parent's absolute budget; it crosses
     # the process boundary as epoch seconds (monotonic clocks are
     # per-process) and is translated back to this process's monotonic
@@ -257,10 +253,7 @@ def build_engine(program, spec, options: CheckerOptions
 def worker_initialize(payload: bytes) -> None:
     """Pool-worker initializer: rebuild the engine from the pickled
     (program, spec, options) payload."""
-    from repro.logic.memo import set_memoization
-
     program, spec, options = pickle.loads(payload)
-    set_memoization(options.enable_formula_memoization)
     _WORKER_STATE["engine"] = build_engine(program, spec, options)
 
 

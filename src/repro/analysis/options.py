@@ -2,7 +2,11 @@
 
 Defaults match the paper's prototype; the ablation benchmarks flip the
 enhancement flags to measure their effect (paper Sections 5.2.1, 5.2.3,
-and 6 discuss each).
+and 6 discuss each).  The prover's own performance features (obligation
+slicing, incremental prefix sessions, the canonical and per-conjunct
+caches, the difference-solver fast path, formula memoization) are
+always on; ``enable_prover_cache`` is the one switch left, the paper's
+cache ablation.
 """
 
 from __future__ import annotations
@@ -56,35 +60,12 @@ class CheckerOptions:
     #: prove only the strongest of each group.
     enable_formula_grouping: bool = True
 
-    #: Planned enhancement implemented here: canonical-form result
-    #: caching inside the theorem prover.
+    #: Planned enhancement implemented here (paper Section 5.2.3:
+    #: "represent formulas in a canonical form and use previous results
+    #: whenever possible"): the prover's raw, canonical-form and
+    #: per-conjunct result caches and its per-session memo.  Off
+    #: decides every query from scratch.
     enable_prover_cache: bool = True
-
-    #: Second cache level: canonical-form (alpha-renamed, sorted,
-    #: gcd-normalized) whole-query and per-conjunct result caching
-    #: (paper Section 5.2.3's "represent formulas in a canonical form
-    #: and use previous results whenever possible").
-    enable_canonical_prover_cache: bool = True
-
-    #: Obligation slicing: decompose prover conjuncts into independent
-    #: variable components and keep quantifier-free residue out of
-    #: projections; off (``--no-slicing``) decides whole systems.
-    enable_slicing: bool = True
-
-    #: Incremental constraint addition: the induction BFS and the
-    #: function-entry discharge path reuse a pre-eliminated prefix and
-    #: decide only their query deltas; off (``--no-incremental``) every
-    #: query re-processes the full conjunction.
-    enable_incremental: bool = True
-
-    #: Memoize the pure structural transformations (NNF, DNF,
-    #: simplify, canonicalize) on the hash-consed formula nodes.  This
-    #: is a process-global switch: constructing one checker with it
-    #: disabled turns the memo caches off for the whole process until
-    #: a checker re-enables them (the ablation benchmarks rely on
-    #: this; concurrent checkers with different settings are not
-    #: supported).
-    enable_formula_memoization: bool = True
 
     #: Section 6 extension: forward propagation of linear facts
     #: (Cousot–Halbwachs style); loop headers get ambient invariants

@@ -118,7 +118,7 @@ PIPELINE_SCHEMA = 1
 PIPELINE_KIND = "pipeline"
 
 #: Checker options whose value can change phase-5 verdicts.  Everything
-#: else (cache levels, kernels, jobs, tracing) is parity-gated to be
+#: else (the prover cache, jobs, tracing) is parity-gated to be
 #: verdict-neutral and must *not* invalidate stored units.
 VERDICT_AFFECTING_OPTIONS = (
     "max_induction_iterations",

@@ -25,16 +25,11 @@ from repro.programs.incremental import (  # noqa: F401
 )
 
 
-#: ``--prover-replay`` configurations: the default prover, the two
-#: Omega-overhaul ablations, and a no-result-cache run (every query
-#: decided from scratch).  Incremental sessions live in the analysis
-#: layer, so "no-incremental" is expected to match "full" exactly here;
-#: it stays in the table so the flag plumbing is exercised end to end.
+#: ``--prover-replay`` configurations: the default prover and the
+#: paper's cache ablation (every query decided from scratch).
 REPLAY_CONFIGS = {
     "full": {},
-    "no-slicing": dict(enable_slicing=False),
-    "no-incremental": dict(enable_incremental=False),
-    "no-cache": dict(enable_cache=False, enable_canonical_cache=False),
+    "no-cache": dict(enable_cache=False),
 }
 
 

@@ -112,14 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "of every prover query, enabling `repro "
                             "bench --prover-replay` on the trace "
                             "(larger trace files)")
-    check.add_argument("--no-slicing", action="store_true",
-                       help="disable obligation slicing (independent-"
-                            "component decomposition of prover "
-                            "conjuncts; verdicts are identical)")
-    check.add_argument("--no-incremental", action="store_true",
-                       help="disable incremental prover sessions "
-                            "(every query re-processes its full "
-                            "conjunction; verdicts are identical)")
     check.add_argument("--no-unit-cache", action="store_true",
                        help="with --cache: disable function-granular "
                             "verdict replay, keeping only the formula-"
@@ -443,10 +435,6 @@ def _cmd_check(args) -> int:
         options.trace_path = args.trace
     if args.trace_formulas:
         options.trace_formulas = True
-    if args.no_slicing:
-        options.enable_slicing = False
-    if args.no_incremental:
-        options.enable_incremental = False
     if args.no_unit_cache:
         options.enable_unit_cache = False
     with SafetyChecker(program, spec, options=options) as checker:

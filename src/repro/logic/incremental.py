@@ -32,10 +32,12 @@ bounded by the same ``MAX_DNF_CONJUNCTS``, checked from
 any :class:`~repro.errors.ProverError` degrades to the conservative
 "may be satisfiable" fallback, never cached.
 
-With ``Prover.enable_incremental`` off (the ``--no-incremental``
-ablation) every query routes through ``Prover.is_satisfiable`` on the
-full conjunction — the pre-session behavior, bit-for-bit through the
-ordinary cache ladder.
+The one exception is a prefix whose own elimination or expansion
+raises :class:`~repro.errors.ProverError`: such a session routes every
+query through ``Prover.is_satisfiable`` on the full conjunction, which
+may still decide it or hit its own resource fallback.  With the
+prover's result caching off (``Prover(enable_cache=False)``, the
+cache ablation) the session keeps no memo either.
 """
 
 from __future__ import annotations
@@ -64,32 +66,24 @@ class PrefixSession:
     ``refutes(extra)`` decides whether ``prefix ∧ extra`` is
     unsatisfiable (the candidate-filter shape ``atom → body`` with
     ``prefix = ¬body``).  Results are memoized per session keyed on the
-    interned delta formula."""
+    interned delta formula, unless the prover's caching is off."""
 
     def __init__(self, prover, prefix: Formula):
         self.prover = prover
         self.prefix = prefix
         self._memo: Dict[Formula, bool] = {}
         #: Canonical frozenset keys of the prefix DNF conjuncts
-        #: (trivially-false conjuncts dropped); None until ready.
+        #: (trivially-false conjuncts dropped); None when the prefix
+        #: was too big to pre-process.
         self._prefix_keys: Optional[List[FrozenSet[Formula]]] = None
-        self._ready = False
-        if not (prover.enable_incremental
-                and prover.enable_canonical_cache):
-            # Without the per-conjunct canonical machinery the delta
-            # path has no shared keys to combine; run every query
-            # through the ordinary full pipeline instead.
-            return
         try:
             qf = prover.eliminate_quantifiers(prefix)
-            keys = [key for key in conjunct_keys(qf) if key is not None]
+            self._prefix_keys = [key for key in conjunct_keys(qf)
+                                 if key is not None]
         except ProverError:
-            # Prefix too big to pre-process: stay in fallback mode (the
-            # plain path may still decide individual queries, or hit
-            # its own resource fallback — same as before sessions).
-            return
-        self._prefix_keys = keys
-        self._ready = True
+            # Run every query through the plain path instead, which
+            # may still decide it or hit its own resource fallback.
+            pass
 
     # -- public queries ------------------------------------------------------
 
@@ -112,19 +106,19 @@ class PrefixSession:
     def satisfiable_with(self, extra: Formula) -> bool:
         """Satisfiability of ``prefix ∧ extra``."""
         prover = self.prover
-        if not self._ready:
+        if self._prefix_keys is None:
             return prover.is_satisfiable(conj(self.prefix, extra))
         prover.check_deadline()
         prover.stats.satisfiability_queries += 1
         prover.stats.incremental_queries += 1
         t0 = time.perf_counter() if prover.tracer.enabled else 0.0
-        cached = self._memo.get(extra)
+        cached = self._memo.get(extra) if prover.enable_cache else None
         if cached is not None:
             prover.stats.cache_hits += 1
             result, source = cached, "raw"
         else:
             result, source = self._decide_delta(extra)
-            if source != "fallback":
+            if source != "fallback" and prover.enable_cache:
                 self._memo[extra] = result
         if prover.tracer.enabled:
             self._trace_query(extra, result, source,

@@ -28,8 +28,7 @@ from repro.logic.memo import BoundedCache
 #: Guard against exponential DNF blow-up.
 MAX_DNF_CONJUNCTS = 50_000
 
-#: Memo caches keyed on interned nodes (hashing is O(1)); bounded, and
-#: switchable through :func:`repro.logic.memo.set_memoization`.
+#: Memo caches keyed on interned nodes (hashing is O(1)); bounded.
 _NNF_CACHE = BoundedCache()
 _DNF_CACHE = BoundedCache(1 << 12)
 _SIZE_CACHE = BoundedCache()

@@ -26,7 +26,13 @@ form and use previous results whenever possible") at three levels:
    no DNF tuple at all; the DNF bound is checked first, without
    building anything (:func:`repro.logic.normalize.dnf_length`).
 
-Each level can be disabled independently for the ablation benchmarks.
+Every conjunct is decided through obligation slicing (independent
+variable components, each decided on its own) and the difference-solver
+fast path before the general Omega test.  ``Prover(enable_cache=False)``
+is the paper's one cache ablation: it turns off every result cache
+(the three levels above and the per-session memo of
+:class:`~repro.logic.incremental.PrefixSession`) while deciding through
+the same lazy conjunct-key path.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from typing import List, Optional
 
 from repro.errors import ProverError, ProverTimeout
 from repro.logic.canonical import canonicalize, conjunct_keys
+from repro.logic.diffsolver import try_satisfiable
 from repro.logic.formula import (
     And, Cong, Eq, Exists, FalseFormula, Forall, Formula, Geq, Not, Or,
     TrueFormula, conj, disj, formula_size, neg, )
@@ -118,26 +125,10 @@ _RESULT_CACHE_LIMIT = 1 << 16
 class Prover:
     """Decision procedure for Presburger formulas with ∃/∀."""
 
-    def __init__(self, enable_cache: bool = True,
-                 enable_difference_fast_path: bool = True,
-                 enable_canonical_cache: bool = True,
-                 persistent=None,
-                 enable_slicing: bool = True,
-                 enable_incremental: bool = True):
+    def __init__(self, enable_cache: bool = True, persistent=None):
+        #: Result caching (raw, canonical, per-conjunct, and the
+        #: per-session memo); off is the paper's cache ablation.
         self.enable_cache = enable_cache
-        self.enable_difference_fast_path = enable_difference_fast_path
-        #: Canonical-form caching (whole-formula and per-conjunct);
-        #: independent of the raw cache so the ablation benchmarks can
-        #: measure each level.
-        self.enable_canonical_cache = enable_canonical_cache
-        #: Obligation slicing: decompose DNF conjuncts into independent
-        #: variable components and drop quantifier-free residue out of
-        #: projections (the ``--no-slicing`` ablation).
-        self.enable_slicing = enable_slicing
-        #: Honor :class:`~repro.logic.incremental.PrefixSession` delta
-        #: queries; off makes every session query fall back to a full
-        #: from-scratch decision (the ``--no-incremental`` ablation).
-        self.enable_incremental = enable_incremental
         #: Optional :class:`repro.logic.persist.PersistentProverCache`,
         #: consulted after the in-memory levels and shared across runs
         #: and worker processes.
@@ -158,13 +149,11 @@ class Prover:
         #: untraced run does zero extra work.
         self.tracer = NULL_TRACER
         self.stats = ProverStats()
-        self._sat_cache = BoundedCache(_RESULT_CACHE_LIMIT, gated=False,
+        self._sat_cache = BoundedCache(_RESULT_CACHE_LIMIT,
                                        registered=False)
         self._canonical_cache = BoundedCache(_RESULT_CACHE_LIMIT,
-                                             gated=False,
                                              registered=False)
         self._conjunct_cache = BoundedCache(_RESULT_CACHE_LIMIT,
-                                            gated=False,
                                             registered=False)
 
     def reset_stats(self) -> None:
@@ -240,23 +229,23 @@ class Prover:
         "persistent", "decided", or "fallback") and *canonical* is the
         canonical form when one was computed along the way (None
         otherwise)."""
-        if self.enable_cache:
+        cache = self.enable_cache
+        if cache:
             cached = self._sat_cache.get(f)
             if cached is not None:
                 self.stats.cache_hits += 1
                 return cached, "raw", None
         canonical: Optional[Formula] = None
-        if self.enable_canonical_cache or self.persistent is not None:
+        if cache or self.persistent is not None:
             t0 = time.perf_counter()
             canonical = canonicalize(f)
             self.stats.canonicalization_seconds += \
                 time.perf_counter() - t0
-        if self.enable_canonical_cache:
+        if cache:
             cached = self._canonical_cache.get(canonical)
             if cached is not None:
                 self.stats.canonical_cache_hits += 1
-                if self.enable_cache:
-                    self._sat_cache.put(f, cached)
+                self._sat_cache.put(f, cached)
                 return cached, "canonical", canonical
         digest: Optional[str] = None
         if self.persistent is not None:
@@ -264,9 +253,8 @@ class Prover:
             cached = self.persistent.get(digest)
             if cached is not None:
                 self.stats.persistent_cache_hits += 1
-                if self.enable_cache:
+                if cache:
                     self._sat_cache.put(f, cached)
-                if self.enable_canonical_cache:
                     self._canonical_cache.put(canonical, cached)
                 return cached, "persistent", canonical
         try:
@@ -278,9 +266,8 @@ class Prover:
             # never cached: the fallback is not a semantic result.
             self.stats.resource_fallbacks += 1
             return True, "fallback", canonical
-        if self.enable_cache:
+        if cache:
             self._sat_cache.put(f, result)
-        if canonical is not None and self.enable_canonical_cache:
             self._canonical_cache.put(canonical, result)
         if digest is not None:
             self.persistent.put(digest, result)
@@ -308,9 +295,6 @@ class Prover:
             return True
         if isinstance(qf, FalseFormula):
             return False
-        if not self.enable_canonical_cache:
-            return any(self._conjunct_satisfiable(atoms)
-                       for atoms in to_dnf(qf))
         # Keys come lazily off the NNF tree, so a satisfiable query
         # builds only the keys up to its first satisfiable conjunct.
         for key in conjunct_keys(qf):
@@ -327,47 +311,42 @@ class Prover:
         same cache with the same keys."""
         if not key:
             return True  # every atom folded to true
-        cached = self._conjunct_cache.get(key)
-        if cached is not None:
-            self.stats.conjunct_cache_hits += 1
-            return cached
+        if self.enable_cache:
+            cached = self._conjunct_cache.get(key)
+            if cached is not None:
+                self.stats.conjunct_cache_hits += 1
+                return cached
         # A frozenset iterates in an order that depends on the hash
         # seed and on its insertion history; decide its atoms in a
         # process-stable order so the component split and the
         # short-circuit below do the same work in every process.
         result = self._conjunct_satisfiable(
             tuple(sorted(key, key=_atom_order)))
-        self._conjunct_cache.put(key, result)
+        if self.enable_cache:
+            self._conjunct_cache.put(key, result)
         return result
 
     def _conjunct_satisfiable(self, atoms) -> bool:
         """Satisfiability of one conjunction of quantifier-free atoms.
 
-        With slicing enabled the conjunct is first decomposed into
+        Obligation slicing: the conjunct is first decomposed into
         independent variable components (no variable chain connects
         them), each decided on its own — the conjunction is satisfiable
-        iff every component is.  The difference-solver fast path then
-        runs as a portfolio stage on each (smaller) component before
-        the general Omega machinery."""
-        if self.enable_slicing:
-            components = _split_components(atoms)
-            if len(components) > 1:
-                self.stats.sliced_conjuncts += 1
-                self.stats.slice_components += len(components)
-                return all(self._component_satisfiable(component)
-                           for component in components)
-        return self._component_satisfiable(atoms)
+        iff every component is.  Section 5.2.3's difference-solver fast
+        path decides a component that is a difference system by
+        negative-cycle detection; the rest go to the Omega test."""
+        components = _split_components(atoms)
+        if len(components) > 1:
+            self.stats.sliced_conjuncts += 1
+            self.stats.slice_components += len(components)
+        return all(self._component_satisfiable(component)
+                   for component in components)
 
     def _component_satisfiable(self, atoms) -> bool:
-        if self.enable_difference_fast_path:
-            # Section 5.2.3 enhancement: difference systems are
-            # decided by negative-cycle detection without touching
-            # the Omega machinery.
-            from repro.logic.diffsolver import try_satisfiable
-            fast = try_satisfiable(atoms)
-            if fast is not None:
-                self.stats.difference_fast_path_hits += 1
-                return fast
+        fast = try_satisfiable(atoms)
+        if fast is not None:
+            self.stats.difference_fast_path_hits += 1
+            return fast
         return satisfiable(Constraints.from_atoms(atoms))
 
     def prefix_session(self, prefix: Formula):
@@ -395,28 +374,23 @@ class Prover:
             bound = frozenset(f.variables)
             pieces: List[Formula] = []
             for atoms in to_dnf(body):
-                if self.enable_slicing:
-                    # ∃x.(A ∧ B) = (∃x.A) ∧ B when B is x-free: keep
-                    # the x-free residue out of the projection, which
-                    # shrinks the Omega system and preserves exactness.
-                    inner = []
-                    outer = []
-                    for atom in atoms:
-                        if bound.intersection(atom.free_variables()):
-                            inner.append(atom)
-                        else:
-                            outer.append(atom)
-                    if not inner:
-                        pieces.append(conj(*outer))
-                        continue
-                    projected = project(Constraints.from_atoms(inner),
-                                        f.variables)
-                    pieces.append(
-                        conj(constraints_to_formula(projected), *outer))
-                else:
-                    projected = project(Constraints.from_atoms(atoms),
-                                        f.variables)
-                    pieces.append(constraints_to_formula(projected))
+                # ∃x.(A ∧ B) = (∃x.A) ∧ B when B is x-free: keep the
+                # x-free residue out of the projection, which shrinks
+                # the Omega system and preserves exactness.
+                inner = []
+                outer = []
+                for atom in atoms:
+                    if bound.intersection(atom.free_variables()):
+                        inner.append(atom)
+                    else:
+                        outer.append(atom)
+                if not inner:
+                    pieces.append(conj(*outer))
+                    continue
+                projected = project(Constraints.from_atoms(inner),
+                                    f.variables)
+                pieces.append(
+                    conj(constraints_to_formula(projected), *outer))
             return disj(*pieces)
         if isinstance(f, Forall):
             inner = to_nnf(neg(f.body))

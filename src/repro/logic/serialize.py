@@ -25,8 +25,8 @@ from repro.logic.formula import (
 )
 from repro.logic.memo import BoundedCache
 
-_TEXT_CACHE = BoundedCache(gated=False)
-_DIGEST_CACHE = BoundedCache(gated=False)
+_TEXT_CACHE = BoundedCache()
+_DIGEST_CACHE = BoundedCache()
 
 
 def formula_text(f: Formula) -> str:

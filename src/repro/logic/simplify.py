@@ -24,8 +24,7 @@ from repro.logic.formula import (
 from repro.logic.memo import BoundedCache
 from repro.logic.terms import Linear
 
-#: Memo cache keyed on interned nodes; bounded, switchable through
-#: :func:`repro.logic.memo.set_memoization`.
+#: Memo cache keyed on interned nodes; bounded.
 _SIMPLIFY_CACHE = BoundedCache()
 
 #: Atom-normalization memo.  The per-conjunct prover cache calls

@@ -32,28 +32,16 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.analysis.options import CheckerOptions
+from repro.analysis.units import VERDICT_AFFECTING_OPTIONS
 from repro.logic.serialize import text_digest
 
 #: CheckerOptions fields that can change a verdict; only these enter
-#: the options digest.  ``jobs`` and ``cache_path`` are deliberately
-#: absent — parallel discharge and the persistent cache are guaranteed
-#: verdict-preserving — while ``timeout_s`` is present because a budget
-#: can turn a decided verdict into ``undecided:timeout``.
-OPTION_DIGEST_FIELDS = (
-    "max_induction_iterations",
-    "enable_disjunct_candidates",
-    "enable_generalization",
-    "enable_junction_simplification",
-    "enable_formula_grouping",
-    "enable_prover_cache",
-    "enable_canonical_prover_cache",
-    "enable_formula_memoization",
-    "enable_forward_bounds",
-    "max_invariant_candidates",
-    "max_call_depth",
-    "max_propagation_steps",
-    "timeout_s",
-)
+#: the options digest.  The function-unit store's list plus
+#: ``timeout_s``, which a unit replay may ignore but a job result may
+#: not: a budget can turn a decided verdict into
+#: ``undecided:timeout``.  ``jobs``, ``cache_path`` and the prover
+#: cache are verdict-preserving, so they are absent.
+OPTION_DIGEST_FIELDS = VERDICT_AFFECTING_OPTIONS + ("timeout_s",)
 
 #: Request option keys a client may set; everything else (notably
 #: ``cache_path``) is server-controlled.

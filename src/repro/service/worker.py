@@ -66,18 +66,11 @@ class Worker(threading.Thread):
     def _prover_for(self, options) -> Prover:
         """The warm prover when the request runs with the default cache
         configuration; a throwaway prover otherwise."""
-        if options.enable_prover_cache \
-                and options.enable_canonical_prover_cache \
-                and options.enable_slicing \
-                and options.enable_incremental:
+        if options.enable_prover_cache:
             prover = self._warm_prover()
             prover.reset_stats()  # per-job stats on a warm cache
             return prover
-        return Prover(
-            enable_cache=options.enable_prover_cache,
-            enable_canonical_cache=options.enable_canonical_prover_cache,
-            enable_slicing=options.enable_slicing,
-            enable_incremental=options.enable_incremental)
+        return Prover(enable_cache=False)
 
     # -- job loop ------------------------------------------------------------
 

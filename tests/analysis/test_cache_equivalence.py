@@ -12,15 +12,14 @@ import pytest
 from repro.analysis.options import CheckerOptions
 from repro.programs import all_programs, fast_programs
 
-#: All caching/interning/memoization enhancements on (the defaults).
+#: The prover's result caches on (the defaults).
 ENHANCED = CheckerOptions()
 
-#: Everything off — the seed configuration.
-SEED = CheckerOptions(
-    enable_prover_cache=False,
-    enable_canonical_prover_cache=False,
-    enable_formula_memoization=False,
-)
+#: The paper's cache ablation: every query decided from scratch.
+UNCACHED = CheckerOptions(enable_prover_cache=False)
+
+#: Queries and conjuncts answered from a result cache.
+CACHE_HITS = ("cache_hits", "canonical_cache_hits", "conjunct_cache_hits")
 
 _FAST = {p.name for p in fast_programs()}
 
@@ -36,11 +35,12 @@ def _verdict(result):
 
 def _check_equivalence(program):
     enhanced = program.check(options=ENHANCED)
-    seed = program.check(options=SEED)
-    assert _verdict(enhanced) == _verdict(seed), \
+    uncached = program.check(options=UNCACHED)
+    assert _verdict(enhanced) == _verdict(uncached), \
         "cache-enabled and cache-disabled checkers disagree on %s" \
         % program.name
     assert enhanced.safe == program.expect_safe
+    assert all(uncached.prover_stats[k] == 0 for k in CACHE_HITS)
 
 
 @pytest.mark.parametrize(

@@ -42,9 +42,6 @@ def _eager_decide_satisfiable(self, f):
         return True
     if isinstance(qf, FalseFormula):
         return False
-    if not self.enable_canonical_cache:
-        return any(self._conjunct_satisfiable(atoms)
-                   for atoms in to_dnf(qf))
     for atoms in to_dnf(qf):
         self.stats.conjunct_queries += 1
         key = canonical_conjunct(atoms)

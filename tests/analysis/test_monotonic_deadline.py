@@ -96,10 +96,7 @@ class _StallingProver(Prover):
     can interrupt a run."""
 
     def __init__(self):
-        # Incremental sessions off: fallback-mode sessions route every
-        # query through the overridden is_satisfiable below, keeping
-        # the "query that never consults the deadline" simulation.
-        super().__init__(enable_incremental=False)
+        super().__init__()
         self.queries = 0
 
     def is_valid(self, f):
@@ -109,6 +106,27 @@ class _StallingProver(Prover):
     def is_satisfiable(self, f):
         self.queries += 1
         return True
+
+    def prefix_session(self, prefix):
+        # Session queries must not consult the deadline either.
+        return _StallingSession(self)
+
+
+class _StallingSession:
+    """A prefix session that answers through the stalling prover:
+    every candidate fails and every query is satisfiable."""
+
+    def __init__(self, prover):
+        self.prover = prover
+
+    def satisfiable_with(self, extra):
+        return self.prover.is_satisfiable(extra)
+
+    def implies(self, goal, extra=None):
+        return not self.satisfiable_with(goal)
+
+    def refutes(self, extra):
+        return not self.satisfiable_with(extra)
 
 
 class _StubEngine:

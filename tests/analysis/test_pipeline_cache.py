@@ -197,7 +197,7 @@ class TestInvalidation:
         result = _check(
             INCREMENTAL_SOURCE,
             CheckerOptions(jobs=1, cache_path=cache,
-                           enable_slicing=False))
+                           enable_prover_cache=False))
         assert _pipeline_stats(result)["unit_pipeline_hits"] == 1
 
     def test_function_reorder_misses_but_matches(self, tmp_path):

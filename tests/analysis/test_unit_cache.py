@@ -157,7 +157,7 @@ class TestInvalidation:
         result = _check(
             INCREMENTAL_SOURCE,
             CheckerOptions(jobs=1, cache_path=cache,
-                           enable_slicing=False))
+                           enable_prover_cache=False))
         stats = result.prover_stats
         assert stats["unit_hits"] == stats["unit_lookups"] > 0
 

@@ -21,7 +21,7 @@ from repro.logic.canonical import canonical_conjunct, conjunct_keys
 from repro.logic.formula import (
     And, Cong, Eq, FALSE, Geq, Or, TRUE, disj, exists, ge,
 )
-from repro.logic.memo import set_memoization
+from repro.logic.memo import clear_all_caches
 from repro.logic.normalize import dnf_length, to_dnf
 from repro.logic.prover import Prover
 from repro.logic.terms import Linear
@@ -131,13 +131,12 @@ class TestKeyStream:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_stream_equals_eager_keys_without_memoization(
             self, small_node_keys, f):
-        set_memoization(False)
-        try:
-            expected = _outcome(_eager_keys, f)
-            assert _outcome(lambda g: list(conjunct_keys(g)), f) \
-                == expected
-        finally:
-            set_memoization(True)
+        # From empty memo caches (nothing memoized yet), then warm.
+        expected = _outcome(_eager_keys, f)
+        clear_all_caches()
+        lazy = lambda g: list(conjunct_keys(g))  # noqa: E731
+        assert _outcome(lazy, f) == expected
+        assert _outcome(lazy, f) == expected
 
     def test_raises_before_yielding(self, monkeypatch):
         monkeypatch.setattr(normalize, "MAX_DNF_CONJUNCTS", 3)

@@ -95,19 +95,8 @@ class TestExactness:
 
 class TestProverIntegration:
     def test_fast_path_hit_counted(self):
-        prover = Prover(enable_difference_fast_path=True)
+        prover = Prover()
         x, y = Linear.var("x"), Linear.var("y")
         from repro.logic import conj, ge, lt
         prover.is_satisfiable(conj(lt(x, y), lt(y, x)))
         assert prover.stats.difference_fast_path_hits >= 1
-
-    def test_verdicts_identical_with_and_without(self):
-        from repro.logic import conj, ge, lt, ne
-        x, y = Linear.var("x"), Linear.var("y")
-        cases = [conj(lt(x, y), lt(y, x)),
-                 conj(ge(x, 0), lt(x, y)),
-                 ne(x, y)]
-        fast = Prover(enable_difference_fast_path=True)
-        slow = Prover(enable_difference_fast_path=False)
-        for case in cases:
-            assert fast.is_satisfiable(case) == slow.is_satisfiable(case)

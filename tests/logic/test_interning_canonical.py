@@ -11,9 +11,8 @@ from repro.logic.formula import (
     conj, disj, eq, exists, forall, formula_interning_enabled,
     formula_size, ge, has_quantifier, neg, set_formula_interning,
 )
-from repro.logic.memo import (
-    BoundedCache, clear_all_caches, memoization_enabled, set_memoization,
-)
+from repro.logic.memo import BoundedCache, clear_all_caches
+from repro.logic.normalize import to_nnf
 from repro.logic.prover import Prover
 from repro.logic.terms import (
     Linear, linear, set_term_interning, term_interning_enabled,
@@ -112,7 +111,7 @@ class TestStructureMetadata:
 
 class TestBoundedCache:
     def test_eviction_keeps_newest_half(self):
-        cache = BoundedCache(limit=8, gated=False, registered=False)
+        cache = BoundedCache(limit=8, registered=False)
         for i in range(8):
             cache.put(i, i)
         cache.put(8, 8)  # triggers eviction of 0..3
@@ -121,24 +120,24 @@ class TestBoundedCache:
         assert cache.get(7) == 7
         assert cache.get(8) == 8
 
-    def test_global_switch_gates_and_clears(self):
-        cache = BoundedCache(limit=8, registered=False)
-        cache.put("k", "v")
-        assert cache.get("k") == "v"
-        set_memoization(False)
-        try:
-            assert not memoization_enabled()
-            assert cache.get("k") is None
-            cache.put("k2", "v2")
-            assert len(cache) == 1  # put ignored while disabled
-        finally:
-            set_memoization(True)
-        # Registered caches were cleared on disable; this private one
-        # was not, so its old entry is visible again.
-        assert cache.get("k") == "v"
-
     def test_clear_all_caches_runs(self):
-        clear_all_caches()  # must not raise
+        # Registered caches start cold again; a private (unregistered)
+        # cache keeps its entries.
+        shared = BoundedCache(limit=8)
+        private = BoundedCache(limit=8, registered=False)
+        shared.put("k", "v")
+        private.put("k", "v")
+        clear_all_caches()
+        assert shared.get("k") is None
+        assert private.get("k") == "v"
+
+    def test_results_identical_cold_and_warm(self):
+        f = exists(("t",), conj(ge(v("t"), v("a")), ge(v("b"), v("t")),
+                                Cong(Linear({"t": 1}), 4)))
+        clear_all_caches()
+        cold = (to_nnf(neg(f)), canonicalize(f), Prover().is_satisfiable(f))
+        warm = (to_nnf(neg(f)), canonicalize(f), Prover().is_satisfiable(f))
+        assert cold == warm
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +208,12 @@ class TestProverCaches:
         assert prover.stats.cache_hits == 1
 
     def test_canonical_cache_hit_on_variant(self):
-        prover = Prover(enable_cache=False)
-        a = conj(ge(v("x"), 0), ge(v("y"), 1))
-        b = conj(ge(v("y"), 1), ge(v("x"), 0))
+        prover = Prover()
+        a = exists(("t",), conj(ge(v("t"), 0), eq(v("t"), v("n"))))
+        b = exists(("s",), conj(eq(v("s"), v("n")), ge(v("s"), 0)))
+        assert a is not b
         assert prover.is_satisfiable(a) == prover.is_satisfiable(b)
+        assert prover.stats.cache_hits == 0
         assert prover.stats.canonical_cache_hits == 1
 
     def test_verdicts_identical_with_and_without_caches(self):
@@ -223,9 +224,12 @@ class TestProverCaches:
             conj(eq(v("a"), v("b")), ge(Linear({"a": 1, "b": -1}, -1), 0)),
         ]
         cached = Prover()
-        plain = Prover(enable_cache=False, enable_canonical_cache=False)
+        plain = Prover(enable_cache=False)
         for f in queries + queries:  # second pass exercises the caches
             assert cached.is_satisfiable(f) == plain.is_satisfiable(f)
+        assert cached.stats.cache_hits == len(queries)
+        assert plain.stats.cache_hits == plain.stats.canonical_cache_hits \
+            == plain.stats.conjunct_cache_hits == 0
 
     def test_reset_clears_stats_and_caches(self):
         prover = Prover()

@@ -1,19 +1,27 @@
 """Obligation slicing and incremental prover sessions are pure
-optimizations: every configuration must agree on every verdict.
+optimizations: they must agree with a plain decision on every verdict.
 
 Covers the union-find component splitter (:func:`_split_components`),
-randomized slicing-on/off satisfiability parity, and randomized
+randomized satisfiability parity of the sliced prover against an
+unsliced decision made directly on the Omega kernel, and randomized
 :class:`PrefixSession` parity against the from-scratch pipeline —
-including the fallback configurations (``--no-incremental`` and the
-canonical cache disabled) that route sessions through the plain path.
+including the sessions that run without their memo (the cache
+ablation) or route through the plain path (a prefix whose
+pre-processing raises :class:`~repro.errors.ProverError`).
 """
 
 import random
 
 import pytest
 
+from repro.errors import ProverError
 from repro.logic.formula import (
-    TRUE, conj, congruent, disj, eq, exists, ge, le, neg,
+    And, Cong, Eq, Exists, FalseFormula, Forall, Geq, Or, TRUE,
+    TrueFormula, conj, congruent, disj, eq, exists, ge, le, neg,
+)
+from repro.logic.normalize import to_dnf, to_nnf
+from repro.logic.omega import (
+    Constraints, constraints_to_formula, project, satisfiable,
 )
 from repro.logic.prover import Prover, _split_components
 from repro.logic.terms import Linear
@@ -83,13 +91,39 @@ def _random_formula(rng, variables, depth=2):
     return exists([rng.choice(variables)], parts[0])
 
 
+def _unsliced_eliminate(f):
+    """Quantifier elimination that projects every DNF conjunct whole,
+    quantifier-free residue included."""
+    if isinstance(f, (TrueFormula, FalseFormula, Geq, Eq, Cong)):
+        return f
+    if isinstance(f, And):
+        return conj(*map(_unsliced_eliminate, f.parts))
+    if isinstance(f, Or):
+        return disj(*map(_unsliced_eliminate, f.parts))
+    if isinstance(f, Exists):
+        body = _unsliced_eliminate(f.body)
+        return disj(*(constraints_to_formula(
+            project(Constraints.from_atoms(atoms), f.variables))
+            for atoms in to_dnf(body)))
+    assert isinstance(f, Forall)
+    inner = _unsliced_eliminate(Exists(f.variables, to_nnf(neg(f.body))))
+    return to_nnf(neg(inner))
+
+
+def _unsliced_satisfiable(f):
+    """The reference decision: each DNF conjunct of the eliminated
+    formula goes to the Omega test whole, with no component split, no
+    difference-solver fast path and no cache."""
+    qf = _unsliced_eliminate(to_nnf(f))
+    return any(satisfiable(Constraints.from_atoms(atoms))
+               for atoms in to_dnf(qf))
+
+
 @pytest.mark.parametrize("seed", range(250))
 def test_slicing_preserves_satisfiability(seed):
     rng = random.Random(31_000 + seed)
     f = _random_formula(rng, ["x", "y", "z", "u", "v", "w"], depth=3)
-    sliced = Prover(enable_slicing=True).is_satisfiable(f)
-    whole = Prover(enable_slicing=False).is_satisfiable(f)
-    assert sliced == whole
+    assert Prover().is_satisfiable(f) == _unsliced_satisfiable(f)
 
 
 @pytest.mark.parametrize("seed", range(250))
@@ -115,21 +149,45 @@ def test_prefix_session_matches_from_scratch(seed):
         == (not plain.is_satisfiable(conj(prefix, deltas[1])))
 
 
+class _PrefixRaisingProver(Prover):
+    """A prover whose quantifier elimination gives up on one formula:
+    the session prefix, as if it were too big to pre-process."""
+
+    def __init__(self, prefix):
+        super().__init__()
+        self._prefix = prefix
+
+    def eliminate_quantifiers(self, f):
+        if f is self._prefix:
+            raise ProverError("prefix too big")
+        return super().eliminate_quantifiers(f)
+
+
 @pytest.mark.parametrize("seed", range(0, 250, 25))
 @pytest.mark.parametrize("fallback_config", [
-    dict(enable_incremental=False),
-    dict(enable_canonical_cache=False),
+    dict(uncached=True),
+    dict(prefix_raises=True),
 ])
 def test_fallback_sessions_match_too(seed, fallback_config):
     rng = random.Random(44_000 + seed)
     variables = ["x", "y", "z"]
     prefix = _random_formula(rng, variables, depth=2)
     delta = _random_formula(rng, variables, depth=2)
-    session_prover = Prover(**fallback_config)
+    if fallback_config.get("uncached"):
+        session_prover = Prover(enable_cache=False)
+    else:
+        session_prover = _PrefixRaisingProver(prefix)
     session = session_prover.prefix_session(prefix)
     plain = Prover()
-    assert session.satisfiable_with(delta) \
-        == plain.is_satisfiable(conj(prefix, delta))
+    expected = plain.is_satisfiable(conj(prefix, delta))
+    assert session.satisfiable_with(delta) == expected
+    assert session.satisfiable_with(delta) == expected  # no memo reuse
+    if fallback_config.get("prefix_raises"):
+        # The plain path answered both queries, not the delta path.
+        assert session_prover.stats.incremental_queries == 0
+    else:
+        assert session_prover.stats.incremental_queries == 2
+        assert session_prover.stats.cache_hits == 0
 
 
 class TestSessionBookkeeping:

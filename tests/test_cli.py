@@ -84,6 +84,15 @@ class TestCheck:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--no-slicing", "--no-incremental"])
+    def test_prover_feature_flags_are_gone(self, files, capsys, flag):
+        code, spec, __ = files
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(code), str(spec), flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: %s" % flag \
+            in capsys.readouterr().err
+
     def test_unreadable_binary_exits_two(self, files, capsys):
         __, spec, tmp = files
         # Word count not a multiple of 4: undecodable as machine code.

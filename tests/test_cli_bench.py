@@ -39,9 +39,8 @@ class TestProverReplay:
         report = json.loads(output.read_text())
         assert report["queries"] > 0
         assert report["verdict_parity"]["identical"]
-        for name in ("full", "no-slicing", "no-incremental",
-                     "no-cache"):
-            config = report["configs"][name]
+        assert set(report["configs"]) == {"full", "no-cache"}
+        for config in report["configs"].values():
             assert config["mismatches"] == []
             assert config["seconds"] >= 0.0
 

@@ -1,6 +1,7 @@
-"""perfbench imports checker internals by module path; those paths
-must keep resolving, since the benchmark's own files change only with
-the benchmark."""
+"""perfbench imports checker internals by module path, and its traced
+run wraps checker entry points by name; those paths must keep
+resolving, since the benchmark's own files change only with the
+benchmark."""
 
 import ast
 import importlib
@@ -54,3 +55,30 @@ def test_bench_reexports_the_chain_program():
     for name in ("INCREMENTAL_SOURCE", "INCREMENTAL_EDITED_SOURCE",
                  "INCREMENTAL_SPEC"):
         assert getattr(bench, name) is getattr(incremental, name)
+
+
+def _entry_points():
+    """``layers.ENTRY_POINTS``, read from the source without importing
+    perfbench."""
+    path = os.path.join(PERFBENCH, "layers.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), filename=path)
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign) \
+                and getattr(node.target, "id", None) == "ENTRY_POINTS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/layers.py defines no ENTRY_POINTS")
+
+
+ENTRY_POINTS = sorted({(module, attr)
+                       for _, module, attr in _entry_points()})
+
+
+@pytest.mark.parametrize("module, attr", ENTRY_POINTS,
+                         ids=["%s:%s" % e for e in ENTRY_POINTS])
+def test_traced_entry_point_resolves(module, attr):
+    target = importlib.import_module(module)
+    for name in attr.split("."):
+        assert hasattr(target, name), "%s.%s" % (module, attr)
+        target = getattr(target, name)
+    assert callable(target)
