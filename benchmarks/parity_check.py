@@ -1,13 +1,14 @@
 #!/usr/bin/env python
 """Assert that performance features change nothing but time.
 
-Runs every program of the Figure-9 suite (SPARC) and the cross-backend
-parity programs (RISC-V) twice — ``--jobs 1`` and ``--jobs N`` — and
-fails loudly unless the safety verdict, every per-condition proof
-outcome, and every violation are identical.  CI runs this to enforce
-the determinism guarantee of the parallel engine.
+Checks every program of the Figure-9 suite (SPARC) and the
+cross-backend parity programs (RISC-V) at default options — the
+reference run — and then under the configurations selected below,
+failing loudly unless the safety verdict, every per-condition proof
+outcome, and every violation are identical to the reference.  At
+least one of ``--ablations`` and ``--incremental`` is required.
 
-With ``--ablations`` each program additionally runs under the paper's
+With ``--ablations`` each program also runs under the paper's
 prover cache ablation (``no-prover-cache``: every query decided from
 scratch, no result cache or session memo) and every verdict
 fingerprint must match the default configuration; the ablated run
@@ -15,7 +16,7 @@ must also answer nothing from a cache.  This is the verdict gate of
 the prover cache; the timed benchmark is perfbench
 (``perfbench/run.py``).
 
-With ``--incremental`` each program additionally runs under the
+With ``--incremental`` each program also runs under the
 function-granular verdict cache — no cache, cold cache, warm cache,
 and cache-with-replay-disabled — and every verdict fingerprint must
 match; the unchanged warm re-check must also replay phases 2-4 and
@@ -28,7 +29,7 @@ check of the edited program exactly.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/parity_check.py [--jobs N]
+    PYTHONPATH=src python benchmarks/parity_check.py
         [--arch sparc|riscv|both] [--full] [--ablations]
         [--incremental]
 """
@@ -98,16 +99,6 @@ def fingerprint(result):
                   for v in result.violations))
 
 
-def compare(name, serial, parallel, failures):
-    ok = fingerprint(serial) == fingerprint(parallel)
-    pool = parallel.prover_stats.get("pool_tasks_dispatched", 0)
-    print("%-18s %-6s %s (pool tasks: %s)"
-          % (name, "SAFE" if serial.safe else "UNSAFE",
-             "parity OK" if ok else "PARITY MISMATCH", pool))
-    if not ok:
-        failures.append(name)
-
-
 #: The paper's one prover ablation: the result caches off.
 ABLATIONS = [
     ("no-prover-cache", dict(enable_prover_cache=False)),
@@ -120,7 +111,7 @@ CACHE_HITS = ("cache_hits", "canonical_cache_hits", "conjunct_cache_hits")
 
 def compare_ablations(name, reference, check, failures):
     for ablation, overrides in ABLATIONS:
-        result = check(CheckerOptions(jobs=1, **overrides))
+        result = check(CheckerOptions(**overrides))
         ok = fingerprint(reference) == fingerprint(result)
         hits = sum(result.prover_stats[k] for k in CACHE_HITS)
         print("%-18s %-14s %s"
@@ -139,9 +130,9 @@ def compare_incremental(name, reference, check, failures):
     scratch = tempfile.mkdtemp(prefix="repro-parity-")
     cache = os.path.join(scratch, "cache.sqlite")
     try:
-        cold = check(CheckerOptions(jobs=1, cache_path=cache))
-        warm = check(CheckerOptions(jobs=1, cache_path=cache))
-        plain = check(CheckerOptions(jobs=1, cache_path=cache,
+        cold = check(CheckerOptions(cache_path=cache))
+        warm = check(CheckerOptions(cache_path=cache))
+        plain = check(CheckerOptions(cache_path=cache,
                                      enable_unit_cache=False))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
@@ -188,21 +179,21 @@ def run_incremental_edit(failures):
     try:
         reference = check_assembly(
             INCREMENTAL_EDITED_SOURCE, INCREMENTAL_SPEC,
-            name="incremental", options=CheckerOptions(jobs=1))
+            name="incremental", options=CheckerOptions())
         check_assembly(
             INCREMENTAL_SOURCE, INCREMENTAL_SPEC, name="incremental",
-            options=CheckerOptions(jobs=1, cache_path=cache))
+            options=CheckerOptions(cache_path=cache))
         warm = check_assembly(
             INCREMENTAL_EDITED_SOURCE, INCREMENTAL_SPEC,
             name="incremental",
-            options=CheckerOptions(jobs=1, cache_path=cache))
+            options=CheckerOptions(cache_path=cache))
         # The warm run just re-stored phases 2-4 for the edited
         # program; an *unchanged* re-check must now replay them
         # wholesale and still match the cache-free reference.
         recheck = check_assembly(
             INCREMENTAL_EDITED_SOURCE, INCREMENTAL_SPEC,
             name="incremental",
-            options=CheckerOptions(jobs=1, cache_path=cache))
+            options=CheckerOptions(cache_path=cache))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     ok = fingerprint(reference) == fingerprint(warm)
@@ -230,22 +221,19 @@ def run_incremental_edit(failures):
         failures.append("incremental-replay[no phase 2-4 replay]")
 
 
-def run_sparc(jobs, full, failures, ablations=False,
-              incremental=False):
+def run_sparc(full, failures, ablations=False, incremental=False):
     from repro.programs import all_programs, fast_programs
     for program in (all_programs() if full else fast_programs()):
-        serial = program.check(options=CheckerOptions(jobs=1))
-        parallel = program.check(options=CheckerOptions(jobs=jobs))
-        compare("sparc:" + program.name, serial, parallel, failures)
+        reference = program.check(options=CheckerOptions())
         if ablations:
             compare_ablations(
-                "sparc:" + program.name, serial,
+                "sparc:" + program.name, reference,
                 lambda options, program=program:
                     program.check(options=options),
                 failures)
         if incremental:
             compare_incremental(
-                "sparc:" + program.name, serial,
+                "sparc:" + program.name, reference,
                 lambda options, program=program:
                     program.check(options=options),
                 failures)
@@ -253,23 +241,20 @@ def run_sparc(jobs, full, failures, ablations=False,
         run_incremental_edit(failures)
 
 
-def run_riscv(jobs, failures, ablations=False, incremental=False):
+def run_riscv(failures, ablations=False, incremental=False):
     for name, source, spec in RISCV_CASES:
-        serial = check_assembly(source, spec, name=name, arch="riscv",
-                                options=CheckerOptions(jobs=1))
-        parallel = check_assembly(source, spec, name=name, arch="riscv",
-                                  options=CheckerOptions(jobs=jobs))
-        compare(name, serial, parallel, failures)
+        reference = check_assembly(source, spec, name=name,
+                                   arch="riscv", options=CheckerOptions())
         if ablations:
             compare_ablations(
-                name, serial,
+                name, reference,
                 lambda options, source=source, spec=spec, name=name:
                     check_assembly(source, spec, name=name,
                                    arch="riscv", options=options),
                 failures)
         if incremental:
             compare_incremental(
-                name, serial,
+                name, reference,
                 lambda options, source=source, spec=spec, name=name:
                     check_assembly(source, spec, name=name,
                                    arch="riscv", options=options),
@@ -278,7 +263,6 @@ def run_riscv(jobs, failures, ablations=False, incremental=False):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", "-j", type=int, default=2)
     parser.add_argument("--arch", choices=["sparc", "riscv", "both"],
                         default="both")
     parser.add_argument("--full", action="store_true",
@@ -294,23 +278,24 @@ def main():
                              "function path) against the default "
                              "configuration")
     args = parser.parse_args()
+    if not (args.ablations or args.incremental):
+        parser.error("nothing to compare: pass --ablations and/or "
+                     "--incremental")
     failures = []
     if args.arch in ("sparc", "both"):
-        run_sparc(args.jobs, args.full, failures,
-                  ablations=args.ablations,
+        run_sparc(args.full, failures, ablations=args.ablations,
                   incremental=args.incremental)
     if args.arch in ("riscv", "both"):
-        run_riscv(args.jobs, failures, ablations=args.ablations,
+        run_riscv(failures, ablations=args.ablations,
                   incremental=args.incremental)
     if failures:
         print("parity FAILED for: %s" % ", ".join(failures))
         return 1
-    print("all verdicts identical at --jobs 1 and --jobs %d%s%s"
-          % (args.jobs,
-             " and under the prover cache ablation" if args.ablations
-             else "",
-             " and across every unit-cache state"
-             if args.incremental else ""))
+    checked = [label for flag, label in (
+        (args.ablations, "under the prover cache ablation"),
+        (args.incremental, "across every unit-cache state")) if flag]
+    print("all verdicts identical to the default configuration %s"
+          % " and ".join(checked))
     return 0
 
 

@@ -48,11 +48,6 @@ from repro.analysis.verify import (
 class SafetyChecker:
     """Checks one untrusted program against one host specification."""
 
-    #: Deadline of the running check in ``time.monotonic()`` seconds,
-    #: set for the duration of :meth:`check` when ``options.timeout_s``.
-    #: Translated to/from epoch time only at the pool-worker boundary.
-    _deadline = None
-
     def __init__(self, program: Union[MachineProgram, str, bytes, list],
                  spec: HostSpec,
                  options: Optional[CheckerOptions] = None,
@@ -87,8 +82,6 @@ class SafetyChecker:
             self.tracer = Tracer.to_path(self.options.trace_path)
         else:
             self.tracer = NULL_TRACER
-        if self.options.trace_formulas and self.tracer.enabled:
-            self.tracer.capture_formulas = True
         # An injected prover (the service keeps one warm prover per
         # worker) is borrowed, caches and persistent store included:
         # satisfiability depends only on the formula, so cross-request
@@ -132,19 +125,12 @@ class SafetyChecker:
     # -- pipeline -----------------------------------------------------------------
 
     def check(self) -> CheckResult:
-        self._deadline = None
+        # The budget is an absolute ``time.monotonic()`` deadline, so
+        # a wall-clock step while the check runs cannot move it.
+        self.prover.deadline = None
         if self.options.timeout_s is not None:
-            if self.options.deadline_epoch is not None:
-                # A pool parent's absolute budget arrives as epoch
-                # seconds (the only clock shared across processes);
-                # translate it into this process's monotonic clock
-                # once, here, and never consult the wall clock again.
-                self._deadline = time.monotonic() + \
-                    (self.options.deadline_epoch - time.time())
-            else:
-                self._deadline = time.monotonic() \
-                    + self.options.timeout_s
-        self.prover.deadline = self._deadline
+            self.prover.deadline = time.monotonic() \
+                + self.options.timeout_s
         self.prover.tracer = self.tracer
         try:
             with self.tracer.span("check", program=self.program.name,
@@ -265,7 +251,7 @@ class SafetyChecker:
             self.prover.check_deadline()
 
         # Phase 5: global verification — obligation generation, then
-        # serial or pooled discharge.
+        # discharge.
         t0 = time.perf_counter()
         with self.tracer.span("phase:global_verification"):
             forward = None
@@ -286,14 +272,14 @@ class SafetyChecker:
                 pipeline.store(propagation, annotations,
                                local_violations,
                                self._header_facts(engine))
-            proofs, global_violations, pool_info = \
+            proofs, global_violations, unit_stats = \
                 self._discharge(engine, annotations)
         times.global_verification = time.perf_counter() - t0
 
         violations = local_violations + global_violations
         characteristics = self._characteristics(cfg, annotations)
         prover_stats = self.prover.stats.as_dict()
-        prover_stats.update(pool_info)
+        prover_stats.update(unit_stats)
         if pipeline is not None:
             prover_stats.update(pipeline.stats)
         if self.persistent is not None:
@@ -317,15 +303,14 @@ class SafetyChecker:
         """Run phase 5 through the obligation engine, function unit by
         function unit: groups of units whose content digests and
         dependency context match a stored verdict replay it
-        (``unit_hits``), the rest are proved fresh — serially for
-        ``jobs == 1``, on the process pool otherwise.  Without a
-        persistent cache this is exactly the historical discharge."""
+        (``unit_hits``), the rest are proved fresh.  Returns (records,
+        violations, unit-cache counters); without a persistent cache
+        every obligation is proved fresh and there are no counters."""
         from repro.analysis.obligations import generate_obligations
         obligations = generate_obligations(annotations)
         if self.persistent is None:
-            proofs, violations, pool_info, _ = self._prove(engine,
-                                                           obligations)
-            return proofs, violations, pool_info
+            proofs, violations, _ = self._prove(engine, obligations)
+            return proofs, violations, {}
 
         from repro.analysis.units import UnitManager, partition_units
         manager = UnitManager(engine, self.persistent, self.options,
@@ -339,7 +324,7 @@ class SafetyChecker:
             fresh = sorted((ob for unit in fresh_units
                             for ob in unit.obligations),
                            key=lambda ob: ob.oid)
-        _, _, pool_info, touched = self._prove(engine, fresh)
+        _, _, touched = self._prove(engine, fresh)
         if manager.replay_conflicts(touched, groups):
             # A fresh proof walked into a replayed group's dependency
             # set: the uncached counterpart run could have interleaved
@@ -352,7 +337,7 @@ class SafetyChecker:
                                       engine.preparation, self.spec,
                                       self.options, self.prover)
             redo.tracer = self.tracer
-            _, _, pool_info, touched = self._prove(redo, obligations)
+            _, _, touched = self._prove(redo, obligations)
             engine._induction_runs += redo.induction_runs
         proved_by_oid = dict(self._fresh_verdicts)
         for group in groups:
@@ -363,50 +348,20 @@ class SafetyChecker:
         for ob in obligations:
             _record(ob, proved_by_oid[ob.oid], records, violations)
         manager.store(fresh_units, touched, self._fresh_verdicts)
-        pool_info = dict(pool_info)
-        pool_info.update(manager.stats)
-        return records, violations, pool_info
+        return records, violations, manager.stats
 
     def _prove(self, engine: VerificationEngine, obligations):
-        """Prove a list of obligations: serial for ``jobs == 1``, the
-        process pool otherwise — with an automatic, recorded fallback
-        to serial when no pool can be created (the pool is an
-        optimization, never a correctness dependency).  Returns
-        (records, violations, pool_info, touched-by-oid); it also
-        leaves the per-oid verdicts in ``self._fresh_verdicts``."""
-        from repro.analysis.obligations import (
-            PoolUnavailable, prove_parallel, prove_serial, resolve_jobs,
-        )
-        jobs = resolve_jobs(self.options)
-        if jobs <= 1:
-            records, violations, touched = prove_serial(engine,
-                                                        obligations)
-            pool_info = {}
-        else:
-            options = self.options
-            if self._deadline is not None:
-                # Workers must observe the same absolute budget, but
-                # the monotonic deadline is meaningless in another
-                # process: translate it to epoch seconds for the ride
-                # across the pickle boundary (build_engine translates
-                # it back).
-                from dataclasses import replace
-                options = replace(
-                    options,
-                    deadline_epoch=(time.time() + (self._deadline
-                                                   - time.monotonic())))
-            try:
-                records, violations, pool_info, touched = \
-                    prove_parallel(engine, self.program, self.spec,
-                                   options, obligations)
-            except PoolUnavailable:
-                records, violations, touched = prove_serial(engine,
-                                                            obligations)
-                pool_info = {"pool_jobs": jobs, "pool_fallback": 1}
+        """Prove a list of obligations in order.  Returns (records,
+        violations, touched-by-oid); it also leaves the per-oid
+        verdicts in ``self._fresh_verdicts``."""
+        # Imported at call time, so a profiler that rebinds
+        # ``obligations.prove_serial`` sees every phase-5 discharge.
+        from repro.analysis.obligations import prove_serial
+        records, violations, touched = prove_serial(engine, obligations)
         self._fresh_verdicts = {ob.oid: record.proved
                                 for ob, record in zip(obligations,
                                                       records)}
-        return records, violations, pool_info, touched
+        return records, violations, touched
 
     # -- characteristics (Figure 9 columns) -----------------------------------------
 

@@ -12,17 +12,9 @@ cache ablation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+import sys
+from dataclasses import InitVar, dataclass, field
 from typing import Optional, Tuple
-
-
-def _default_jobs() -> int:
-    """Honor ``REPRO_JOBS`` (used by the CI matrix) when set."""
-    value = os.environ.get("REPRO_JOBS", "").strip()
-    try:
-        return int(value) if value else 1
-    except ValueError:
-        return 1
 
 
 def _default_cache_path() -> Optional[str]:
@@ -33,6 +25,16 @@ def _default_cache_path() -> Optional[str]:
 def _default_trace_path() -> Optional[str]:
     """Honor ``REPRO_TRACE`` when set ("" / unset means no trace)."""
     return os.environ.get("REPRO_TRACE") or None
+
+
+def valid_timeout(value) -> bool:
+    """The one rule for a check budget (``timeout_s``): a finite number
+    of seconds greater than zero.  The upper bound also rejects NaN
+    (every comparison with it is false), infinity, and integers too
+    large for a float."""
+    return isinstance(value, (int, float)) \
+        and not isinstance(value, bool) \
+        and 0 < value <= sys.float_info.max
 
 
 @dataclass
@@ -82,12 +84,6 @@ class CheckerOptions:
     #: Worklist iteration guard for typestate propagation.
     max_propagation_steps: int = 200_000
 
-    #: Worker processes for parallel proof discharge: 1 = serial
-    #: (always bitwise-identical results), N > 1 = a process pool of N
-    #: provers, 0/negative = one per CPU core.  Defaults to
-    #: ``$REPRO_JOBS`` when set.
-    jobs: int = field(default_factory=_default_jobs)
-
     #: Path of the persistent cross-run prover cache (SQLite); None
     #: disables it.  Defaults to ``$REPRO_CACHE`` when set.
     cache_path: Optional[str] = field(default_factory=_default_cache_path)
@@ -118,31 +114,17 @@ class CheckerOptions:
     #: (``CheckResult.timed_out``) instead of certifying or rejecting.
     timeout_s: Optional[float] = None
 
-    #: Internal: the absolute ``time.time()`` deadline derived from
-    #: ``timeout_s`` when a check starts.  Threaded through the pickled
-    #: options payload so pool workers observe the same wall-clock
-    #: budget as the parent; callers never set it directly.  This is
-    #: the *only* epoch-seconds deadline in the pipeline: monotonic
-    #: clocks are per-process, so the budget crosses the pool boundary
-    #: as epoch time and each worker translates it back to its own
-    #: ``time.monotonic()`` on arrival (see ``build_engine``).
-    deadline_epoch: Optional[float] = None
-
     #: JSONL trace output path (``repro check --trace``); None disables
     #: tracing.  Defaults to ``$REPRO_TRACE`` when set.  Tracing is
     #: verdict-neutral: it never changes results or prover counters.
     trace_path: Optional[str] = field(default_factory=_default_trace_path)
 
-    #: Record the exact query formula on every ``prover:query`` trace
-    #: event (``repro check --trace-formulas``) in the portable form of
-    #: :func:`repro.logic.serialize.formula_to_obj`, enabling
-    #: ``repro bench --prover-replay`` on the resulting trace.  Off by
-    #: default: formulas dominate trace size.
-    trace_formulas: bool = False
+    #: Constructor-only, not a field: phase 5 always runs in one
+    #: process.  ``jobs=1`` is still accepted from callers that pass
+    #: it; any other value raises ``ValueError``.
+    jobs: InitVar[int] = 1
 
-    #: Internal: pool workers cannot share the parent's trace file, so
-    #: when the parent is tracing it sets this flag in the pickled
-    #: worker options; workers then trace into an in-memory buffer and
-    #: ship the records back inside their result pickles.  Callers
-    #: never set it directly.
-    trace_spans: bool = False
+    def __post_init__(self, jobs: int) -> None:
+        if jobs != 1:
+            raise ValueError("jobs=%r: phase 5 runs in one process; "
+                             "only jobs=1 is accepted" % (jobs,))

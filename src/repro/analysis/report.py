@@ -157,17 +157,6 @@ class CheckResult:
                    s.get("conjunct_cache_hits", 0),
                    s.get("conjunct_queries", 0),
                    s.get("resource_fallbacks", 0)))
-            if s.get("pool_tasks_dispatched") or s.get("pool_fallback"):
-                lines.append(
-                    "  pool: jobs=%d tasks=%d obligations=%d "
-                    "serialization=%.3fs retries=%d%s"
-                    % (s.get("pool_jobs", 0),
-                       s.get("pool_tasks_dispatched", 0),
-                       s.get("pool_obligations_dispatched", 0),
-                       s.get("pool_serialization_seconds", 0.0),
-                       s.get("pool_serial_retries", 0),
-                       " FELL-BACK-TO-SERIAL"
-                       if s.get("pool_fallback") else ""))
             if s.get("persistent_cache_hits") \
                     or s.get("persistent_cache_stores"):
                 lines.append(

@@ -16,7 +16,7 @@ its verdicts:
   trusted functions, policy rules, invocation, constraints);
 * the **options digest** — the verdict-affecting checker options
   (:data:`VERDICT_AFFECTING_OPTIONS`; performance-only knobs such as
-  ``jobs`` or the prover cache levels are deliberately excluded, and so
+  the prover cache are deliberately excluded, and so
   is ``timeout_s`` — a sound verdict replayed under a timeout is a
   feature, and timed-out runs never store units).
 
@@ -118,7 +118,7 @@ PIPELINE_SCHEMA = 1
 PIPELINE_KIND = "pipeline"
 
 #: Checker options whose value can change phase-5 verdicts.  Everything
-#: else (the prover cache, jobs, tracing) is parity-gated to be
+#: else (the prover cache, tracing) is parity-gated to be
 #: verdict-neutral and must *not* invalidate stored units.
 VERDICT_AFFECTING_OPTIONS = (
     "max_induction_iterations",

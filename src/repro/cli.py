@@ -9,8 +9,6 @@
     repro cfg CODE.s --dot                # control-flow graph (Graphviz)
     repro run CODE.s --reg %o0=7 ...      # concrete emulation
     repro fig9 [--full]                   # regenerate the paper's table
-    repro bench --prover-replay T.jsonl   # re-discharge a recorded query
-                                          # stream, BENCH_prover.json
     repro bench --service                 # sharded-service load test,
                                           # BENCH_service.json
     repro serve [--port N] [--shards N]   # run the check service
@@ -38,7 +36,7 @@ from typing import List, Optional
 
 from repro.errors import ReproError
 from repro.analysis.checker import SafetyChecker
-from repro.analysis.options import CheckerOptions
+from repro.analysis.options import CheckerOptions, valid_timeout
 from repro.logic.persist import DEFAULT_CACHE_PATH as _DEFAULT_CACHE
 from repro.analysis.report import render_figure9
 from repro.ir.frontend import frontend_names, get_frontend
@@ -61,6 +59,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as error:
         print("error: %s" % error, file=sys.stderr)
         return 2
+
+
+def _budget(text: str) -> float:
+    """argparse type of every wall-clock budget flag: a finite number
+    of seconds greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if not valid_timeout(value):
+        raise argparse.ArgumentTypeError(
+            "%r is not a finite number of seconds > 0" % text)
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,17 +98,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print per-condition proof outcomes")
     check.add_argument("--annotate", action="store_true",
                        help="print the listing with inline verdicts")
-    check.add_argument("--jobs", "-j", type=int, default=None,
-                       metavar="N",
-                       help="prover worker processes (1 = serial, "
-                            "0 = one per core; default: $REPRO_JOBS "
-                            "or 1); verdicts are identical at any N")
     check.add_argument("--cache", nargs="?", const=_DEFAULT_CACHE,
                        default=None, metavar="PATH",
                        help="persistent cross-run prover cache "
                             "(default path when PATH is omitted: %s)"
                             % _DEFAULT_CACHE)
-    check.add_argument("--timeout", type=float, default=None,
+    check.add_argument("--timeout", type=_budget, default=None,
                        metavar="SECONDS",
                        help="wall-clock budget; past it the check "
                             "aborts with the undecided-timeout "
@@ -107,11 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "per phase, obligation, prover query; "
                             "default: $REPRO_TRACE); verdicts are "
                             "unaffected")
-    check.add_argument("--trace-formulas", action="store_true",
-                       help="with --trace: record the exact formula "
-                            "of every prover query, enabling `repro "
-                            "bench --prover-replay` on the trace "
-                            "(larger trace files)")
     check.add_argument("--no-unit-cache", action="store_true",
                        help="with --cache: disable function-granular "
                             "verdict replay, keeping only the formula-"
@@ -155,30 +156,18 @@ def _build_parser() -> argparse.ArgumentParser:
                            "stack-smashing, MD5)")
     fig9.set_defaults(handler=_cmd_fig9)
 
-    bench = sub.add_parser("bench", help="prover-replay or service "
-                                         "load-test benchmark")
+    bench = sub.add_parser("bench", help="service load-test benchmark")
     bench.add_argument("--output", default=None,
-                       help="report path (default: BENCH_prover.json "
-                            "with --prover-replay, BENCH_service.json "
-                            "with --service)")
+                       help="report path (default: BENCH_service.json)")
     bench.add_argument("--quiet", action="store_true",
                        help="with --service: suppress progress lines")
-    mode = bench.add_mutually_exclusive_group()
-    mode.add_argument("--prover-replay", default=None,
-                      metavar="TRACE",
-                      help="re-discharge the exact prover-query stream "
-                           "of a JSONL trace recorded with `repro "
-                           "check --trace --trace-formulas` under "
-                           "every prover config; writes "
-                           "BENCH_prover.json and exits non-zero on "
-                           "any verdict mismatch")
-    mode.add_argument("--service", action="store_true",
-                      help="load-test the sharded check service "
-                           "(1-shard baseline, N-shard fresh, N-shard "
-                           "mixed-duplicate) and write the scaling "
-                           "scoreboard to BENCH_service.json; exits "
-                           "non-zero on any verdict-fingerprint "
-                           "mismatch")
+    bench.add_argument("--service", action="store_true",
+                       help="load-test the sharded check service "
+                            "(1-shard baseline, N-shard fresh, N-shard "
+                            "mixed-duplicate) and write the scaling "
+                            "scoreboard to BENCH_service.json; exits "
+                            "non-zero on any verdict-fingerprint "
+                            "mismatch")
     bench.add_argument("--requests", type=int, default=240,
                        metavar="N",
                        help="with --service: submissions per "
@@ -209,16 +198,12 @@ def _build_parser() -> argparse.ArgumentParser:
                             "submissions get HTTP 429 (default: 64)")
     serve.add_argument("--lru-size", type=int, default=256,
                        help="LRU verdict-cache entries (default: 256)")
-    serve.add_argument("--jobs", "-j", type=int, default=1,
-                       metavar="N",
-                       help="default prover worker processes per "
-                            "request (default: 1)")
     serve.add_argument("--cache", nargs="?", const=_DEFAULT_CACHE,
                        default=None, metavar="PATH",
                        help="persistent prover cache shared by all "
                             "workers (default path when PATH is "
                             "omitted: %s)" % _DEFAULT_CACHE)
-    serve.add_argument("--timeout", type=float, default=None,
+    serve.add_argument("--timeout", type=_budget, default=None,
                        metavar="SECONDS",
                        help="default per-job wall-clock budget")
     serve.add_argument("--trace-dir", default=None, metavar="DIR",
@@ -259,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           metavar="N",
                           help="random input vectors per seed "
                                "(default: 3)")
-    fuzz_run.add_argument("--check-timeout", type=float, default=None,
+    fuzz_run.add_argument("--check-timeout", type=_budget, default=None,
                           metavar="SECONDS",
                           help="static-check budget per seed "
                                "(default: 30); past it the seed "
@@ -302,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz_reduce.add_argument("--name", default=None,
                              help="corpus entry name (default: "
                                   "seed<N>-<class>)")
-    fuzz_reduce.add_argument("--check-timeout", type=float,
+    fuzz_reduce.add_argument("--check-timeout", type=_budget,
                              default=None, metavar="SECONDS")
     fuzz_reduce.add_argument("--unsound-assume", action="append",
                              default=[], help=argparse.SUPPRESS)
@@ -312,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        "their recorded expectations")
     fuzz_replay.add_argument("paths", nargs="+",
                              help="corpus JSON files or directories")
-    fuzz_replay.add_argument("--check-timeout", type=float,
+    fuzz_replay.add_argument("--check-timeout", type=_budget,
                              default=None, metavar="SECONDS")
     fuzz_replay.set_defaults(handler=_cmd_fuzz_replay)
 
@@ -379,11 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--json", action="store_true",
                         help="print the verdict payload (byte-"
                              "identical to `repro check --json`)")
-    submit.add_argument("--jobs", "-j", type=int, default=None,
-                        metavar="N",
-                        help="prover worker processes for this "
-                             "request (server default otherwise)")
-    submit.add_argument("--timeout", type=float, default=None,
+    submit.add_argument("--timeout", type=_budget, default=None,
                         metavar="SECONDS",
                         help="per-request wall-clock budget")
     submit.add_argument("--retries", type=int, default=4,
@@ -425,16 +406,12 @@ def _cmd_check(args) -> int:
     program = _load_program(args)
     spec = parse_spec(read_text(args.spec))
     options = CheckerOptions()
-    if args.jobs is not None:
-        options.jobs = args.jobs
     if args.cache is not None:
         options.cache_path = args.cache
     if args.timeout is not None:
         options.timeout_s = args.timeout
     if args.trace is not None:
         options.trace_path = args.trace
-    if args.trace_formulas:
-        options.trace_formulas = True
     if args.no_unit_cache:
         options.enable_unit_cache = False
     with SafetyChecker(program, spec, options=options) as checker:
@@ -534,13 +511,9 @@ def _cmd_bench(args) -> int:
                 shards=args.shards or None, cache_dir=cache_dir)
             return run_suite(configs, args.output or "BENCH_service.json",
                              quiet=args.quiet)
-    if args.prover_replay:
-        from repro.bench import main as bench_main
-        return bench_main(args.prover_replay,
-                          args.output or "BENCH_prover.json")
-    raise ReproError("bench needs --prover-replay TRACE or --service; "
-                     "the checker's benchmark is perfbench: "
-                     "python3 perfbench/run.py --workload fig9")
+    raise ReproError("bench needs --service; the checker's benchmark "
+                     "is perfbench: python3 perfbench/run.py "
+                     "--workload fig9")
 
 
 def _cmd_cache_stats(args) -> int:
@@ -609,8 +582,7 @@ def _cmd_serve(args) -> int:
         host=args.host, port=args.port, workers=args.workers,
         queue_limit=args.queue_limit,
         verdict_cache_size=args.lru_size,
-        cache_path=args.cache, default_jobs=args.jobs,
-        default_timeout_s=args.timeout,
+        cache_path=args.cache, default_timeout_s=args.timeout,
         trace_dir=args.trace_dir, shards=args.shards)
 
     from repro.service import shards as shards_mod
@@ -661,8 +633,7 @@ def _cmd_submit(args) -> int:
     spec = read_text(args.spec)
     payload = build_payload(
         code, spec, arch=args.arch, binary=binary,
-        name=os.path.basename(args.code), jobs=args.jobs,
-        timeout_s=args.timeout)
+        name=os.path.basename(args.code), timeout_s=args.timeout)
     job = submit(server, payload, retries=max(0, args.retries))
     if job["state"] == "failed":
         print("error: %s" % job.get("error", "job failed"),

@@ -166,10 +166,10 @@ def run_concrete(sketch: Sketch, arch: str, values: Sequence[int],
 def check_options(timeout_s: Optional[float] = DEFAULT_CHECK_TIMEOUT_S,
                   overrides: Optional[Dict[str, object]] = None
                   ) -> CheckerOptions:
-    """Checker options for fuzzing: serial, no persistent cache, a
-    bounded wall clock, plus explicit *overrides* (the self-test
-    injects its deliberate weakening here)."""
-    options = CheckerOptions(jobs=1, cache_path=None, trace_path=None,
+    """Checker options for fuzzing: no persistent cache, a bounded
+    wall clock, plus explicit *overrides* (the self-test injects its
+    deliberate weakening here)."""
+    options = CheckerOptions(cache_path=None, trace_path=None,
                              timeout_s=timeout_s)
     for name, value in (overrides or {}).items():
         if not hasattr(options, name):

@@ -96,9 +96,9 @@ class Formula:
         raise NotImplementedError
 
     # Pickling rebuilds nodes through ``__new__`` (see the per-class
-    # ``__reduce__`` methods), so a formula shipped to a worker process
-    # is rehydrated into *that* process's intern tables with its
-    # precomputed hash/size/quantifier metadata recomputed on arrival.
+    # ``__reduce__`` methods), so a formula loaded from a stored unit
+    # payload is rehydrated into the loading process's intern tables
+    # with its precomputed hash/size/quantifier metadata recomputed.
 
     # Conveniences so formulas compose with operators.
     def __and__(self, other: "Formula") -> "Formula":

@@ -153,17 +153,14 @@ class PrefixSession:
                      seconds: float) -> None:
         """Emit the same ``prover:query`` event the plain path would,
         for the full conjunction the session decided."""
-        prover = self.prover
         full = conj(self.prefix, extra)
-        attrs = dict(digest=canonical_digest(canonicalize(full)),
-                     cache=source,
-                     formula_size=formula_size(full),
-                     seconds=seconds,
-                     result=result)
-        if prover.tracer.capture_formulas:
-            from repro.logic.serialize import formula_to_obj
-            attrs["formula"] = formula_to_obj(full)
-        prover.tracer.event("prover:query", **attrs)
+        self.prover.tracer.event(
+            "prover:query",
+            digest=canonical_digest(canonicalize(full)),
+            cache=source,
+            formula_size=formula_size(full),
+            seconds=seconds,
+            result=result)
 
 
 def _unions(prefix_keys: List[FrozenSet[Formula]],

@@ -2,7 +2,7 @@
 
 Satisfiability of a Presburger formula depends only on the formula, so
 prover verdicts can be reused across programs, across runs, and across
-worker processes.  This module stores them in a small SQLite file
+the check service's worker threads and shard processes.  This module stores them in a small SQLite file
 (``.repro-cache/prover.sqlite`` by convention) keyed on the
 process-stable canonical digest (:func:`repro.logic.serialize.
 formula_digest`).
@@ -52,12 +52,12 @@ Robustness rules:
 * any *other* wrong column layout (e.g. a half-written upgrade) is
   dropped and recreated individually without touching the other
   tables;
-* concurrent readers/writers (pool workers sharing one file) are
-  handled with WAL journaling and a busy timeout; any SQLite error on
+* concurrent readers/writers (the service's worker threads and shard
+  processes sharing one file) are handled with WAL journaling and a busy timeout; any SQLite error on
   an individual get/put degrades to a miss/no-op instead of failing
   the check;
 * writes are batched (:data:`_COMMIT_EVERY`) and flushed explicitly by
-  the owner at the end of a run or worker task.
+  the owner at the end of a run or service job.
 """
 
 from __future__ import annotations

@@ -130,16 +130,13 @@ class Prover:
         #: per-session memo); off is the paper's cache ablation.
         self.enable_cache = enable_cache
         #: Optional :class:`repro.logic.persist.PersistentProverCache`,
-        #: consulted after the in-memory levels and shared across runs
-        #: and worker processes.
+        #: consulted after the in-memory levels and shared across runs.
         self.persistent = persistent
         #: Deadline in ``time.monotonic()`` seconds past which every
         #: query raises :class:`ProverTimeout`; None means no limit.
         #: Monotonic, not epoch: an NTP step while a check runs must
         #: neither fire a spurious timeout nor extend the budget.
-        #: Epoch↔monotonic translation happens only at the process
-        #: boundary (``CheckerOptions.deadline_epoch`` for pool
-        #: workers).  Set per check by the checker, cleared afterwards
+        #: Set per check by the checker, cleared afterwards
         #: so a warm prover reused across requests carries no stale
         #: budget.
         self.deadline: Optional[float] = None
@@ -210,15 +207,12 @@ class Prover:
             # ``canonicalization_seconds`` so traced and untraced runs
             # report identical stats (the parity tests rely on it).
             canonical = canonicalize(f)
-        attrs = dict(digest=canonical_digest(canonical),
-                     cache=source,
-                     formula_size=formula_size(f),
-                     seconds=seconds,
-                     result=result)
-        if self.tracer.capture_formulas:
-            from repro.logic.serialize import formula_to_obj
-            attrs["formula"] = formula_to_obj(f)
-        self.tracer.event("prover:query", **attrs)
+        self.tracer.event("prover:query",
+                          digest=canonical_digest(canonical),
+                          cache=source,
+                          formula_size=formula_size(f),
+                          seconds=seconds,
+                          result=result)
         return result
 
     def _query(self, f: Formula):

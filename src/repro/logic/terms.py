@@ -222,7 +222,7 @@ class Linear:
 
     def __reduce__(self):
         # Reconstruct through __new__ so unpickling re-interns the term
-        # in the receiving process's table (worker rehydration).
+        # in the loading process's table.
         return (Linear, (self._coeffs, self._const))
 
     # -- equality / rendering ---------------------------------------------------------

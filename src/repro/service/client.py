@@ -82,7 +82,6 @@ def job_status(server: str, job_id: str,
 
 def build_payload(code, spec: str, arch: str = "sparc",
                   binary: bool = False, name: str = "request",
-                  jobs: Optional[int] = None,
                   timeout_s: Optional[float] = None,
                   wait: bool = True) -> Dict:
     """The ``POST /v1/check`` body for one program."""
@@ -95,13 +94,8 @@ def build_payload(code, spec: str, arch: str = "sparc",
     else:
         payload["code"] = code if isinstance(code, str) \
             else code.decode("utf-8")
-    options: Dict = {}
-    if jobs is not None:
-        options["jobs"] = jobs
     if timeout_s is not None:
-        options["timeout_s"] = timeout_s
-    if options:
-        payload["options"] = options
+        payload["options"] = {"timeout_s": timeout_s}
     return payload
 
 

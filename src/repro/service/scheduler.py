@@ -39,13 +39,13 @@ from repro.logic.serialize import text_digest
 #: the options digest.  The function-unit store's list plus
 #: ``timeout_s``, which a unit replay may ignore but a job result may
 #: not: a budget can turn a decided verdict into
-#: ``undecided:timeout``.  ``jobs``, ``cache_path`` and the prover
+#: ``undecided:timeout``.  ``cache_path`` and the prover
 #: cache are verdict-preserving, so they are absent.
 OPTION_DIGEST_FIELDS = VERDICT_AFFECTING_OPTIONS + ("timeout_s",)
 
 #: Request option keys a client may set; everything else (notably
 #: ``cache_path``) is server-controlled.
-CLIENT_OPTION_KEYS = ("jobs", "timeout_s")
+CLIENT_OPTION_KEYS = ("timeout_s",)
 
 
 def options_digest(options: CheckerOptions) -> str:

@@ -5,7 +5,7 @@ API (all bodies JSON):
 * ``POST /v1/check`` — submit a program.  Fields: ``code`` (assembly
   text) or ``code_b64`` (base64 machine code with ``"binary": true``),
   ``spec``, optional ``arch`` ("sparc"/"riscv"), ``name``, ``options``
-  (client-settable: ``jobs``, ``timeout_s``), and ``wait`` (block
+  (client-settable: ``timeout_s``), and ``wait`` (block
   until the verdict, bounded by the server's ``max_wait_s``).  Answers
   200 with the finished job envelope, 202 with the queued job, 400 on
   malformed input, 429 + ``Retry-After`` when the queue is full, 503
@@ -57,13 +57,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.analysis.options import CheckerOptions
+from repro.analysis.options import CheckerOptions, valid_timeout
 from repro.ir.frontend import frontend_names
 from repro.service.metrics import (
     ServiceMetrics, aggregate_snapshots, render_prometheus,
 )
 from repro.service.scheduler import (
-    CheckRequest, Job, QueueFull, Scheduler, ServiceUnavailable,
+    CLIENT_OPTION_KEYS, CheckRequest, Job, QueueFull, Scheduler,
+    ServiceUnavailable,
 )
 from repro.service.worker import WorkerPool
 
@@ -99,8 +100,6 @@ class ServeConfig:
     batch_limit: int = 256
     #: Shared persistent prover cache path (None = in-memory only).
     cache_path: Optional[str] = None
-    #: Default prover worker processes per request.
-    default_jobs: int = 1
     #: Default per-job wall-clock budget (None = unlimited).
     default_timeout_s: Optional[float] = None
     #: Cap on how long one ``wait=true`` submission may block.
@@ -360,29 +359,22 @@ class CheckServer:
         persistent cache path is always the server's — clients must not
         choose server file paths."""
         options = CheckerOptions(
-            jobs=self.config.default_jobs,
             cache_path=self.config.cache_path,
             timeout_s=self.config.default_timeout_s)
         if raw is None:
             return options
         if not isinstance(raw, dict):
             raise BadRequest("'options' must be a JSON object")
-        unknown = set(raw) - {"jobs", "timeout_s"}
+        unknown = set(raw) - set(CLIENT_OPTION_KEYS)
         if unknown:
             raise BadRequest("unsupported options: %s"
                              % ", ".join(sorted(unknown)))
-        if "jobs" in raw:
-            if not isinstance(raw["jobs"], int) \
-                    or isinstance(raw["jobs"], bool):
-                raise BadRequest("'options.jobs' must be an integer")
-            options.jobs = raw["jobs"]
         if "timeout_s" in raw:
             value = raw["timeout_s"]
-            if value is not None and (
-                    not isinstance(value, (int, float))
-                    or isinstance(value, bool) or value <= 0):
+            # Python's json accepts NaN and Infinity literals.
+            if value is not None and not valid_timeout(value):
                 raise BadRequest("'options.timeout_s' must be a "
-                                 "positive number or null")
+                                 "finite number > 0 or null")
             options.timeout_s = float(value) if value is not None \
                 else None
         return options

@@ -15,7 +15,7 @@ Every line of a trace file is one JSON object.  Two record shapes:
 Timestamps are ``time.monotonic()`` seconds of the *emitting* process
 (``pid``): they order records within a process and support durations,
 but are meaningless across processes — compare ``dur_s``, not ``t_*``,
-when worker spans were forwarded into a parent trace.
+when traces from several processes are read together.
 
 Well-known names carry required attributes (:data:`REQUIRED_ATTRS`);
 unknown names are allowed (the schema is open for extension) but must

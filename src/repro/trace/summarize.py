@@ -8,8 +8,8 @@ how hard did induction-iteration work, and what fraction of queries
 each cache level absorbed.
 
 Durations always come from ``dur_s`` / ``attrs.seconds``, never from
-raw ``t_*`` differences — forwarded pool-worker records carry another
-process's monotonic clock (see the schema module).
+raw ``t_*`` differences — a record's timestamps are its own process's
+monotonic clock (see the schema module).
 """
 
 from __future__ import annotations

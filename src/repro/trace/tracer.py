@@ -12,11 +12,6 @@ Design constraints, in order:
    Timestamps are therefore only comparable *within* one process; the
    ``pid`` field marks the process, and cross-process analysis uses
    ``dur_s``, never raw ``t_*`` differences.
-3. **Process boundaries by value.**  Pool workers cannot share a file
-   handle with the parent, so a worker traces into an in-memory buffer
-   (:meth:`Tracer.buffered`), ships the records back inside its
-   ordinary result pickle, and the parent re-roots them with
-   :meth:`Tracer.forward`.
 
 Span nesting is implicit: ``tracer.span(...)`` context managers push
 onto a per-tracer stack, so an obligation span opened inside the
@@ -31,7 +26,7 @@ import itertools
 import json
 import os
 import time
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.trace.schema import SCHEMA_VERSION
 
@@ -110,13 +105,6 @@ class Tracer:
     #: (digests, formula rendering); on :class:`NullTracer` it is False.
     enabled = True
 
-    #: When set (``repro check --trace-formulas``), every
-    #: ``prover:query`` event additionally records the query formula in
-    #: the portable form of :func:`repro.logic.serialize.formula_to_obj`
-    #: so ``repro bench --prover-replay`` can re-discharge the exact
-    #: query stream.  Off by default: formulas dominate trace size.
-    capture_formulas = False
-
     def __init__(self, sink=None, trace_id: Optional[str] = None,
                  _owns_sink: bool = False):
         self.trace_id = trace_id or new_trace_id()
@@ -140,7 +128,7 @@ class Tracer:
     @classmethod
     def buffered(cls, trace_id: Optional[str] = None) -> "Tracer":
         """Trace into memory; :meth:`drain` returns (and clears) the
-        records — the pool-worker mode."""
+        records."""
         return cls(sink=None, trace_id=trace_id)
 
     # -- recording -----------------------------------------------------------
@@ -165,31 +153,12 @@ class Tracer:
             "attrs": attrs,
         })
 
-    # -- process-boundary plumbing ------------------------------------------
-
     def drain(self) -> List[Dict]:
         """Return and clear the buffered records (buffer mode only)."""
         if self._buffer is None:
             return []
         records, self._buffer = self._buffer, []
         return records
-
-    def forward(self, records: Iterable[Dict], prefix: str) -> None:
-        """Re-emit records captured by another tracer (a pool worker).
-
-        Span ids are namespaced with *prefix* so ids from different
-        workers never collide, the ``trace_id`` is rewritten to this
-        tracer's, and records that were roots in the worker are
-        re-parented under the currently open span (the global-
-        verification phase at the forwarding site)."""
-        parent = self._stack[-1].id if self._stack else None
-        for record in records:
-            out = dict(record)
-            out["trace_id"] = self.trace_id
-            out["span_id"] = prefix + out["span_id"]
-            out["parent_id"] = prefix + out["parent_id"] \
-                if out.get("parent_id") else parent
-            self._emit(out)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -241,7 +210,6 @@ class NullTracer:
     pipeline can call tracing hooks unconditionally."""
 
     enabled = False
-    capture_formulas = False
     trace_id = None
 
     def span(self, name: str, **attrs) -> _NullSpan:
@@ -252,9 +220,6 @@ class NullTracer:
 
     def drain(self) -> List[Dict]:
         return []
-
-    def forward(self, records: Iterable[Dict], prefix: str) -> None:
-        pass
 
     def close(self) -> None:
         pass

@@ -110,7 +110,7 @@ def _fuzz(seed, arch):
 def _outcome(source, spec_text, arch):
     clear_all_caches()
     checker = SafetyChecker(source, parse_spec(spec_text),
-                            options=CheckerOptions(jobs=1), arch=arch)
+                            options=CheckerOptions(), arch=arch)
     try:
         result = checker.check()
     finally:

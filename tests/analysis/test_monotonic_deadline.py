@@ -4,17 +4,13 @@ The historical bug: deadlines were stored as ``time.time()`` epoch
 seconds and compared against the wall clock, so an NTP step (or a
 suspend/resume) could expire a running check instantly — or extend it
 indefinitely.  Deadlines are now ``time.monotonic()`` values
-everywhere in-process; epoch time appears only in
-``CheckerOptions.deadline_epoch``, the one field that crosses the
-pool-worker pickle boundary, and is translated back exactly once per
-process.
+everywhere.
 """
 
 import time
 
 import pytest
 
-from repro.analysis.obligations import build_engine
 from repro.analysis.options import CheckerOptions
 from repro.cfg.loops import Loop
 from repro.errors import ProverTimeout
@@ -57,25 +53,6 @@ class TestProverDeadline:
         prover = Prover()
         assert prover.deadline is None
         prover.check_deadline()
-
-
-class TestEpochTranslation:
-    def test_build_engine_translates_epoch_to_monotonic(self):
-        """``deadline_epoch`` is the only epoch deadline; each process
-        turns it into its own monotonic clock on entry."""
-        spec = SUM_PROGRAM.spec()
-        options = CheckerOptions(deadline_epoch=time.time() + 30.0)
-        engine = build_engine(SUM_PROGRAM.program().lower(), spec,
-                              options)
-        assert engine.prover.deadline is not None
-        remaining = engine.prover.deadline - time.monotonic()
-        assert 25.0 < remaining < 30.5
-
-    def test_build_engine_without_epoch_leaves_no_deadline(self):
-        spec = SUM_PROGRAM.spec()
-        engine = build_engine(SUM_PROGRAM.program().lower(), spec,
-                              CheckerOptions())
-        assert engine.prover.deadline is None
 
     def test_checker_timeout_is_immune_to_wall_clock(self, monkeypatch):
         """End-to-end: a generous timeout_s survives a wall-clock jump

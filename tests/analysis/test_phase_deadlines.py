@@ -11,7 +11,6 @@ import time
 import pytest
 
 from repro.analysis.annotate import annotate
-from repro.analysis.checker import SafetyChecker, check_assembly
 from repro.analysis.forward import ForwardBounds
 from repro.analysis.options import CheckerOptions
 from repro.analysis.prepare import prepare
@@ -107,11 +106,3 @@ class TestEndToEnd:
         stats = fresh.prover_stats
         assert stats["unit_pipeline_hits"] == 0
         assert stats["unit_pipeline_stores"] > 0
-
-    def test_worker_deadline_reaches_propagation(self):
-        """Pool workers rebuild phases 1–2 in-process; their inherited
-        absolute budget must bound the rebuilt propagation too."""
-        result = check_assembly(
-            PROGRAM.source, PROGRAM.spec_text,
-            name="sum", options=CheckerOptions(jobs=2, timeout_s=TINY))
-        assert result.verdict == "undecided:timeout"

@@ -71,9 +71,9 @@ class TestReplay:
     def test_warm_recheck_replays_every_function(self, tmp_path):
         cache = cache_at(tmp_path)
         cold = _check(INCREMENTAL_SOURCE,
-                      CheckerOptions(jobs=1, cache_path=cache))
+                      CheckerOptions(cache_path=cache))
         warm = _check(INCREMENTAL_SOURCE,
-                      CheckerOptions(jobs=1, cache_path=cache))
+                      CheckerOptions(cache_path=cache))
         assert _pipeline_stats(cold) == {
             "unit_pipeline_lookups": 1, "unit_pipeline_hits": 0,
             "unit_pipeline_misses": 1,
@@ -92,14 +92,14 @@ class TestReplay:
 
     def test_json_identical_across_cache_states(self, tmp_path):
         cache = cache_at(tmp_path)
-        reference = _check(INCREMENTAL_SOURCE, CheckerOptions(jobs=1))
+        reference = _check(INCREMENTAL_SOURCE, CheckerOptions())
         cold = _check(INCREMENTAL_SOURCE,
-                      CheckerOptions(jobs=1, cache_path=cache))
+                      CheckerOptions(cache_path=cache))
         warm = _check(INCREMENTAL_SOURCE,
-                      CheckerOptions(jobs=1, cache_path=cache))
+                      CheckerOptions(cache_path=cache))
         disabled = _check(
             INCREMENTAL_SOURCE,
-            CheckerOptions(jobs=1, cache_path=cache,
+            CheckerOptions(cache_path=cache,
                            enable_unit_cache=False))
         assert _pipeline_stats(warm)["unit_pipeline_hits"] == 1
         assert _pipeline_stats(disabled) == {}
@@ -112,10 +112,10 @@ class TestReplay:
         back from the store with identical content *and order*."""
         source = "1: sw zero,0(a0)\n2: sw zero,44(a0)\n3: ret\n"
         options = lambda: CheckerOptions(  # noqa: E731
-            jobs=1, cache_path=cache_at(tmp_path))
+            cache_path=cache_at(tmp_path))
         reference = check_assembly(source, RISCV_SPEC_RW, name="oob",
                                    arch="riscv",
-                                   options=CheckerOptions(jobs=1))
+                                   options=CheckerOptions())
         assert not reference.safe
         cold = check_assembly(source, RISCV_SPEC_RW, name="oob",
                               arch="riscv", options=options())
@@ -132,10 +132,10 @@ class TestReplay:
         from repro.trace.schema import load_trace, validate_records
         cache = cache_at(tmp_path)
         _check(INCREMENTAL_SOURCE,
-               CheckerOptions(jobs=1, cache_path=cache))
+               CheckerOptions(cache_path=cache))
         trace = os.path.join(str(tmp_path), "warm.jsonl")
         warm = _check(INCREMENTAL_SOURCE,
-                      CheckerOptions(jobs=1, cache_path=cache,
+                      CheckerOptions(cache_path=cache,
                                      trace_path=trace))
         assert _pipeline_stats(warm)["unit_pipeline_hits"] == 1
         records = load_trace(trace)
@@ -157,46 +157,46 @@ class TestInvalidation:
     def test_body_edit_misses(self, tmp_path):
         cache = cache_at(tmp_path)
         _check(INCREMENTAL_SOURCE,
-               CheckerOptions(jobs=1, cache_path=cache))
+               CheckerOptions(cache_path=cache))
         edited = _check(INCREMENTAL_EDITED_SOURCE,
-                        CheckerOptions(jobs=1, cache_path=cache))
+                        CheckerOptions(cache_path=cache))
         stats = _pipeline_stats(edited)
         assert stats["unit_pipeline_hits"] == 0
         assert stats["unit_pipeline_misses"] == 1
         # ... and the miss restores the payloads under the new digests.
         assert stats["unit_pipeline_stores"] == 4
         rewarm = _check(INCREMENTAL_EDITED_SOURCE,
-                        CheckerOptions(jobs=1, cache_path=cache))
+                        CheckerOptions(cache_path=cache))
         assert _pipeline_stats(rewarm)["unit_pipeline_hits"] == 1
 
     def test_spec_change_misses(self, tmp_path):
         cache = cache_at(tmp_path)
         _check(INCREMENTAL_SOURCE,
-               CheckerOptions(jobs=1, cache_path=cache))
+               CheckerOptions(cache_path=cache))
         changed_spec = INCREMENTAL_SPEC + \
             "loc pad : int = initialized perms ro region V summary\n"
         result = check_assembly(
             INCREMENTAL_SOURCE, changed_spec, name="incremental",
-            options=CheckerOptions(jobs=1, cache_path=cache))
+            options=CheckerOptions(cache_path=cache))
         assert _pipeline_stats(result)["unit_pipeline_hits"] == 0
 
     def test_verdict_affecting_option_misses(self, tmp_path):
         cache = cache_at(tmp_path)
         _check(INCREMENTAL_SOURCE,
-               CheckerOptions(jobs=1, cache_path=cache))
+               CheckerOptions(cache_path=cache))
         result = _check(
             INCREMENTAL_SOURCE,
-            CheckerOptions(jobs=1, cache_path=cache,
+            CheckerOptions(cache_path=cache,
                            max_propagation_steps=50000))
         assert _pipeline_stats(result)["unit_pipeline_hits"] == 0
 
     def test_performance_option_still_hits(self, tmp_path):
         cache = cache_at(tmp_path)
         _check(INCREMENTAL_SOURCE,
-               CheckerOptions(jobs=1, cache_path=cache))
+               CheckerOptions(cache_path=cache))
         result = _check(
             INCREMENTAL_SOURCE,
-            CheckerOptions(jobs=1, cache_path=cache,
+            CheckerOptions(cache_path=cache,
                            enable_prover_cache=False))
         assert _pipeline_stats(result)["unit_pipeline_hits"] == 1
 
@@ -210,10 +210,10 @@ class TestInvalidation:
         reordered = _reordered_source()
         assert reordered != INCREMENTAL_SOURCE
         _check(INCREMENTAL_SOURCE,
-               CheckerOptions(jobs=1, cache_path=cache))
-        reference = _check(reordered, CheckerOptions(jobs=1))
+               CheckerOptions(cache_path=cache))
+        reference = _check(reordered, CheckerOptions())
         warm = _check(reordered,
-                      CheckerOptions(jobs=1, cache_path=cache))
+                      CheckerOptions(cache_path=cache))
         assert _pipeline_stats(warm)["unit_pipeline_hits"] == 0
         assert _json_bytes(reference) == _json_bytes(warm)
         assert warm.safe
@@ -227,7 +227,7 @@ from repro.analysis.options import CheckerOptions
 from repro.programs.incremental import INCREMENTAL_SOURCE, INCREMENTAL_SPEC
 check_assembly(INCREMENTAL_SOURCE, INCREMENTAL_SPEC,
                name="incremental",
-               options=CheckerOptions(jobs=1, cache_path=%r))
+               options=CheckerOptions(cache_path=%r))
 conn = sqlite3.connect(%r)
 for key, deps in conn.execute(
         "SELECT unit_key, deps_digest FROM units "
@@ -272,7 +272,7 @@ class TestDigestStability:
             "INCREMENTAL_SPEC\n"
             "r = check_assembly(INCREMENTAL_SOURCE, INCREMENTAL_SPEC,"
             " name='incremental',"
-            " options=CheckerOptions(jobs=1, cache_path=%r))\n"
+            " options=CheckerOptions(cache_path=%r))\n"
             "print(r.prover_stats.get('unit_pipeline_hits'))\n"
             % (src, cache))
         hits = []
@@ -289,9 +289,9 @@ class TestStatsPlumbing:
     def test_summary_reports_pipeline_counters(self, tmp_path):
         cache = cache_at(tmp_path)
         _check(INCREMENTAL_SOURCE,
-               CheckerOptions(jobs=1, cache_path=cache))
+               CheckerOptions(cache_path=cache))
         warm = _check(INCREMENTAL_SOURCE,
-                      CheckerOptions(jobs=1, cache_path=cache))
+                      CheckerOptions(cache_path=cache))
         summary = warm.summary()
         assert "pipeline (phases 2-4)" in summary
         assert "hits=1" in summary
@@ -300,7 +300,7 @@ class TestStatsPlumbing:
         from repro.logic.persist import PersistentProverCache
         cache = cache_at(tmp_path)
         _check(INCREMENTAL_SOURCE,
-               CheckerOptions(jobs=1, cache_path=cache))
+               CheckerOptions(cache_path=cache))
         with PersistentProverCache(cache) as handle:
             stats = handle.stats()
         assert stats["units_by_kind"]["pipeline"] == 4

@@ -30,10 +30,6 @@ class TestTimeoutVerdict:
         assert CheckerOptions().timeout_s is None
         assert not PROGRAM.check().timed_out
 
-    def test_timeout_with_parallel_discharge(self):
-        result = PROGRAM.check(CheckerOptions(timeout_s=TINY, jobs=2))
-        assert result.verdict == "undecided:timeout"
-
     def test_summary_and_json_mark_the_timeout(self):
         from repro.analysis.report import result_to_json
         result = PROGRAM.check(CheckerOptions(timeout_s=TINY))

@@ -57,14 +57,14 @@ def cache_at(tmp_path):
 class TestByteIdentity:
     def test_json_identical_across_cache_states(self, tmp_path):
         cache = cache_at(tmp_path)
-        reference = _check(INCREMENTAL_SOURCE, CheckerOptions(jobs=1))
+        reference = _check(INCREMENTAL_SOURCE, CheckerOptions())
         cold = _check(INCREMENTAL_SOURCE,
-                      CheckerOptions(jobs=1, cache_path=cache))
+                      CheckerOptions(cache_path=cache))
         warm = _check(INCREMENTAL_SOURCE,
-                      CheckerOptions(jobs=1, cache_path=cache))
+                      CheckerOptions(cache_path=cache))
         disabled = _check(
             INCREMENTAL_SOURCE,
-            CheckerOptions(jobs=1, cache_path=cache,
+            CheckerOptions(cache_path=cache,
                            enable_unit_cache=False))
         assert warm.prover_stats["unit_hits"] > 0
         assert disabled.prover_stats.get("unit_hits", 0) == 0
@@ -77,38 +77,28 @@ class TestByteIdentity:
 
     def test_unsafe_program_replays_identically(self, tmp_path):
         cache = cache_at(tmp_path)
-        reference = _check(UNSAFE_SOURCE, CheckerOptions(jobs=1))
+        reference = _check(UNSAFE_SOURCE, CheckerOptions())
         assert not reference.safe
         cold = _check(UNSAFE_SOURCE,
-                      CheckerOptions(jobs=1, cache_path=cache))
+                      CheckerOptions(cache_path=cache))
         warm = _check(UNSAFE_SOURCE,
-                      CheckerOptions(jobs=1, cache_path=cache))
+                      CheckerOptions(cache_path=cache))
         assert warm.prover_stats["unit_hits"] > 0
         assert _fingerprint(reference) == _fingerprint(cold) \
             == _fingerprint(warm)
         assert _json_bytes(reference) == _json_bytes(warm)
-
-    def test_warm_replay_at_jobs_2_matches(self, tmp_path):
-        cache = cache_at(tmp_path)
-        reference = _check(INCREMENTAL_SOURCE, CheckerOptions(jobs=1))
-        _check(INCREMENTAL_SOURCE,
-               CheckerOptions(jobs=1, cache_path=cache))
-        warm = _check(INCREMENTAL_SOURCE,
-                      CheckerOptions(jobs=2, cache_path=cache))
-        assert warm.prover_stats["unit_hits"] > 0
-        assert _fingerprint(reference) == _fingerprint(warm)
 
 
 class TestInvalidation:
     def test_edit_one_function_reproves_only_it(self, tmp_path):
         cache = cache_at(tmp_path)
         base = _check(INCREMENTAL_SOURCE,
-                      CheckerOptions(jobs=1, cache_path=cache))
+                      CheckerOptions(cache_path=cache))
         assert base.prover_stats["unit_stores"] >= 3
         reference = _check(INCREMENTAL_EDITED_SOURCE,
-                           CheckerOptions(jobs=1))
+                           CheckerOptions())
         warm = _check(INCREMENTAL_EDITED_SOURCE,
-                      CheckerOptions(jobs=1, cache_path=cache))
+                      CheckerOptions(cache_path=cache))
         stats = warm.prover_stats
         # The edit is inside fone; ftwo and fthree replay, fone (the
         # only miss) is re-proved and stored under its new digest.
@@ -118,7 +108,7 @@ class TestInvalidation:
         assert stats["unit_stores"] >= 1
         assert _fingerprint(reference) == _fingerprint(warm)
         rewarm = _check(INCREMENTAL_EDITED_SOURCE,
-                        CheckerOptions(jobs=1, cache_path=cache))
+                        CheckerOptions(cache_path=cache))
         assert rewarm.prover_stats["unit_hits"] \
             == rewarm.prover_stats["unit_lookups"]
         assert _fingerprint(reference) == _fingerprint(rewarm)
@@ -126,13 +116,13 @@ class TestInvalidation:
     def test_spec_change_invalidates_every_unit(self, tmp_path):
         cache = cache_at(tmp_path)
         primed = _check(INCREMENTAL_SOURCE,
-                        CheckerOptions(jobs=1, cache_path=cache))
+                        CheckerOptions(cache_path=cache))
         assert primed.prover_stats["unit_stores"] >= 3
         changed_spec = INCREMENTAL_SPEC + \
             "loc pad : int = initialized perms ro region V summary\n"
         result = check_assembly(
             INCREMENTAL_SOURCE, changed_spec, name="incremental",
-            options=CheckerOptions(jobs=1, cache_path=cache))
+            options=CheckerOptions(cache_path=cache))
         stats = result.prover_stats
         assert stats["unit_lookups"] > 0
         assert stats["unit_hits"] == 0
@@ -141,10 +131,10 @@ class TestInvalidation:
             self, tmp_path):
         cache = cache_at(tmp_path)
         _check(INCREMENTAL_SOURCE,
-               CheckerOptions(jobs=1, cache_path=cache))
+               CheckerOptions(cache_path=cache))
         result = _check(
             INCREMENTAL_SOURCE,
-            CheckerOptions(jobs=1, cache_path=cache,
+            CheckerOptions(cache_path=cache,
                            max_induction_iterations=4))
         stats = result.prover_stats
         assert stats["unit_lookups"] > 0
@@ -153,10 +143,10 @@ class TestInvalidation:
     def test_performance_option_does_not_invalidate(self, tmp_path):
         cache = cache_at(tmp_path)
         _check(INCREMENTAL_SOURCE,
-               CheckerOptions(jobs=1, cache_path=cache))
+               CheckerOptions(cache_path=cache))
         result = _check(
             INCREMENTAL_SOURCE,
-            CheckerOptions(jobs=1, cache_path=cache,
+            CheckerOptions(cache_path=cache,
                            enable_prover_cache=False))
         stats = result.prover_stats
         assert stats["unit_hits"] == stats["unit_lookups"] > 0
@@ -170,7 +160,7 @@ from repro.analysis.options import CheckerOptions
 from repro.programs.incremental import INCREMENTAL_SOURCE, INCREMENTAL_SPEC
 check_assembly(INCREMENTAL_SOURCE, INCREMENTAL_SPEC,
                name="incremental",
-               options=CheckerOptions(jobs=1, cache_path=%r))
+               options=CheckerOptions(cache_path=%r))
 conn = sqlite3.connect(%r)
 for (key,) in conn.execute(
         "SELECT unit_key FROM units ORDER BY unit_key"):
@@ -205,14 +195,14 @@ class TestDigestStability:
         stored — the cross-run contract of the cache."""
         cache = cache_at(tmp_path)
         _check(INCREMENTAL_SOURCE,
-               CheckerOptions(jobs=1, cache_path=cache))
+               CheckerOptions(cache_path=cache))
         conn = sqlite3.connect(cache)
         stored = conn.execute("SELECT COUNT(*) FROM units") \
             .fetchone()[0]
         conn.close()
         assert stored >= 3
         warm = _check(INCREMENTAL_SOURCE,
-                      CheckerOptions(jobs=1, cache_path=cache))
+                      CheckerOptions(cache_path=cache))
         assert warm.prover_stats["unit_hits"] >= 3
 
 
@@ -221,10 +211,10 @@ class TestReplayTracing:
         from repro.trace.schema import load_trace, validate_records
         cache = cache_at(tmp_path)
         _check(INCREMENTAL_SOURCE,
-               CheckerOptions(jobs=1, cache_path=cache))
+               CheckerOptions(cache_path=cache))
         trace = os.path.join(str(tmp_path), "warm.jsonl")
         warm = _check(INCREMENTAL_SOURCE,
-                      CheckerOptions(jobs=1, cache_path=cache,
+                      CheckerOptions(cache_path=cache,
                                      trace_path=trace))
         assert warm.prover_stats["unit_hits"] > 0
         records = load_trace(trace)
@@ -330,7 +320,7 @@ class TestUnitGroups:
     def test_cold_run_stores_one_group(self, tmp_path):
         cache = cache_at(tmp_path)
         cold = _check_pair(PAIR_SOURCE,
-                           CheckerOptions(jobs=1, cache_path=cache))
+                           CheckerOptions(cache_path=cache))
         assert cold.safe
         assert cold.prover_stats["unit_lookups"] == 2
         assert cold.prover_stats["unit_stores"] == 1
@@ -344,9 +334,9 @@ class TestUnitGroups:
 
     def test_warm_run_replays_both_members(self, tmp_path):
         cache = cache_at(tmp_path)
-        _check_pair(PAIR_SOURCE, CheckerOptions(jobs=1, cache_path=cache))
+        _check_pair(PAIR_SOURCE, CheckerOptions(cache_path=cache))
         warm = _check_pair(PAIR_SOURCE,
-                           CheckerOptions(jobs=1, cache_path=cache))
+                           CheckerOptions(cache_path=cache))
         stats = warm.prover_stats
         assert stats["unit_hits"] == stats["unit_lookups"] == 2
         assert stats["unit_misses"] == 0
@@ -356,35 +346,29 @@ class TestUnitGroups:
 
     def test_json_identical_across_cache_states(self, tmp_path):
         cache = cache_at(tmp_path)
-        reference = _check_pair(PAIR_SOURCE, CheckerOptions(jobs=1))
+        reference = _check_pair(PAIR_SOURCE, CheckerOptions())
         cold = _check_pair(PAIR_SOURCE,
-                           CheckerOptions(jobs=1, cache_path=cache))
+                           CheckerOptions(cache_path=cache))
         warm = _check_pair(PAIR_SOURCE,
-                           CheckerOptions(jobs=1, cache_path=cache))
+                           CheckerOptions(cache_path=cache))
         disabled = _check_pair(
-            PAIR_SOURCE, CheckerOptions(jobs=1, cache_path=cache,
+            PAIR_SOURCE, CheckerOptions(cache_path=cache,
                                         enable_unit_cache=False))
-        pooled_cache = os.path.join(str(tmp_path), "pooled.sqlite")
-        pooled_cold = _check_pair(
-            PAIR_SOURCE, CheckerOptions(jobs=2, cache_path=pooled_cache))
-        pooled_warm = _check_pair(
-            PAIR_SOURCE, CheckerOptions(jobs=2, cache_path=pooled_cache))
         assert warm.prover_stats["unit_hits"] == 2
-        assert pooled_warm.prover_stats["unit_hits"] == 2
         assert disabled.prover_stats.get("unit_lookups", 0) == 0
         want = _json_bytes(reference)
-        for result in (cold, warm, disabled, pooled_cold, pooled_warm):
+        for result in (cold, warm, disabled):
             assert _json_bytes(result) == want
             assert _fingerprint(result) == _fingerprint(reference)
 
     def test_callee_edit_misses_both_members(self, tmp_path):
         cache = cache_at(tmp_path)
-        _check_pair(PAIR_SOURCE, CheckerOptions(jobs=1, cache_path=cache))
+        _check_pair(PAIR_SOURCE, CheckerOptions(cache_path=cache))
         reference = _check_pair(PAIR_EDITED_SOURCE,
-                                CheckerOptions(jobs=1))
+                                CheckerOptions())
         assert not reference.safe
         warm = _check_pair(PAIR_EDITED_SOURCE,
-                           CheckerOptions(jobs=1, cache_path=cache))
+                           CheckerOptions(cache_path=cache))
         stats = warm.prover_stats
         assert stats["unit_lookups"] == stats["unit_misses"] == 2
         assert stats["unit_hits"] == 0
@@ -416,11 +400,11 @@ class TestUnitGroups:
             return payload
 
         cache = cache_at(tmp_path)
-        reference = _check_pair(PAIR_SOURCE, CheckerOptions(jobs=1))
-        _check_pair(PAIR_SOURCE, CheckerOptions(jobs=1, cache_path=cache))
+        reference = _check_pair(PAIR_SOURCE, CheckerOptions())
+        _check_pair(PAIR_SOURCE, CheckerOptions(cache_path=cache))
         _rewrite_payloads(cache, rewrite)
         warm = _check_pair(PAIR_SOURCE,
-                           CheckerOptions(jobs=1, cache_path=cache))
+                           CheckerOptions(cache_path=cache))
         stats = warm.prover_stats
         assert stats["unit_hits"] == 0
         assert stats["unit_misses"] == stats["unit_lookups"] == 2
@@ -436,17 +420,17 @@ class TestUnitGroups:
                     "obligations": anchor[1], "deps": payload["deps"]}
 
         cache = cache_at(tmp_path)
-        reference = _check_pair(PAIR_SOURCE, CheckerOptions(jobs=1))
-        _check_pair(PAIR_SOURCE, CheckerOptions(jobs=1, cache_path=cache))
+        reference = _check_pair(PAIR_SOURCE, CheckerOptions())
+        _check_pair(PAIR_SOURCE, CheckerOptions(cache_path=cache))
         _rewrite_payloads(cache, legacy)
         warm = _check_pair(PAIR_SOURCE,
-                           CheckerOptions(jobs=1, cache_path=cache))
+                           CheckerOptions(cache_path=cache))
         stats = warm.prover_stats
         assert stats["unit_hits"] == 0
         assert stats["unit_stores"] == 1
         assert _fingerprint(warm) == _fingerprint(reference)
         rewarm = _check_pair(PAIR_SOURCE,
-                             CheckerOptions(jobs=1, cache_path=cache))
+                             CheckerOptions(cache_path=cache))
         assert rewarm.prover_stats["unit_hits"] == 2
 
 
@@ -518,11 +502,11 @@ class TestHeavyGroupReplay:
         from repro.programs import all_programs
         program = next(p for p in all_programs() if p.name == name)
         cache = cache_at(tmp_path)
-        reference = program.check(options=CheckerOptions(jobs=1))
+        reference = program.check(options=CheckerOptions())
         cold = program.check(
-            options=CheckerOptions(jobs=1, cache_path=cache))
+            options=CheckerOptions(cache_path=cache))
         warm = program.check(
-            options=CheckerOptions(jobs=1, cache_path=cache))
+            options=CheckerOptions(cache_path=cache))
         stats = warm.prover_stats
         assert stats["unit_hits"] == stats["unit_lookups"] == 2
         assert warm.prover_queries == 0

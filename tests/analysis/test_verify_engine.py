@@ -197,6 +197,19 @@ class TestTrustedCalls:
         assert not engine.prove_at(uid, ge(v("%g1"), 0), {}, 0)
 
 
+class TestObligationGeneration:
+    def test_deterministic_order_and_digests(self):
+        from repro.analysis.obligations import generate_obligations
+        program = next(p for p in fast_programs() if p.name == "hash")
+        annotations = program.check().annotations
+        first = generate_obligations(annotations)
+        second = generate_obligations(annotations)
+        assert [o.oid for o in first] == list(range(len(first)))
+        assert [(o.uid, o.digest) for o in first] \
+            == [(o.uid, o.digest) for o in second]
+        assert all(len(o.digest) == 64 for o in first)
+
+
 class TestEngineBookkeeping:
     def test_failed_targets_cached(self):
         engine, cfg, anns = build_engine(TestLoops.COUNTDOWN, BASIC_SPEC)
@@ -235,7 +248,7 @@ def _phase5(check, monkeypatch, full):
 
     def recording(self, engine, obligations):
         out = prove(self, engine, obligations)
-        touched.update(out[3])
+        touched.update(out[2])
         return out
 
     with monkeypatch.context() as patch:
@@ -269,7 +282,7 @@ class TestSlicedSweep:
     @pytest.mark.parametrize("program", fast_programs(),
                              ids=lambda p: p.name)
     def test_figure9_programs(self, program, monkeypatch):
-        check = lambda: program.check(options=CheckerOptions(jobs=1))
+        check = lambda: program.check(options=CheckerOptions())
         sliced = _phase5(check, monkeypatch, full=False)
         assert sliced == _phase5(check, monkeypatch, full=True)
 
@@ -279,7 +292,7 @@ class TestSlicedSweep:
                                    monkeypatch):
         check = lambda: check_assembly(source, spec, name=name,
                                        arch="riscv",
-                                       options=CheckerOptions(jobs=1))
+                                       options=CheckerOptions())
         sliced = _phase5(check, monkeypatch, full=False)
         assert sliced == _phase5(check, monkeypatch, full=True)
 

@@ -590,6 +590,6 @@ class TestWriteBehindFlush:
         from repro.analysis.checker import check_assembly
         warm = check_assembly(
             INCREMENTAL_SOURCE, INCREMENTAL_SPEC, name="incremental",
-            options=CheckerOptions(jobs=1, cache_path=path))
+            options=CheckerOptions(cache_path=path))
         assert warm.prover_stats["unit_pipeline_hits"] == 1
         assert warm.prover_stats["unit_hits"] > 0

@@ -1,8 +1,9 @@
 """Pickling of hash-consed terms and formulas.
 
-The parallel proof engine ships formulas to pool workers by pickle;
+The function-unit store (``repro.analysis.units``) pickles proof
+payloads into the persistent store and a later run loads them;
 unpickling must route through the interning constructors so the nodes
-land in the *receiving* process's intern tables with their structural
+land in the *loading* process's intern tables with their structural
 metadata (size, quantifier flag) intact, and the canonical digest used
 by the persistent prover cache must be stable across processes with
 different hash seeds.

@@ -168,6 +168,26 @@ class TestCaching:
         assert prover.stats.satisfiability_queries == 1
 
 
+class TestStatsSplit:
+    def test_reset_stats_keeps_caches(self):
+        prover = Prover()
+        f = conj(ge(v("x"), 0), ge(v("y"), 2))
+        prover.is_satisfiable(f)
+        prover.reset_stats()
+        assert prover.stats.satisfiability_queries == 0
+        prover.is_satisfiable(f)  # still answered from the raw cache
+        assert prover.stats.cache_hits == 1
+
+    def test_clear_caches_keeps_stats(self):
+        prover = Prover()
+        prover.is_satisfiable(ge(v("x"), 0))
+        queries = prover.stats.satisfiability_queries
+        prover.clear_caches()
+        assert prover.stats.satisfiability_queries == queries
+        prover.is_satisfiable(ge(v("x"), 0))
+        assert prover.stats.cache_hits == 0  # cache really was dropped
+
+
 _small_formula = st.recursive(
     st.builds(
         lambda coeffs, const, rel: rel(Linear(coeffs, const), 0),

@@ -140,6 +140,19 @@ class TestValidation:
         self.assert_400(url, {"code": SOURCE, "spec": SPEC,
                               "options": {"timeout_s": -1}})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_non_finite_timeout(self, url, value):
+        # Python's json writes and reads NaN/Infinity literals.
+        error = self.assert_400(url, {"code": SOURCE, "spec": SPEC,
+                                      "options": {"timeout_s": value}})
+        assert "timeout_s" in str(error)
+
+    def test_jobs_option_is_unsupported(self, url):
+        error = self.assert_400(url, {"code": SOURCE, "spec": SPEC,
+                                      "options": {"jobs": 2}})
+        assert "unsupported options: jobs" in str(error)
+
 
 class TestBackpressure:
     def test_queue_full_returns_429_with_retry_after(self):

@@ -138,3 +138,47 @@ class TestCfgAndRun:
         assert rc == 0
         out = capsys.readouterr().out
         assert "%o0=0x2a" in out  # 10+20+12 = 42
+
+
+def _argv(files, argv):
+    code, spec, __ = files
+    return [{"CODE": str(code), "SPEC": str(spec)}.get(a, a)
+            for a in argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "CODE", "SPEC", "--jobs", "2"],
+    ["check", "CODE", "SPEC", "--trace-formulas"],
+    ["serve", "--jobs", "2"],
+    ["submit", "CODE", "SPEC", "--jobs", "2"],
+    ["bench", "--prover-replay", "trace.jsonl"],
+], ids=["check-jobs", "check-trace-formulas", "serve-jobs", "submit-jobs",
+        "bench-replay"])
+def test_removed_flags_are_usage_errors(files, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(_argv(files, argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["check", "CODE", "SPEC", "--timeout"],
+    ["submit", "CODE", "SPEC", "--timeout"],
+    ["serve", "--timeout"],
+    ["fuzz", "run", "--check-timeout"],
+    ["fuzz", "reduce", "CODE", "--check-timeout"],
+    ["fuzz", "replay", "CODE", "--check-timeout"],
+], ids=["check", "submit", "serve", "fuzz-run", "fuzz-reduce",
+        "fuzz-replay"])
+def test_budget_must_be_finite_and_positive(files, capsys, argv, value):
+    """Every wall-clock budget flag takes a finite number of seconds
+    > 0; anything else is a usage error, never a run without a limit
+    or an instant timeout."""
+    argv = _argv(files, argv)
+    argv[-1] += "=" + value
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not a finite number of seconds > 0" \
+        in capsys.readouterr().err

@@ -1,5 +1,5 @@
-"""CLI surface of the benchmark layer: ``bench --prover-replay``, bare
-``bench``, and ``trace summarize --hotspots``."""
+"""CLI surface of the benchmark layer: bare ``bench`` and ``trace
+summarize --hotspots``."""
 
 import json
 
@@ -19,40 +19,12 @@ def files(tmp_path):
 
 
 @pytest.fixture()
-def formula_trace(files):
+def trace(files):
     code, spec, tmp = files
     trace = tmp / "trace.jsonl"
     assert main(["check", str(code), str(spec),
-                 "--trace", str(trace), "--trace-formulas"]) == 0
-    return trace, tmp
-
-
-class TestProverReplay:
-    def test_replay_reproduces_recorded_verdicts(self, formula_trace,
-                                                 capsys):
-        trace, tmp = formula_trace
-        output = tmp / "BENCH_prover.json"
-        assert main(["bench", "--prover-replay", str(trace),
-                     "--output", str(output)]) == 0
-        out = capsys.readouterr().out
-        assert "replayed" in out
-        report = json.loads(output.read_text())
-        assert report["queries"] > 0
-        assert report["verdict_parity"]["identical"]
-        assert set(report["configs"]) == {"full", "no-cache"}
-        for config in report["configs"].values():
-            assert config["mismatches"] == []
-            assert config["seconds"] >= 0.0
-
-    def test_replay_without_formulas_fails_cleanly(self, files,
-                                                   capsys):
-        code, spec, tmp = files
-        trace = tmp / "plain.jsonl"
-        assert main(["check", str(code), str(spec),
-                     "--trace", str(trace)]) == 0
-        assert main(["bench", "--prover-replay", str(trace),
-                     "--output", str(tmp / "out.json")]) == 2
-        assert "--trace-formulas" in capsys.readouterr().err
+                 "--trace", str(trace)]) == 0
+    return trace
 
 
 def test_bench_without_a_mode_points_at_perfbench(capsys):
@@ -61,16 +33,14 @@ def test_bench_without_a_mode_points_at_perfbench(capsys):
 
 
 class TestHotspots:
-    def test_summarize_hotspots(self, formula_trace, capsys):
-        trace, _ = formula_trace
+    def test_summarize_hotspots(self, trace, capsys):
         assert main(["trace", "summarize", str(trace),
                      "--hotspots"]) == 0
         out = capsys.readouterr().out
         assert "hot queries" in out
         assert "hot obligation sites" in out
 
-    def test_summarize_hotspots_json(self, formula_trace, capsys):
-        trace, _ = formula_trace
+    def test_summarize_hotspots_json(self, trace, capsys):
         assert main(["trace", "summarize", str(trace), "--hotspots",
                      "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
@@ -81,8 +51,7 @@ class TestHotspots:
                     for entry in hotspots["queries_by_digest"])
         assert total <= summary["queries"]["total"]
 
-    def test_summarize_without_flag_omits_hotspots(self, formula_trace,
+    def test_summarize_without_flag_omits_hotspots(self, trace,
                                                    capsys):
-        trace, _ = formula_trace
         assert main(["trace", "summarize", str(trace), "--json"]) == 0
         assert "hotspots" not in json.loads(capsys.readouterr().out)

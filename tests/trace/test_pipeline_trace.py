@@ -166,35 +166,6 @@ class TestTracingParity:
                  if r["name"] == "obligation"]
         assert any(s["attrs"]["proved"] is False for s in spans)
 
-    def test_jobs2_parity_and_worker_span_forwarding(self, tmp_path):
-        # "hash" has several obligation groups, so --jobs 2 really
-        # dispatches to pool workers; their spans must come back
-        # through the result pickles with process-unique ids.
-        program = next(p for p in fast_programs() if p.name == "hash")
-        path = str(tmp_path / "t.jsonl")
-        untraced = program.check(CheckerOptions(jobs=2))
-        traced = program.check(CheckerOptions(jobs=2, trace_path=path))
-        assert_parity(untraced, traced)
-        if traced.prover_stats.get("pool_tasks_dispatched"):
-            records = load_trace(path)
-            forwarded = [r for r in records
-                         if r["span_id"].startswith("w")]
-            assert forwarded
-            assert {r["pid"] for r in records} != \
-                {records[-1]["pid"]}  # spans from worker processes
-            local_ids = {r["span_id"] for r in records
-                         if not r["span_id"].startswith("w")}
-            assert not any(r["span_id"] in local_ids
-                           for r in forwarded)
-
-    def test_jobs2_matches_serial_traced(self, tmp_path):
-        program = next(p for p in fast_programs() if p.name == "hash")
-        serial = program.check(
-            CheckerOptions(trace_path=str(tmp_path / "s.jsonl")))
-        parallel = program.check(
-            CheckerOptions(jobs=2, trace_path=str(tmp_path / "p.jsonl")))
-        assert fingerprint(serial) == fingerprint(parallel)
-
 
 @pytest.mark.bench
 class TestTracingParityFull:

@@ -63,24 +63,6 @@ class TestTracer:
         assert len(tracer.drain()) == 1
         assert tracer.drain() == []
 
-    def test_forward_remaps_ids_and_parents(self):
-        worker = Tracer.buffered(trace_id="worker")
-        with worker.span("obligation", oid=1):
-            worker.event("prover:query", digest="d", cache="decided",
-                         formula_size=1, seconds=0.0, result=True)
-        shipped = worker.drain()
-        parent = Tracer.buffered(trace_id="parent")
-        with parent.span("phase:global_verification") as phase:
-            parent.forward(shipped, prefix="w0:")
-        records = parent.drain()
-        event, span, phase_span = records
-        assert span["span_id"].startswith("w0:")
-        assert span["parent_id"] == phase.id  # re-rooted worker root
-        assert event["parent_id"] == span["span_id"]
-        assert all(r["trace_id"] == "parent" for r in records)
-        # ids from different workers can never collide
-        assert phase_span["span_id"] == phase.id
-
     def test_to_path_writes_jsonl(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
         with Tracer.to_path(path) as tracer:
