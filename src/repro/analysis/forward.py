@@ -26,6 +26,7 @@ terminates without further machinery.
 
 from __future__ import annotations
 
+from collections import deque
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
@@ -430,14 +431,14 @@ class ForwardBounds:
         self.before[entry] = FactSet.from_formula(initial)
         after: Dict[int, FactSet] = {}
         visits: Dict[int, int] = {}
-        worklist = [entry]
+        worklist = deque([entry])
         queued = {entry}
         steps = 0
         while worklist and steps < 100_000:
             steps += 1
             if self._check_deadline is not None:
                 self._check_deadline()
-            uid = worklist.pop(0)
+            uid = worklist.popleft()
             queued.discard(uid)
             if uid != entry:
                 combined: Optional[FactSet] = None
@@ -461,10 +462,8 @@ class ForwardBounds:
                     combined = old.join(
                         combined, widen=count >= self.WIDENING_DELAY)
                     if combined == old:
-                        new_after = self._transfer(self.cfg.node(uid),
-                                                   combined)
-                        if after.get(uid) == new_after:
-                            continue
+                        # after[uid] is already transfer(old).
+                        continue
                 self.before[uid] = combined
                 visits[uid] = visits.get(uid, 0) + 1
             out_facts = self._transfer(self.cfg.node(uid),

@@ -109,9 +109,11 @@ class CheckerOptions:
     unsound_assume_categories: Tuple[str, ...] = ()
 
     #: Wall-clock budget for one check, in seconds; None means no
-    #: limit.  A check that exceeds it aborts discharge cleanly and
-    #: reports the distinct "undecided: timeout" verdict
-    #: (``CheckResult.timed_out``) instead of certifying or rejecting.
+    #: limit, anything else must pass :func:`valid_timeout` (the
+    #: constructor raises ``ValueError``).  A check that exceeds it
+    #: aborts discharge cleanly and reports the distinct "undecided:
+    #: timeout" verdict (``CheckResult.timed_out``) instead of
+    #: certifying or rejecting.
     timeout_s: Optional[float] = None
 
     #: JSONL trace output path (``repro check --trace``); None disables
@@ -128,3 +130,6 @@ class CheckerOptions:
         if jobs != 1:
             raise ValueError("jobs=%r: phase 5 runs in one process; "
                              "only jobs=1 is accepted" % (jobs,))
+        if self.timeout_s is not None and not valid_timeout(self.timeout_s):
+            raise ValueError("timeout_s=%r: a check budget is a finite "
+                             "number of seconds > 0" % (self.timeout_s,))

@@ -35,9 +35,10 @@ from repro.ir.ops import (
     CC_VAR, Assign, BinOp, ConstOp, Load, OpVisitor, Store,
 )
 from repro.logic.formula import (
-    Cong, Formula, TRUE, conj, eq, forall, fresh_variable, ge,
-    gt, implies, le, lt, ne, neg,
+    Cong, Formula, TRUE, conj, eq, forall, fresh_drawn, fresh_variable,
+    ge, gt, has_quantifier, implies, le, lt, ne, neg, skip_fresh,
 )
+from repro.logic.memo import BoundedCache
 from repro.logic.terms import Linear
 from repro.typesys.locations import LocationTable
 from repro.typesys.store import AbstractStore
@@ -64,8 +65,21 @@ _RELATION_FORMULA = {
 }
 
 
+#: BranchCondition -> its formula.  Conditions are frozen and hashable,
+#: and every sweep across an edge asks for the same formula again.
+_CONDITION_CACHE = BoundedCache()
+
+
 def condition_formula(condition: BranchCondition) -> Formula:
     """The linear constraint a CFG edge imposes."""
+    formula = _CONDITION_CACHE.get(condition)
+    if formula is None:
+        formula = _condition_formula(condition)
+        _CONDITION_CACHE.put(condition, formula)
+    return formula
+
+
+def _condition_formula(condition: BranchCondition) -> Formula:
     if condition.relation is None:
         # Overflow tests (bvs/bvc) carry no linear information; both
         # edges get TRUE, which makes the wlp require both paths.
@@ -107,21 +121,52 @@ def _size(f: Formula) -> int:
 
 def havoc(q: Formula, var: str) -> Formula:
     """∀v. Q[var ↦ v] — the value becomes unknown."""
-    if var not in q.free_variables():
-        return q
-    fresh = fresh_variable("$h")
-    return _eager_eliminate(
-        forall([fresh], q.substitute(var, Linear.var(fresh))))
+    return _havoc(q, var, None)
 
 
 def guarded_havoc(q: Formula, var: str, guard_of) -> Formula:
     """∀v. guard(v) → Q[var ↦ v] for partially known results."""
+    return _havoc(q, var, guard_of)
+
+
+#: (q, var, guard on :data:`_GUARD_PLACEHOLDER` or None) -> (the
+#: quantifier-free elimination, how many fresh names it drew).  Each
+#: havoc binds a new ``$h`` name, so ∀$hN.Q[var ↦ $hN] is a new formula
+#: every time and no formula memo ever sees it twice; this one is keyed
+#: on the inputs instead.  A result that keeps its ∀ (the body is over
+#: :data:`EAGER_QE_LIMIT` or the elimination gave up) still carries the
+#: fresh name and is not stored.
+_HAVOC_CACHE = BoundedCache()
+
+#: Stands for the havocked value in a guard's cache key; drawn names
+#: always end in a number, so it never occurs in a formula.
+_GUARD_PLACEHOLDER = Linear.var("$h")
+
+
+def _havoc(q: Formula, var: str, guard_of) -> Formula:
     if var not in q.free_variables():
         return q
+    # Drawn on a hit too, and a hit replays the elimination's own draws
+    # (Omega's quotient variables), so every later fresh name is the
+    # one recomputing would give.
     fresh = fresh_variable("$h")
-    body = implies(guard_of(Linear.var(fresh)),
-                   q.substitute(var, Linear.var(fresh)))
-    return _eager_eliminate(forall([fresh], body))
+    key = (q, var, None if guard_of is None
+           else guard_of(_GUARD_PLACEHOLDER))
+    cached = _HAVOC_CACHE.get(key)
+    if cached is not None:
+        result, draws = cached
+        skip_fresh(draws)
+        return result
+    drawn = fresh_drawn()
+    value = Linear.var(fresh)
+    if guard_of is None:
+        body = q.substitute(var, value)
+    else:
+        body = implies(guard_of(value), q.substitute(var, value))
+    result = _eager_eliminate(forall([fresh], body))
+    if not has_quantifier(result):
+        _HAVOC_CACHE.put(key, (result, fresh_drawn() - drawn))
+    return result
 
 
 def _mask_width(operand) -> Optional[int]:

@@ -37,6 +37,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.analysis.options import valid_timeout
 from repro.errors import FuzzError
 from repro.fuzz.generator import (
     ARCHS, Sketch, generate_sketch, instruction_count, make_vectors,
@@ -92,6 +93,11 @@ class CampaignConfig:
                 raise FuzzError("unknown architecture %r" % (arch,))
         if not self.archs:
             raise FuzzError("at least one architecture is required")
+        if self.check_timeout_s is not None \
+                and not valid_timeout(self.check_timeout_s):
+            raise FuzzError("check_timeout_s=%r: a check budget is a "
+                            "finite number of seconds > 0"
+                            % (self.check_timeout_s,))
         if self.budget_count is None and self.budget_seconds is None:
             self.budget_count = DEFAULT_BUDGET_COUNT
 

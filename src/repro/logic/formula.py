@@ -30,7 +30,7 @@ pointer identity is only ever a fast path.
 
 from __future__ import annotations
 
-import itertools
+import threading
 from typing import (
     Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple,
     Union,
@@ -751,15 +751,33 @@ def forall(variables: Sequence[str], body: Formula) -> Formula:
 # bound-variable refresh (capture avoidance)
 # ---------------------------------------------------------------------------
 
-# itertools.count increments atomically under the GIL, so concurrent
-# checker threads (the service worker pool) can never mint the same
-# name twice — a read-modify-write int here could.
-_fresh_counter = itertools.count(1)
+# The lock keeps concurrent checker threads (the service worker pool)
+# from minting the same name twice.
+_fresh_lock = threading.Lock()
+_fresh_drawn = 0
 
 
 def fresh_variable(stem: str = "$v") -> str:
     """A globally fresh variable name (thread-safe)."""
-    return "%s%d" % (stem, next(_fresh_counter))
+    global _fresh_drawn
+    with _fresh_lock:
+        _fresh_drawn += 1
+        number = _fresh_drawn
+    return "%s%d" % (stem, number)
+
+
+def fresh_drawn() -> int:
+    """How many fresh names have been drawn so far."""
+    return _fresh_drawn
+
+
+def skip_fresh(count: int) -> None:
+    """Advance the fresh-name counter as if *count* names had been
+    drawn: a memo hit replays the draws of the work it skips, so every
+    later name is the one a recomputation would have left."""
+    global _fresh_drawn
+    with _fresh_lock:
+        _fresh_drawn += count
 
 
 def _refresh_bound(quantified: Union[Exists, Forall],

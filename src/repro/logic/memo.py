@@ -5,7 +5,13 @@ key performance enhancement; the hash-consed formula representation
 (:mod:`repro.logic.terms`, :mod:`repro.logic.formula`) makes node
 hashing O(1), which in turn makes memoizing the pure structural
 transformations (``to_nnf``, ``to_dnf``, ``simplify``,
-``canonicalize``) nearly free.  Every cache in this module is
+``canonicalize``) nearly free.  Phase-5 wlp keeps two more
+(:mod:`repro.analysis.wlp`): edge-condition formulas, and the
+quantifier-free result of each havoc's eager elimination.  The havoc
+memo is keyed on its inputs (formula, variable, guard) rather than on
+``∀$hN. Q[var ↦ $hN]``: every havoc binds a fresh name, so that formula
+is new each time and no formula memo ever sees it twice.  Every cache
+in this module is
 
 * **explicitly size-bounded** — when a cache reaches its limit the
   oldest half of its entries is evicted (dicts preserve insertion

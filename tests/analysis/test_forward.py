@@ -4,7 +4,7 @@ extension)."""
 import pytest
 
 from repro import parse_spec
-from repro.analysis.forward import FactSet, ForwardBounds
+from repro.analysis.forward import FactSet, ForwardBounds, _FactTransfer
 from repro.analysis.prepare import prepare
 from repro.cfg import CFG, NodeRole, build_cfg, find_loops
 from repro.logic import Prover, congruent, conj, eq, ge, implies, le
@@ -198,3 +198,124 @@ class TestEngineIntegration:
         off = PROGRAM.check(options)
         assert on.safe and off.safe
         assert on.induction_runs < off.induction_runs
+
+
+# -- the fixpoint against its earlier loop ------------------------------------
+
+
+def _reference_run(self, initial):
+    """``ForwardBounds._run`` as it was before it skipped the no-op
+    re-transfer: a list worklist, and a node whose joined facts equal
+    its old ones is transferred again and compared with its output."""
+    from repro.cfg.graph import EdgeKind
+    entry = self.cfg.entry_uid
+    self.before[entry] = FactSet.from_formula(initial)
+    after = {}
+    visits = {}
+    worklist = [entry]
+    queued = {entry}
+    steps = 0
+    while worklist and steps < 100_000:
+        steps += 1
+        uid = worklist.pop(0)
+        queued.discard(uid)
+        if uid != entry:
+            combined = None
+            for edge in self.cfg.predecessors(uid):
+                if edge.kind is EdgeKind.RETURN:
+                    continue
+                source = after.get(edge.src)
+                if source is None:
+                    continue
+                flowed = self._along_edge(edge, source)
+                combined = flowed if combined is None \
+                    else combined.join(flowed)
+            if combined is None:
+                continue
+            old = self.before.get(uid)
+            if old is not None:
+                count = visits.get(uid, 0)
+                combined = old.join(
+                    combined, widen=count >= self.WIDENING_DELAY)
+                if combined == old:
+                    new_after = self._transfer(self.cfg.node(uid),
+                                               combined)
+                    if after.get(uid) == new_after:
+                        continue
+            self.before[uid] = combined
+            visits[uid] = visits.get(uid, 0) + 1
+        out_facts = self._transfer(self.cfg.node(uid), self.before[uid])
+        if after.get(uid) == out_facts:
+            continue
+        after[uid] = out_facts
+        for edge in self.cfg.successors(uid):
+            if edge.kind is EdgeKind.RETURN:
+                continue
+            if edge.dst not in queued:
+                queued.add(edge.dst)
+                worklist.append(edge.dst)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _forward_inputs(source, spec_text, arch):
+    """The CFG and initial facts a check hands the forward pass (the
+    check stops there)."""
+    from repro.analysis.checker import SafetyChecker
+    from repro.analysis.options import CheckerOptions
+    captured = []
+
+    def capture(self, cfg, initial, check_deadline=None):
+        captured.append((cfg, initial))
+        raise _Captured()
+
+    checker = SafetyChecker(source, parse_spec(spec_text),
+                            options=CheckerOptions(), arch=arch)
+    original = ForwardBounds.__init__
+    ForwardBounds.__init__ = capture
+    try:
+        with pytest.raises(_Captured):
+            checker.check()
+    finally:
+        ForwardBounds.__init__ = original
+        checker.close()
+    return captured[0]
+
+
+def _figure9_cases():
+    from repro.programs import all_programs
+    return [pytest.param(p.source, p.spec_text, "sparc", id=p.name)
+            for p in all_programs()]
+
+
+def _riscv_parity_cases():
+    from tests.ir.test_parity import RISCV_SPEC, RISCV_WRITE, TestLoopParity
+    loop = TestLoopParity
+    return [
+        pytest.param(RISCV_WRITE.format(offset=0), RISCV_SPEC, "riscv",
+                     id="rv-write-0"),
+        pytest.param(RISCV_WRITE.format(offset=40), RISCV_SPEC, "riscv",
+                     id="rv-write-40"),
+        pytest.param(loop.RISCV_SUM, loop.RISCV_SUM_SPEC, "riscv",
+                     id="rv-sum"),
+        pytest.param(loop.RISCV_SUM.replace("blt t0,a1,5", "bge a1,t0,5"),
+                     loop.RISCV_SUM_SPEC, "riscv", id="rv-sum-off-by-one"),
+    ]
+
+
+@pytest.mark.parametrize("source, spec_text, arch",
+                         _figure9_cases() + _riscv_parity_cases())
+def test_fixpoint_matches_reference_loop(source, spec_text, arch):
+    cfg, initial = _forward_inputs(source, spec_text, arch)
+    forward = ForwardBounds(cfg, initial)
+    reference = ForwardBounds.__new__(ForwardBounds)
+    reference.cfg = cfg
+    reference.before = {}
+    reference._transfer_visitor = _FactTransfer()
+    reference._check_deadline = None
+    _reference_run(reference, initial)
+    assert forward.before.keys() == reference.before.keys()
+    for uid, facts in reference.before.items():
+        assert forward.before[uid] == facts, uid

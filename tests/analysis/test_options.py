@@ -1,5 +1,5 @@
-"""``CheckerOptions``: environment defaults and the constructor-only
-``jobs`` argument."""
+"""``CheckerOptions``: environment defaults, the constructor-only
+``jobs`` argument and the ``timeout_s`` budget rule."""
 
 import dataclasses
 import pickle
@@ -44,3 +44,22 @@ class TestTimeoutRule:
         True, None, "5"])
     def test_everything_else_is_invalid(self, value):
         assert not valid_timeout(value)
+
+
+class TestTimeoutOption:
+    """The library API applies the same budget rule as the CLI and the
+    server: a NaN budget would never expire and a zero one would give
+    up before checking anything."""
+
+    @pytest.mark.parametrize("value", [0, -1, float("nan"), float("inf")])
+    def test_invalid_budget_raises(self, value):
+        with pytest.raises(ValueError, match="timeout_s"):
+            CheckerOptions(timeout_s=value)
+
+    @pytest.mark.parametrize("value", [None, 1e-9, 5])
+    def test_valid_budget_constructs(self, value):
+        assert CheckerOptions(timeout_s=value).timeout_s == value
+
+    def test_replace_applies_the_rule(self):
+        with pytest.raises(ValueError, match="timeout_s"):
+            dataclasses.replace(CheckerOptions(), timeout_s=float("nan"))

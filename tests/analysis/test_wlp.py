@@ -5,15 +5,21 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.analysis.wlp as wlp
+from repro.analysis.options import CheckerOptions
 from repro.analysis.wlp import (
     ICC, WlpTransfer, condition_formula, guarded_havoc, havoc,
     operand_term,
 )
 from repro.cfg.graph import BranchCondition, Node, NodeRole
+from repro.ir.ops import ConstOp, RegOp
 from repro.logic import (
-    Prover, TRUE, conj, congruent, disj, eq, ge, le, lt,
+    FALSE, Prover, TRUE, conj, congruent, disj, eq, ge, le, lt,
 )
+from repro.logic.formula import Cong, fresh_drawn, has_quantifier
+from repro.logic.memo import clear_all_caches
 from repro.logic.terms import Linear
+from repro.programs.stack_smashing import PROGRAM as STACK_SMASHING
 from repro.riscv.assembler import assemble as rv_assemble
 from repro.sparc import assemble
 from repro.typesys.access import access
@@ -151,7 +157,6 @@ class TestConditionCodes:
         assert Prover().equivalent(out, expected)
 
     def test_branch_condition_formulas(self):
-        from repro.ir.ops import ConstOp, RegOp
         icc_lt = BranchCondition("<", RegOp(ICC), ConstOp(0), taken=True)
         assert condition_formula(icc_lt) == lt(v(ICC), 0)
         icc_ge = BranchCondition("<", RegOp(ICC), ConstOp(0), taken=False)
@@ -342,3 +347,121 @@ def test_early_out_agrees_with_substitution_path(text, q):
         full = transfer._assign_op(op, q)
         # Each havoc names a fresh variable: compare up to those names.
         assert _fresh_names_erased(out) == _fresh_names_erased(full)
+
+
+# -- the havoc and edge-condition memos ----------------------------------------
+
+
+def _mask_guard(rs1, modulus):
+    """The guard ``_assign_op`` gives ``and rs1, 2^k - 1, dest``."""
+    return lambda value: conj(Cong(value - rs1, modulus), ge(value, 0),
+                              lt(value, modulus))
+
+
+def _drawn_by(call):
+    """The result of *call* and how many fresh names it drew."""
+    before = fresh_drawn()
+    result = call()
+    return result, fresh_drawn() - before
+
+
+_MEMO_ATOMS = st.tuples(
+    st.sampled_from(["x", "y", "z"]), st.sampled_from(["x", "y", "z"]),
+    st.integers(-2, 2), st.integers(-4, 4),
+    st.sampled_from(["ge", "cong"])).map(_atom)
+_MEMO_FORMULAS = st.tuples(st.lists(_MEMO_ATOMS, min_size=1, max_size=3),
+                           st.booleans()).map(
+    lambda parts: conj(*parts[0]) if parts[1] else disj(*parts[0]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(q=_MEMO_FORMULAS, modulus=st.sampled_from([None, 2, 8]))
+def test_warm_havoc_returns_the_cold_result(q, modulus):
+    """A second havoc of the same (q, var, guard) returns the stored
+    formula itself and moves the fresh-name counter exactly as far as
+    the first, so every later fresh name is unchanged."""
+    if modulus is None:
+        def run():
+            return havoc(q, "x")
+    else:
+        guard = _mask_guard(v("y"), modulus)
+
+        def run():
+            return guarded_havoc(q, "x", guard)
+    clear_all_caches()
+    cold, cold_draws = _drawn_by(run)
+    warm, warm_draws = _drawn_by(run)
+    assert warm_draws == cold_draws
+    if "x" not in q.free_variables():
+        assert cold is q and warm is q and cold_draws == 0
+    elif has_quantifier(cold):
+        # Not stored: the ∀ binds the new fresh name of each call.
+        assert warm is not cold and cold_draws == 1
+    else:
+        assert warm is cold and cold_draws >= 1
+
+
+def test_guards_key_the_memo_apart():
+    clear_all_caches()
+    q = ge(v("x"), 1)
+    results = [guarded_havoc(q, "x", _mask_guard(v("y"), 2)),
+               guarded_havoc(q, "x", _mask_guard(v("y"), 4)),
+               havoc(q, "x")]
+    prover = Prover()
+    # x := y & 1 needs y odd; x := y & 3 needs y ≢ 0 (mod 4).
+    assert prover.equivalent(results[0], congruent(v("y"), 2, 1))
+    assert prover.equivalent(results[1],
+                             disj(*(congruent(v("y"), 4, r)
+                                    for r in range(1, 4))))
+    assert results[2] is FALSE
+    assert len(wlp._HAVOC_CACHE) == 3
+
+
+def test_quantified_result_is_not_stored(monkeypatch):
+    """Above EAGER_QE_LIMIT the ∀ stays and names the call's own fresh
+    variable; storing it would hand that name to a later call."""
+    monkeypatch.setattr(wlp, "EAGER_QE_LIMIT", 0)
+    clear_all_caches()
+    q = ge(v("x"), 3)
+    first = havoc(q, "x")
+    second = havoc(q, "x")
+    assert has_quantifier(first) and has_quantifier(second)
+    assert first is not second
+    assert len(wlp._HAVOC_CACHE) == 0
+
+
+def test_condition_formula_is_built_once():
+    clear_all_caches()
+    first = condition_formula(
+        BranchCondition("<", RegOp("a0"), RegOp("a1"), taken=False))
+    again = condition_formula(
+        BranchCondition("<", RegOp("a0"), RegOp("a1"), taken=False))
+    assert again is first
+    assert condition_formula(
+        BranchCondition("<", RegOp("a0"), ConstOp(0))) is not first
+
+
+def test_clear_all_caches_empties_both_memos():
+    havoc(ge(v("x"), 3), "x")
+    condition_formula(BranchCondition(">=", RegOp("x"), ConstOp(0)))
+    assert len(wlp._HAVOC_CACHE) and len(wlp._CONDITION_CACHE)
+    clear_all_caches()
+    assert len(wlp._HAVOC_CACHE) == 0 and len(wlp._CONDITION_CACHE) == 0
+
+
+def test_stack_smashing_eliminates_each_havoc_once(monkeypatch):
+    """Without the memo a stack-smashing check runs 452 eager
+    eliminations, 399 of them on a (q, var) pair it has already
+    eliminated; with it, one per distinct pair (53)."""
+    calls = []
+    eliminate = wlp._eager_eliminate
+
+    def counting(f):
+        calls.append(f)
+        return eliminate(f)
+
+    monkeypatch.setattr(wlp, "_eager_eliminate", counting)
+    clear_all_caches()
+    result = STACK_SMASHING.check(CheckerOptions())
+    assert not result.timed_out
+    assert 0 < len(calls) <= 60

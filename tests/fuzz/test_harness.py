@@ -38,6 +38,16 @@ class TestConfig:
         with pytest.raises(FuzzError):
             CampaignConfig(archs=())
 
+    @pytest.mark.parametrize("value", [0, -1, float("nan"), float("inf")])
+    def test_invalid_check_timeout_rejected(self, value):
+        with pytest.raises(FuzzError, match="check_timeout_s"):
+            CampaignConfig(check_timeout_s=value)
+
+    @pytest.mark.parametrize("value", [None, 1e-9, 60.0])
+    def test_valid_check_timeout_kept(self, value):
+        assert CampaignConfig(check_timeout_s=value).check_timeout_s \
+            == value
+
 
 class TestExamineSeed:
     def test_agreeing_seed(self):
