@@ -3,7 +3,7 @@
 
 Boots the sharded check service at several configurations (1-shard
 baseline, N-shard fresh, N-shard mixed-duplicate with the shared
-persistent cache), drives a concurrent mixed workload over both
+replay store), drives a concurrent mixed workload over both
 frontends, and writes throughput, p50/p95/p99 latency, shard balance,
 and dedup/unit-cache hit rates to ``BENCH_service.json``.  Exits
 non-zero if any verdict fingerprint differs across configurations or

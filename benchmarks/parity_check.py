@@ -16,13 +16,11 @@ must also answer nothing from a cache.  This is the verdict gate of
 the prover cache; the timed benchmark is perfbench
 (``perfbench/run.py``).
 
-With ``--incremental`` each program also runs under the
-function-granular verdict cache — no cache, cold cache, warm cache,
-and cache-with-replay-disabled — and every verdict fingerprint must
-match; the unchanged warm re-check must also replay phases 2-4 and
-every phase-5 unit (``unit_hits == unit_lookups``); a dedicated
-multi-function
-program then checks the edit-one-function path: priming the cache with
+With ``--incremental`` each program also runs against the replay
+store — cold and warm — and every verdict fingerprint must match the
+store-free reference run; the unchanged warm re-check must also replay
+phases 2-4 and every phase-5 unit (``unit_hits == unit_lookups``); a
+dedicated multi-function program then checks the edit-one-function path: priming the cache with
 the base program and re-checking an edited variant must replay the
 untouched functions (``unit_hits > 0``) and still match a cache-free
 check of the edited program exactly.
@@ -126,19 +124,16 @@ def compare_ablations(name, reference, check, failures):
 
 
 def compare_incremental(name, reference, check, failures):
-    """Verdict parity of one program across the unit-cache states."""
+    """Verdict parity of one program across the replay-store states."""
     scratch = tempfile.mkdtemp(prefix="repro-parity-")
     cache = os.path.join(scratch, "cache.sqlite")
     try:
         cold = check(CheckerOptions(cache_path=cache))
         warm = check(CheckerOptions(cache_path=cache))
-        plain = check(CheckerOptions(cache_path=cache,
-                                     enable_unit_cache=False))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     want = fingerprint(reference)
-    ok = want == fingerprint(cold) == fingerprint(warm) \
-        == fingerprint(plain)
+    ok = want == fingerprint(cold) == fingerprint(warm)
     stats = warm.prover_stats
     pipeline_hits = stats.get("unit_pipeline_hits", 0)
     hits = stats.get("unit_hits", 0)
@@ -272,10 +267,9 @@ def main():
                              "(no-prover-cache) against the default "
                              "configuration")
     parser.add_argument("--incremental", action="store_true",
-                        help="also check the function-granular "
-                             "verdict cache (no cache / cold / warm / "
-                             "replay disabled, plus the edit-one-"
-                             "function path) against the default "
+                        help="also check the replay store (cold / "
+                             "warm, plus the edit-one-function path) "
+                             "against the store-free default "
                              "configuration")
     args = parser.parse_args()
     if not (args.ablations or args.incremental):
@@ -293,7 +287,7 @@ def main():
         return 1
     checked = [label for flag, label in (
         (args.ablations, "under the prover cache ablation"),
-        (args.incremental, "across every unit-cache state")) if flag]
+        (args.incremental, "across every replay-store state")) if flag]
     print("all verdicts identical to the default configuration %s"
           % " and ".join(checked))
     return 0

@@ -71,6 +71,14 @@ class SafetyChecker:
             self.program.name = name
         self.spec = spec
         self.options = options or CheckerOptions()
+        # The replay store is always the checker's own handle on
+        # ``options.cache_path``; close() releases it.  Opened first: a
+        # path that is not a store raises before anything else opens.
+        self.persistent = None
+        if self.options.cache_path:
+            from repro.logic.persist import PersistentProverCache
+            self.persistent = PersistentProverCache(
+                self.options.cache_path)
         # An injected tracer (the service traces each job into its own
         # file) is borrowed; otherwise the checker opens — and owns —
         # the sink named by ``options.trace_path``, if any.
@@ -83,35 +91,18 @@ class SafetyChecker:
         else:
             self.tracer = NULL_TRACER
         # An injected prover (the service keeps one warm prover per
-        # worker) is borrowed, caches and persistent store included:
-        # satisfiability depends only on the formula, so cross-request
-        # reuse is sound.  close() then leaves it untouched.
-        self._owns_prover = prover is None
-        if prover is not None:
-            self.persistent = prover.persistent
-            self.prover = prover
-            return
-        self.persistent = None
-        if self.options.cache_path:
-            from repro.logic.persist import PersistentProverCache
-            self.persistent = PersistentProverCache(
-                self.options.cache_path)
-        self.prover = Prover(
-            enable_cache=self.options.enable_prover_cache,
-            persistent=self.persistent,
-        )
+        # worker) is borrowed with its caches: satisfiability depends
+        # only on the formula, so cross-request reuse is sound.
+        self.prover = prover if prover is not None else Prover(
+            enable_cache=self.options.enable_prover_cache)
 
     # -- teardown -----------------------------------------------------------------
 
     def close(self) -> None:
         """Release checker-owned resources deterministically: flush and
-        close the persistent prover cache (when this checker created
-        it) so long-lived hosts — the check service's workers — never
-        leak SQLite handles across reconfigurations.  Borrowed provers
-        are only flushed; their owner closes them."""
-        if self.prover is not None:
-            self.prover.flush_persistent()
-        if self._owns_prover and self.persistent is not None:
+        close the replay store so long-lived hosts — the check
+        service's workers — never leak SQLite handles."""
+        if self.persistent is not None:
             self.persistent.close()
         if self._owns_tracer:
             self.tracer.close()
@@ -146,13 +137,12 @@ class SafetyChecker:
             # finished check's budget or trace sink.
             self.prover.deadline = None
             self.prover.tracer = NULL_TRACER
+            if self.persistent is not None:
+                self.persistent.flush()
 
     def _timeout_result(self) -> CheckResult:
         """The distinct "undecided: timeout" verdict: the check was
         aborted, so the program is neither certified nor rejected."""
-        prover_stats = self.prover.stats.as_dict()
-        if self.persistent is not None:
-            self.persistent.flush()
         return CheckResult(
             name=self.program.name,
             safe=False,
@@ -160,7 +150,7 @@ class SafetyChecker:
             arch=self._arch_name(),
             characteristics=ProgramCharacteristics(),
             times=PhaseTimes(),
-            prover_stats=prover_stats,
+            prover_stats=self.prover.stats.as_dict(),
         )
 
     def _arch_name(self) -> str:
@@ -196,14 +186,14 @@ class SafetyChecker:
             CallGraph(cfg).check_no_recursion()
         times.preparation = time.perf_counter() - t0
 
-        # Phases 2–4 replay: with a persistent cache, the phase 2–4
+        # Phases 2–4 replay: with a replay store, the phase 2–4
         # artifacts of an unchanged program (body + CFG structure, spec,
         # verdict-affecting options all digest-identical) come from the
         # store — a warm unchanged re-check is digest computation plus
         # lookups end-to-end.
         pipeline = None
         replayed = None
-        if self.persistent is not None and self.options.enable_unit_cache:
+        if self.persistent is not None:
             from repro.analysis.units import PipelineCache
             pipeline = PipelineCache(cfg, self.spec, self.options,
                                      self._arch_name(), self.persistent)
@@ -269,9 +259,10 @@ class SafetyChecker:
                 # exist now).  A later phase-5 timeout does not unstore
                 # them — they are complete, and the next attempt with a
                 # bigger budget replays straight through to phase 5.
-                pipeline.store(propagation, annotations,
-                               local_violations,
-                               self._header_facts(engine))
+                from repro.analysis.units import PipelineReplay
+                pipeline.store(PipelineReplay(
+                    propagation, annotations, local_violations,
+                    self._header_facts(engine)))
             proofs, global_violations, unit_stats = \
                 self._discharge(engine, annotations)
         times.global_verification = time.perf_counter() - t0
@@ -282,9 +273,6 @@ class SafetyChecker:
         prover_stats.update(unit_stats)
         if pipeline is not None:
             prover_stats.update(pipeline.stats)
-        if self.persistent is not None:
-            self.persistent.flush()
-            prover_stats["persistent_cache_size"] = len(self.persistent)
         return CheckResult(
             name=self.program.name,
             safe=not violations,
@@ -304,7 +292,7 @@ class SafetyChecker:
         function unit: groups of units whose content digests and
         dependency context match a stored verdict replay it
         (``unit_hits``), the rest are proved fresh.  Returns (records,
-        violations, unit-cache counters); without a persistent cache
+        violations, unit-cache counters); without a replay store
         every obligation is proved fresh and there are no counters."""
         from repro.analysis.obligations import generate_obligations
         obligations = generate_obligations(annotations)
@@ -314,10 +302,8 @@ class SafetyChecker:
 
         from repro.analysis.units import UnitManager, partition_units
         manager = UnitManager(engine, self.persistent, self.options,
-                              self._arch_name(),
-                              enabled=self.options.enable_unit_cache)
-        units = partition_units(engine, obligations) \
-            if manager.enabled else []
+                              self._arch_name())
+        units = partition_units(engine, obligations)
         groups, fresh_units = manager.lookup(units)
         fresh = list(obligations)
         if groups:

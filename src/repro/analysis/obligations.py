@@ -32,7 +32,7 @@ class Obligation:
     """One global safety precondition, decoupled from its discharge.
 
     The digest is the process-stable canonical-form key of the formula
-    (also used by the persistent prover cache)."""
+    (also part of the replay store's unit payloads)."""
 
     oid: int        #: position in the deterministic generation order
     uid: int        #: CFG node the condition must hold before

@@ -84,19 +84,14 @@ class CheckerOptions:
     #: Worklist iteration guard for typestate propagation.
     max_propagation_steps: int = 200_000
 
-    #: Path of the persistent cross-run prover cache (SQLite); None
-    #: disables it.  Defaults to ``$REPRO_CACHE`` when set.
+    #: Path of the replay store (SQLite): phase 2–4 results and
+    #: phase-5 verdict groups of earlier checks, replayed when their
+    #: content digests match (:mod:`repro.analysis.units`); None
+    #: disables it.  Replay is verdict-neutral by construction: it is
+    #: parity-gated and aborts back to a full fresh run whenever
+    #: independence cannot be established.  Defaults to
+    #: ``$REPRO_CACHE`` when set.
     cache_path: Optional[str] = field(default_factory=_default_cache_path)
-
-    #: Function-granular verdict reuse: when a persistent cache is
-    #: configured, store per-function proved-obligation summaries keyed
-    #: on (function-body digest, reaching typestate/spec context,
-    #: verdict-affecting options) and replay them on re-checks whose
-    #: digests match (``--no-unit-cache`` disables just this layer
-    #: while keeping the formula-level cache).  Verdict-neutral by
-    #: construction: replay is parity-gated and aborts back to a full
-    #: fresh run whenever independence cannot be established.
-    enable_unit_cache: bool = True
 
     #: Test-only fault injection for the differential fuzzer's
     #: self-test: obligation categories (e.g. ``"array-bounds"``) that

@@ -157,13 +157,6 @@ class CheckResult:
                    s.get("conjunct_cache_hits", 0),
                    s.get("conjunct_queries", 0),
                    s.get("resource_fallbacks", 0)))
-            if s.get("persistent_cache_hits") \
-                    or s.get("persistent_cache_stores"):
-                lines.append(
-                    "  persistent cache: hits=%d stores=%d size=%s"
-                    % (s.get("persistent_cache_hits", 0),
-                       s.get("persistent_cache_stores", 0),
-                       s.get("persistent_cache_size", "?")))
             if s.get("unit_lookups"):
                 lines.append(
                     "  units: lookups=%d hits=%d misses=%d replayed=%d "

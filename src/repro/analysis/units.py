@@ -20,8 +20,8 @@ its verdicts:
   is ``timeout_s`` — a sound verdict replayed under a timeout is a
   feature, and timed-out runs never store units).
 
-The :class:`UnitManager` stores units as *groups* in the persistent
-SQLite store (:meth:`repro.logic.persist.PersistentProverCache.get_unit`)
+The :class:`UnitManager` stores units as *groups* in the replay
+store (:meth:`repro.logic.persist.PersistentProverCache.get_unit`)
 and replays whole groups before proving; warm-path cost for an
 unchanged group is hashing plus one indexed lookup.
 
@@ -64,28 +64,25 @@ obligations' proofs touched.  Replay follows these rules:
   might otherwise observe different memo state than a full uncached
   run would have produced, and parity is the contract.
 
-**Phase 2–4 payloads.**  The same store also holds per-function
-*pipeline* payloads (:class:`PipelineCache`): the typestate-propagation
-fixpoint, the phase-3 annotations, the phase-4 local verdicts, and the
-loop-header forward facts.  Their keys cannot reuse
-:func:`function_input_digest` — it embeds the propagation stores and
-header facts, i.e. the very outputs being cached — so they key on the
-store-free :func:`function_structure_digest` (body + CFG edges only),
-computable right after phase 1.  Soundness is simpler than for the
-phase-5 verdicts: phases 2–4 are *pure, order-independent* functions of
-(program, spec, verdict-affecting options) with no cross-obligation
-memo state, so the claimed-set and abort-replay rules do not apply to
-them — validity is exactly "every function's structure digest and the
-program layout match" (propagation is interprocedural, so the
-dependency set of every payload is the whole program: one group
-holding every function, by construction).  Replay is
-all-or-nothing for the same reason.  The artifacts are uid-keyed, and
-uid assignment is a deterministic function of the instruction stream,
-so the recorded :func:`program_layout_digest` (labels, uids, absolute
-indices, in program order) pins replay to programs whose uids are
-byte-for-byte those of the producing run — e.g. two functions swapped
-in the file have unchanged per-function digests but a different
-layout, and correctly miss.
+**Phase 2–4 payloads.**  The same store also holds one *pipeline*
+payload per program (:class:`PipelineCache`): the typestate-propagation
+fixpoint, the phase-3 annotations, the phase-4 local verdicts in report
+order, and the loop-header forward facts.  Its key cannot reuse
+:func:`function_input_digest` — that embeds the propagation stores and
+header facts, i.e. the very outputs being cached — so it combines the
+store-free :func:`function_structure_digest` (body + CFG edges only,
+computable right after phase 1) of every function.  Soundness is
+simpler than for the phase-5 verdicts: phases 2–4 are *pure,
+order-independent* functions of (program, spec, verdict-affecting
+options) with no cross-obligation memo state, and propagation is
+interprocedural, so the payload depends on the whole program and
+replay is all-or-nothing.  The artifacts are uid-keyed, and uid
+assignment is a deterministic function of the instruction stream, so
+the key also carries the :func:`program_layout_digest` (labels, uids,
+absolute indices, in program order): it pins replay to programs whose
+uids are byte-for-byte those of the producing run — e.g. two functions
+swapped in the file have unchanged per-function digests but a
+different layout, and correctly miss.
 """
 
 from __future__ import annotations
@@ -111,11 +108,7 @@ UNIT_SCHEMA = 2
 
 #: Bump when the pipeline (phase 2–4) payload layout or digest recipe
 #: changes.
-PIPELINE_SCHEMA = 1
-
-#: ``units.kind`` column value for phase 2–4 payload rows ("unit" marks
-#: the phase-5 verdict rows).
-PIPELINE_KIND = "pipeline"
+PIPELINE_SCHEMA = 2
 
 #: Checker options whose value can change phase-5 verdicts.  Everything
 #: else (the prover cache, tracing) is parity-gated to be
@@ -352,13 +345,11 @@ class UnitManager:
     One instance per check; all digests are memoized for the run."""
 
     def __init__(self, engine: VerificationEngine, persistent,
-                 options: CheckerOptions, arch: str,
-                 enabled: bool = True):
+                 options: CheckerOptions, arch: str):
         self.engine = engine
         self.persistent = persistent
         self.options = options
         self.arch = arch
-        self.enabled = bool(enabled and persistent is not None)
         self.stats: Dict[str, int] = {
             "unit_lookups": 0,
             "unit_hits": 0,
@@ -407,8 +398,6 @@ class UnitManager:
         for replay and the units left to prove fresh.  Each unit not
         already covered by an accepted group is looked up under its own
         key; a hit there replays every member of the stored group."""
-        if not self.enabled:
-            return [], list(units)
         position = {unit.label: index
                     for index, unit in enumerate(units)}
         groups: List[ReplayedGroup] = []
@@ -552,8 +541,6 @@ class UnitManager:
         (in unit order): the connected components of the "dependency
         sets overlap" relation, where a unit's dependency set is its
         own label plus every function its proofs touched."""
-        if not self.enabled:
-            return
         parent: Dict[str, str] = {}
 
         def find(label: str) -> str:
@@ -632,25 +619,22 @@ class PipelineReplay:
 
 class PipelineCache:
     """Content-addressed storage and replay of the phase 2–4 artifacts,
-    one payload row per function (``kind='pipeline'`` in the store).
+    one payload per program (``kind='pipeline'`` in the store).
 
-    Propagation is interprocedural — a caller edit changes a callee's
-    reaching typestates — so every payload's dependency set is the
-    whole program and replay is all-or-nothing: one missing or stale
-    function reruns phases 2–4 in full (and restores every row).
-    Phases 2–4 are pure, order-independent functions of their inputs,
-    so none of the phase-5 claimed-set/abort machinery applies; see the
-    module docstring."""
+    The key covers every function's structure digest and the program
+    layout, so one edited function misses and reruns phases 2–4 in
+    full, which then store a new payload.  Phases 2–4 are pure,
+    order-independent functions of their inputs, so none of the
+    phase-5 claimed-set/abort machinery applies; see the module
+    docstring."""
 
     def __init__(self, cfg: CFG, spec: HostSpec,
-                 options: CheckerOptions, arch: str, persistent,
-                 enabled: bool = True):
+                 options: CheckerOptions, arch: str, persistent):
         self.cfg = cfg
         self.spec = spec
         self.options = options
         self.arch = arch
         self.persistent = persistent
-        self.enabled = bool(enabled and persistent is not None)
         self.stats: Dict[str, int] = {
             "unit_pipeline_lookups": 0,
             "unit_pipeline_hits": 0,
@@ -658,168 +642,44 @@ class PipelineCache:
             "unit_pipeline_replayed_functions": 0,
             "unit_pipeline_stores": 0,
         }
-        self._structure: Dict[str, str] = {}
-        self._layout: Optional[str] = None
-        self._spec_digest: Optional[str] = None
-        self._options_digest: Optional[str] = None
+        self._key: Optional[str] = None
 
-    # -- digests -------------------------------------------------------------
-
-    def structure_digest(self, label: str) -> str:
-        digest = self._structure.get(label)
-        if digest is None:
-            digest = function_structure_digest(self.cfg, label)
-            self._structure[label] = digest
-        return digest
-
-    def layout_digest(self) -> str:
-        if self._layout is None:
-            self._layout = program_layout_digest(self.cfg)
-        return self._layout
-
-    def key(self, label: str) -> str:
-        if self._spec_digest is None:
-            self._spec_digest = spec_digest(self.spec)
-            self._options_digest = options_digest(self.options)
-        from repro import __version__
-        return text_digest(
-            "pipeline", PIPELINE_SCHEMA, __version__, self.arch,
-            self._spec_digest, self._options_digest, label,
-            self.structure_digest(label))
-
-    def _deps(self) -> Dict[str, str]:
-        return {label: self.structure_digest(label)
-                for label in self.cfg.functions}
-
-    # -- lookup / replay -----------------------------------------------------
+    def key(self) -> str:
+        if self._key is None:
+            from repro import __version__
+            self._key = text_digest(
+                "pipeline", PIPELINE_SCHEMA, __version__, self.arch,
+                spec_digest(self.spec), options_digest(self.options),
+                program_layout_digest(self.cfg),
+                *(function_structure_digest(self.cfg, label)
+                  for label in self.cfg.functions))
+        return self._key
 
     def lookup(self) -> Optional[PipelineReplay]:
-        """The whole program's phase 2–4 artifacts, or None when any
-        function misses (all-or-nothing)."""
-        if not self.enabled:
-            return None
+        """The whole program's phase 2–4 artifacts, or None."""
         self.stats["unit_pipeline_lookups"] += 1
-        deps = self._deps()
-        layout = self.layout_digest()
-        rows: List[Dict[str, Any]] = []
-        for label in self.cfg.functions:
-            match = None
-            for payload in self.persistent.get_unit(self.key(label)):
-                if self._payload_valid(label, payload, deps, layout):
-                    match = payload
-                    break
-            if match is None:
-                self.stats["unit_pipeline_misses"] += 1
-                return None
-            rows.append(match)
-        replay = self._decode(rows)
-        if replay is None:
-            # Undecodable blob (e.g. written by a different build):
-            # degrade to a miss, never fail the check.
+        payload = self.persistent.get(self.key())
+        replay = None
+        try:
+            replay = pickle.loads(base64.b64decode(payload["blob"]))
+        except Exception:
+            # No row, or an undecodable blob (e.g. written by a
+            # different build): a miss, never a failed check.
+            pass
+        if not isinstance(replay, PipelineReplay):
             self.stats["unit_pipeline_misses"] += 1
             return None
         self.stats["unit_pipeline_hits"] += 1
-        self.stats["unit_pipeline_replayed_functions"] += len(rows)
+        self.stats["unit_pipeline_replayed_functions"] += \
+            len(self.cfg.functions)
         return replay
 
-    def _payload_valid(self, label: str, payload: Dict[str, Any],
-                       deps: Dict[str, str], layout: str) -> bool:
-        return (isinstance(payload, dict)
-                and payload.get("schema") == PIPELINE_SCHEMA
-                and payload.get("function") == label
-                and payload.get("layout") == layout
-                and payload.get("deps") == deps)
-
-    def _decode(self, rows: List[Dict[str, Any]]
-                ) -> Optional[PipelineReplay]:
-        inputs: Dict[int, Any] = {}
-        outputs: Dict[int, Any] = {}
-        annotations: Dict[int, NodeAnnotation] = {}
-        headers: Dict[int, Formula] = {}
-        ordered: List[Tuple[int, Violation]] = []
-        steps = 0
+    def store(self, replay: PipelineReplay) -> None:
+        """Persist freshly computed phase 2–4 artifacts."""
         try:
-            for payload in rows:
-                blob = pickle.loads(base64.b64decode(payload["blob"]))
-                inputs.update(blob["inputs"])
-                outputs.update(blob["outputs"])
-                annotations.update(blob["annotations"])
-                headers.update(blob["headers"])
-                steps = max(steps, int(payload.get("steps", 0)))
-                for seq, index, category, description, phase \
-                        in payload["violations"]:
-                    ordered.append((seq, Violation(
-                        index=index, category=category,
-                        description=description, phase=phase)))
+            blob = base64.b64encode(pickle.dumps(
+                replay, protocol=4)).decode("ascii")
         except Exception:
-            return None
-        ordered.sort(key=lambda pair: pair[0])
-        return PipelineReplay(
-            propagation=PropagationResult(inputs=inputs, outputs=outputs,
-                                          steps=steps),
-            annotations=annotations,
-            local_violations=[v for _, v in ordered],
-            header_facts=headers)
-
-    # -- storage -------------------------------------------------------------
-
-    def store(self, propagation: PropagationResult,
-              annotations: Dict[int, NodeAnnotation],
-              local_violations: List[Violation],
-              header_facts: Dict[int, Formula]) -> None:
-        """Persist the freshly computed phase 2–4 artifacts, sliced per
-        owning function.  Local violations keep a global sequence
-        number so replay reconstructs the exact report order."""
-        if not self.enabled:
-            return
-        deps = self._deps()
-        layout = self.layout_digest()
-        slices: Dict[str, Dict[str, Dict]] = {
-            label: {"inputs": {}, "outputs": {}, "annotations": {},
-                    "headers": {}}
-            for label in self.cfg.functions}
-        for uid, value in propagation.inputs.items():
-            slices[self.cfg.node(uid).function]["inputs"][uid] = value
-        for uid, value in propagation.outputs.items():
-            slices[self.cfg.node(uid).function]["outputs"][uid] = value
-        for uid, annotation in annotations.items():
-            slices[self.cfg.node(uid).function]["annotations"][uid] = \
-                annotation
-        for uid, facts in header_facts.items():
-            slices[self.cfg.node(uid).function]["headers"][uid] = facts
-        # Violations are attributed by instruction index (automaton
-        # violations carry no uid); unresolvable ones ride on MAIN.
-        index_function: Dict[int, str] = {}
-        for uid in self.cfg.nodes:
-            node = self.cfg.node(uid)
-            if node.instruction is not None:
-                index_function.setdefault(node.index, node.function)
-        violations: Dict[str, List[List]] = {
-            label: [] for label in self.cfg.functions}
-        for seq, violation in enumerate(local_violations):
-            label = index_function.get(violation.index, CFG.MAIN)
-            violations.setdefault(label, []).append(
-                [seq, violation.index, violation.category,
-                 violation.description, violation.phase])
-        deps_digest = text_digest(
-            "deps", layout, *("%s=%s" % item
-                              for item in sorted(deps.items())))
-        for label in self.cfg.functions:
-            try:
-                blob = base64.b64encode(pickle.dumps(
-                    slices[label], protocol=4)).decode("ascii")
-            except Exception:
-                return  # unpicklable artifact: skip storing, never fail
-            payload = {
-                "schema": PIPELINE_SCHEMA,
-                "function": label,
-                "deps": deps,
-                "layout": layout,
-                "steps": propagation.steps,
-                "blob": blob,
-                "violations": violations[label],
-            }
-            self.persistent.put_unit(self.key(label), deps_digest,
-                                     label, payload,
-                                     kind=PIPELINE_KIND)
-            self.stats["unit_pipeline_stores"] += 1
+            return  # unpicklable artifact: skip storing, never fail
+        self.persistent.put(self.key(), {"blob": blob})
+        self.stats["unit_pipeline_stores"] += 1

@@ -19,7 +19,7 @@
     repro fuzz replay tests/fuzz/corpus   # re-check committed corpus
     repro trace summarize T.jsonl         # profile a recorded check
     repro trace validate T.jsonl          # schema-check a trace file
-    repro cache stats                     # persistent-cache contents
+    repro cache stats                     # replay-store contents
     repro cache gc --max-mb 64            # shrink it to a size budget
 
 Exit status of ``check`` and ``submit``: 0 = certified safe,
@@ -100,8 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print the listing with inline verdicts")
     check.add_argument("--cache", nargs="?", const=_DEFAULT_CACHE,
                        default=None, metavar="PATH",
-                       help="persistent cross-run prover cache "
-                            "(default path when PATH is omitted: %s)"
+                       help="replay store: phases 2-5 of unchanged "
+                            "code replay from earlier checks (default "
+                            "path when PATH is omitted: %s)"
                             % _DEFAULT_CACHE)
     check.add_argument("--timeout", type=_budget, default=None,
                        metavar="SECONDS",
@@ -113,10 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "per phase, obligation, prover query; "
                             "default: $REPRO_TRACE); verdicts are "
                             "unaffected")
-    check.add_argument("--no-unit-cache", action="store_true",
-                       help="with --cache: disable function-granular "
-                            "verdict replay, keeping only the formula-"
-                            "level cache (verdicts are identical)")
     check.set_defaults(handler=_cmd_check)
 
     asm = sub.add_parser("asm", help="assemble to machine code")
@@ -200,9 +197,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="LRU verdict-cache entries (default: 256)")
     serve.add_argument("--cache", nargs="?", const=_DEFAULT_CACHE,
                        default=None, metavar="PATH",
-                       help="persistent prover cache shared by all "
-                            "workers (default path when PATH is "
-                            "omitted: %s)" % _DEFAULT_CACHE)
+                       help="replay store shared by all workers "
+                            "(default path when PATH is omitted: %s)"
+                            % _DEFAULT_CACHE)
     serve.add_argument("--timeout", type=_budget, default=None,
                        metavar="SECONDS",
                        help="default per-job wall-clock budget")
@@ -324,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_val.set_defaults(handler=_cmd_trace_validate)
 
     cache = sub.add_parser("cache", help="inspect or maintain the "
-                                         "persistent prover cache")
+                                         "replay store")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     cache_stats = cache_sub.add_parser(
         "stats", help="size, schema version, row counts")
@@ -332,11 +329,11 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="machine-readable output")
     cache_stats.set_defaults(handler=_cmd_cache_stats)
     cache_clear = cache_sub.add_parser(
-        "clear", help="drop every cached result and function verdict")
+        "clear", help="drop every stored payload")
     cache_clear.set_defaults(handler=_cmd_cache_clear)
     cache_gc = cache_sub.add_parser(
-        "gc", help="shrink the cache below a size budget, least-"
-                   "recently-used function verdicts first")
+        "gc", help="shrink the store below a size budget, least-"
+                   "recently-used rows first")
     cache_gc.add_argument("--max-mb", type=float, default=64.0,
                           metavar="MB",
                           help="target size in megabytes (default: 64)")
@@ -412,8 +409,6 @@ def _cmd_check(args) -> int:
         options.timeout_s = args.timeout
     if args.trace is not None:
         options.trace_path = args.trace
-    if args.no_unit_cache:
-        options.enable_unit_cache = False
     with SafetyChecker(program, spec, options=options) as checker:
         result = checker.check()
     if args.json:
@@ -526,8 +521,7 @@ def _cmd_cache_stats(args) -> int:
     else:
         # Inspecting a cache must not create one.
         stats = {"path": args.cache, "exists": False,
-                 "schema_version": None, "size_bytes": 0,
-                 "results": 0, "units": 0}
+                 "schema_version": None, "size_bytes": 0, "units": 0}
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
@@ -537,8 +531,7 @@ def _cmd_cache_stats(args) -> int:
         return 0
     print("schema version: %d" % stats["schema_version"])
     print("size:           %.1f KiB" % (stats["size_bytes"] / 1024.0))
-    print("prover results: %d" % stats["results"])
-    print("function units: %d" % stats["units"])
+    print("replay rows:    %d" % stats["units"])
     for kind, count in sorted(stats.get("units_by_kind", {}).items()):
         print("  %-13s %d" % (kind + ":", count))
     return 0
@@ -558,10 +551,8 @@ def _cmd_cache_gc(args) -> int:
     from repro.logic.persist import PersistentProverCache
     with PersistentProverCache(args.cache) as cache:
         report = cache.gc(max_mb=args.max_mb)
-    print("gc %s: dropped %d function units, %d prover results; "
-          "now %.1f KiB"
+    print("gc %s: dropped %d rows; now %.1f KiB"
           % (args.cache, report["deleted_units"],
-             report["deleted_results"],
              report["size_bytes"] / 1024.0))
     return 0
 
@@ -578,6 +569,11 @@ def _cmd_serve(args) -> int:
         format="%(asctime)s %(name)s %(levelname)s %(message)s")
     if args.trace_dir:
         os.makedirs(args.trace_dir, exist_ok=True)
+    if args.cache:
+        # Every job opens the store; a path that is not one fails here,
+        # once, instead of failing every job.
+        from repro.logic.persist import PersistentProverCache
+        PersistentProverCache(args.cache).close()
     config = ServeConfig(
         host=args.host, port=args.port, workers=args.workers,
         queue_limit=args.queue_limit,

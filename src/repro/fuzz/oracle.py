@@ -166,7 +166,7 @@ def run_concrete(sketch: Sketch, arch: str, values: Sequence[int],
 def check_options(timeout_s: Optional[float] = DEFAULT_CHECK_TIMEOUT_S,
                   overrides: Optional[Dict[str, object]] = None
                   ) -> CheckerOptions:
-    """Checker options for fuzzing: no persistent cache, a bounded
+    """Checker options for fuzzing: no replay store, a bounded
     wall clock, plus explicit *overrides* (the self-test injects its
     deliberate weakening here)."""
     options = CheckerOptions(cache_path=None, trace_path=None,

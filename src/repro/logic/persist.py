@@ -1,63 +1,56 @@
-"""Persistent cross-run prover cache.
+"""The replay store: phase 2–5 results reused across runs.
 
-Satisfiability of a Presburger formula depends only on the formula, so
-prover verdicts can be reused across programs, across runs, and across
-the check service's worker threads and shard processes.  This module stores them in a small SQLite file
-(``.repro-cache/prover.sqlite`` by convention) keyed on the
-process-stable canonical digest (:func:`repro.logic.serialize.
-formula_digest`).
+A small SQLite file (``.repro-cache/prover.sqlite`` by convention)
+holds the payloads :mod:`repro.analysis.units` replays on warm
+re-checks:
 
-The same file also stores *function units*: per-function verdict
-summaries keyed on a content digest of (function body, reaching
-typestate/spec context, verdict-affecting options), produced by
-:mod:`repro.analysis.units` and replayed on warm incremental runs.
-Since schema v3 the ``units`` table carries a ``kind`` column
-distinguishing the phase-5 verdict rows (``'unit'``) from the phase
-2–4 pipeline payload rows (``'pipeline'`` — propagation fixpoint,
-annotations, local verdicts, forward facts).
+* **function units** (``kind='unit'``): phase-5 verdict groups keyed
+  on a content digest of (function body, reaching typestate/spec
+  context, verdict-affecting options), read and written through
+  :meth:`PersistentProverCache.get_unit`/:meth:`~PersistentProverCache.
+  put_unit` — one key may carry several rows, one per dependency
+  context;
+* **program payloads** (``kind='pipeline'``): one row per program
+  holding its phase 2–4 artifacts (propagation fixpoint, annotations,
+  local verdicts, forward facts), read and written through
+  :meth:`~PersistentProverCache.get`/:meth:`~PersistentProverCache.put`
+  with an empty ``deps_digest``.
 
 Layout (schema version :data:`SCHEMA_VERSION`)::
 
     meta(key TEXT PRIMARY KEY, value TEXT)   -- {"schema_version": N}
-    results(digest TEXT PRIMARY KEY, satisfiable INTEGER)
     units(unit_key TEXT, deps_digest TEXT, function TEXT,
           payload TEXT, created REAL, last_used REAL, kind TEXT,
           PRIMARY KEY (unit_key, deps_digest))
 
-``last_used`` is bumped whenever a unit is looked up for replay, and
-``gc`` evicts least-recently-used units first — a unit that keeps
-pricing warm re-checks survives however old its proof is.  The bumps
-are **write-behind**: lookups record them in an in-memory batch
+``last_used`` is bumped whenever a row is looked up for replay, and
+``gc`` evicts least-recently-used rows first — a row that keeps
+pricing warm re-checks survives however old it is.  The bumps are
+**write-behind**: lookups record them in an in-memory batch
 (:attr:`PersistentProverCache._touched`) that :meth:`flush` applies and
 commits, keeping UPDATE statements off the replay hot path.  Every
-owner must therefore flush on close/drain — :meth:`close` does — or a
-unit replayed just before shutdown looks cold to the next ``gc``.
+owner must therefore flush on close — :meth:`close` does — or a row
+replayed just before shutdown looks cold to the next ``gc``.
 
 Robustness rules:
 
-* a file that is not a SQLite database is **discarded and rebuilt**
-  (counted in ``invalidations``) — a corrupt cache must never change
-  verdicts, only cost a cold start;
-* a file recorded as schema v2 is migrated **in place with its rows
-  kept** (counted in ``migrations``): v3 only added the ``kind``
-  column, and the v2 digest recipes are unchanged, so stored proofs
-  stay valid;
-* a file with any *other* recorded schema version keeps the file but
-  drops all rows: older processes wrote valid SQLite, only the row
-  contents are stale;
-* a ``units`` table from before the ``last_used`` or ``kind`` columns
-  is migrated in place — ``ALTER TABLE ADD COLUMN`` with seeded
-  defaults — so stored proofs survive the upgrade (counted in
-  ``migrations``);
-* any *other* wrong column layout (e.g. a half-written upgrade) is
-  dropped and recreated individually without touching the other
-  tables;
+* a non-empty file that does not start with the SQLite header is
+  **refused** with a :class:`~repro.errors.ReproError` naming the path
+  and left untouched — ``--cache`` pointed at the wrong file must
+  never destroy it;
+* a SQLite file that cannot be opened, or turns out corrupt while in
+  use, is **discarded and rebuilt** (counted in ``invalidations``) — a
+  corrupt store must never change verdicts, only cost a cold start;
+* a file with any other recorded schema version keeps the file but
+  drops every row (and the satisfiability table of schema 3 and
+  earlier), and a table with any other column layout is dropped and
+  recreated;
 * concurrent readers/writers (the service's worker threads and shard
-  processes sharing one file) are handled with WAL journaling and a busy timeout; any SQLite error on
-  an individual get/put degrades to a miss/no-op instead of failing
-  the check;
+  processes sharing one file) are handled with WAL journaling and a
+  busy timeout; any other SQLite error on an individual get/put
+  degrades to a miss/no-op instead of failing the check;
 * writes are batched (:data:`_COMMIT_EVERY`) and flushed explicitly by
-  the owner at the end of a run or service job.
+  the owner at the end of each check.
 """
 
 from __future__ import annotations
@@ -66,46 +59,34 @@ import json
 import os
 import sqlite3
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-#: Bump when the digest definition or the table layout changes; an
-#: existing file with a different version keeps the file but drops the
-#: stale rows on open — except v2, whose rows survive the v3 upgrade
-#: (v2 added the ``units`` function-verdict table; v3 added its
-#: ``kind`` column for the phase 2–4 pipeline payloads).
-SCHEMA_VERSION = 3
+from repro.errors import ReproError
+
+#: Bump when the table layout or a payload recipe changes; an existing
+#: file with a different version keeps the file but drops its rows on
+#: open.
+SCHEMA_VERSION = 4
 
 #: Default location, relative to the working directory.
 DEFAULT_CACHE_PATH = os.path.join(".repro-cache", "prover.sqlite")
 
 _COMMIT_EVERY = 64
 
+#: The first 16 bytes of every SQLite 3 database file.
+_SQLITE_HEADER = b"SQLite format 3\x00"
+
 #: Expected column names per table, in order; used to detect files
 #: whose tables exist but carry an incompatible layout.
 _TABLE_COLUMNS = {
     "meta": ("key", "value"),
-    "results": ("digest", "satisfiable"),
     "units": ("unit_key", "deps_digest", "function", "payload",
               "created", "last_used", "kind"),
 }
 
-#: The pre-``last_used`` layout of ``units``; recognized by
-#: :meth:`PersistentProverCache._ensure_layout` and upgraded in place
-#: instead of dropped.
-_UNITS_LEGACY_COLUMNS = ("unit_key", "deps_digest", "function",
-                         "payload", "created")
-
-#: The v2 layout (``last_used`` but no ``kind``); likewise upgraded in
-#: place.
-_UNITS_V2_COLUMNS = ("unit_key", "deps_digest", "function",
-                     "payload", "created", "last_used")
-
 _TABLE_DDL = {
     "meta": ("CREATE TABLE IF NOT EXISTS meta ("
              "key TEXT PRIMARY KEY, value TEXT)"),
-    "results": ("CREATE TABLE IF NOT EXISTS results ("
-                "digest TEXT PRIMARY KEY, "
-                "satisfiable INTEGER NOT NULL)"),
     "units": ("CREATE TABLE IF NOT EXISTS units ("
               "unit_key TEXT NOT NULL, "
               "deps_digest TEXT NOT NULL, "
@@ -117,34 +98,28 @@ _TABLE_DDL = {
               "PRIMARY KEY (unit_key, deps_digest))"),
 }
 
-#: Units evicted per gc round; small enough that a gc over a slightly-
-#: over-budget cache does not wipe it wholesale.
+#: Rows evicted per gc round; small enough that a gc over a slightly-
+#: over-budget store does not wipe it wholesale.
 _GC_BATCH = 64
 
 
 class PersistentProverCache:
-    """Append-mostly digest → satisfiability store shared across runs.
+    """The replay store shared across runs.
 
-    All methods are total: a broken underlying file or a locked
-    database never raises out of ``get``/``put`` — the cache silently
-    behaves as empty/read-only instead (``io_errors`` counts how
-    often)."""
+    All lookups and writes are total: a locked database never raises
+    out of ``get``/``put``/``get_unit``/``put_unit`` — the store
+    silently behaves as empty/read-only instead (``io_errors`` counts
+    how often), and a corrupt one is rebuilt.  Only opening a file
+    that is not a store raises."""
 
-    def __init__(self, path: str,
-                 schema_version: Optional[int] = None):
+    def __init__(self, path: str):
         self.path = path
-        # Resolved at call time so a digest-definition change (a bump
-        # of the module-level SCHEMA_VERSION) reaches every opener.
-        self.schema_version = (SCHEMA_VERSION if schema_version is None
-                               else schema_version)
+        #: ``get``/``get_unit`` lookups that did / did not find a row.
         self.hits = 0
         self.misses = 0
-        self.stores = 0
         #: Times a corrupt file was discarded or a stale version's rows
         #: were dropped.
         self.invalidations = 0
-        #: Times a pre-``last_used`` units table was upgraded in place.
-        self.migrations = 0
         self.io_errors = 0
         self._pending = 0
         #: Write-behind ``last_used`` bumps: unit_key → timestamp,
@@ -163,110 +138,86 @@ class PersistentProverCache:
             try:
                 os.makedirs(directory, exist_ok=True)
             except OSError:
-                # Unwritable/occupied location: run without a cache.
-                self._conn = None
+                # Unwritable/occupied location: run without a store.
                 self.io_errors += 1
                 return
+        self._refuse_foreign_file()
         try:
             self._conn = self._connect()
         except sqlite3.Error:
-            # Not a database (corrupt/garbage file): discard and retry
-            # once with a fresh file.
-            self._discard_file()
-            try:
-                self._conn = self._connect()
-            except sqlite3.Error:
-                self._conn = None
-                self.io_errors += 1
+            # A SQLite file that will not open (corrupt): discard it
+            # and retry once with a fresh file.
+            self._rebuild()
+
+    def _refuse_foreign_file(self) -> None:
+        """Raise unless the path is missing, empty, or a SQLite file."""
+        try:
+            with open(self.path, "rb") as handle:
+                head = handle.read(len(_SQLITE_HEADER))
+        except OSError:
+            return  # missing (created on connect) or unreadable
+        if head and head != _SQLITE_HEADER:
+            raise ReproError("%s: not a repro cache (no SQLite header); "
+                             "refusing to overwrite it" % self.path)
 
     def _connect(self) -> sqlite3.Connection:
         conn = sqlite3.connect(self.path, timeout=5.0)
         try:
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
-            layout_migrated = self._ensure_layout(conn)
+            for table, columns in _TABLE_COLUMNS.items():
+                info = conn.execute(
+                    "PRAGMA table_info(%s)" % table).fetchall()
+                if info and tuple(row[1] for row in info) != columns:
+                    conn.execute("DROP TABLE %s" % table)
+                conn.execute(_TABLE_DDL[table])
             row = conn.execute(
                 "SELECT value FROM meta WHERE key='schema_version'"
             ).fetchone()
-            if row is None:
-                conn.execute(
-                    "INSERT OR REPLACE INTO meta VALUES "
-                    "('schema_version', ?)", (str(self.schema_version),))
-                conn.commit()
-            elif row[0] != str(self.schema_version):
-                if row[0] == "2" and self.schema_version == 3:
-                    # v2 → v3 is additive (the ``kind`` column, already
-                    # added by the layout pass) and the v2 digest
-                    # recipes are unchanged: keep every row.  One open
-                    # counts one migration, even when the layout pass
-                    # already tagged the column.
-                    if not layout_migrated:
-                        self.migrations += 1
-                else:
-                    # Any other version bump: drop the stale rows, keep
-                    # the file.
+            if row is None or row[0] != str(SCHEMA_VERSION):
+                if row is not None:
+                    # Stale rows from another schema: keep the file only.
                     self.invalidations += 1
-                    conn.execute("DELETE FROM results")
                     conn.execute("DELETE FROM units")
+                    conn.execute("DROP TABLE IF EXISTS results")
                 conn.execute(
                     "INSERT OR REPLACE INTO meta VALUES "
-                    "('schema_version', ?)", (str(self.schema_version),))
-                conn.commit()
+                    "('schema_version', ?)", (str(SCHEMA_VERSION),))
+            conn.commit()
         except sqlite3.Error:
             conn.close()
             raise
         return conn
 
-    def _ensure_layout(self, conn: sqlite3.Connection) -> bool:
-        """Create missing tables; drop and recreate incompatible ones.
-        Returns True when a legacy ``units`` layout was migrated.
-
-        A v1 file simply lacks the ``units`` table — its ``results``
-        rows survive the layout pass untouched (the version check above
-        then decides whether they are still trustworthy).  A ``units``
-        table from before the ``last_used`` or ``kind`` columns is
-        migrated in place rather than dropped: stored proofs are
-        expensive, the new columns are not."""
-        migrated = False
-        for table, columns in _TABLE_COLUMNS.items():
-            info = conn.execute(
-                "PRAGMA table_info(%s)" % table).fetchall()
-            present = tuple(row[1] for row in info)
-            if table == "units" and present == _UNITS_LEGACY_COLUMNS:
-                # Seed recency from creation time: gc ordering is then
-                # identical to the old oldest-created-first until real
-                # usage data accumulates.
-                conn.execute("ALTER TABLE units ADD COLUMN "
-                             "last_used REAL NOT NULL DEFAULT 0")
-                conn.execute("UPDATE units SET last_used = created")
-                conn.execute("ALTER TABLE units ADD COLUMN "
-                             "kind TEXT NOT NULL DEFAULT 'unit'")
-                self.migrations += 1
-                migrated = True
-                continue
-            if table == "units" and present == _UNITS_V2_COLUMNS:
-                # Pre-``kind`` rows are all phase-5 verdict units (the
-                # only payload kind that existed before v3).
-                conn.execute("ALTER TABLE units ADD COLUMN "
-                             "kind TEXT NOT NULL DEFAULT 'unit'")
-                self.migrations += 1
-                migrated = True
-                continue
-            if info and present != columns:
-                conn.execute("DROP TABLE %s" % table)
-                info = []
-            if not info:
-                conn.execute(_TABLE_DDL[table])
-        conn.commit()
-        return migrated
-
-    def _discard_file(self) -> None:
+    def _rebuild(self) -> None:
+        """Replace a corrupt SQLite file with an empty store."""
+        if self._conn is not None:
+            try:
+                self._conn.close()
+            except sqlite3.Error:
+                pass
+            self._conn = None
         self.invalidations += 1
+        self._pending = 0
+        self._touched.clear()
         for suffix in ("", "-wal", "-shm"):
             try:
                 os.remove(self.path + suffix)
             except OSError:
                 pass
+        try:
+            self._conn = self._connect()
+        except sqlite3.Error:
+            self.io_errors += 1
+
+    def _failed(self, error: sqlite3.Error) -> None:
+        """Account for a failed statement: a corrupt file is rebuilt
+        empty, a busy or locked database is only counted."""
+        self.io_errors += 1
+        # SQLITE_CORRUPT and SQLITE_NOTADB raise the base class itself;
+        # busy/locked/I-O errors raise its OperationalError subclass.
+        if type(error) is sqlite3.DatabaseError:
+            self._rebuild()
 
     def close(self) -> None:
         if self._conn is not None:
@@ -277,88 +228,39 @@ class PersistentProverCache:
                 pass
             self._conn = None
 
-    # Context-manager support so owners (SafetyChecker, the service's
-    # worker pool) release the SQLite handle deterministically instead
-    # of leaking it until garbage collection.
+    # Context-manager support so owners release the SQLite handle
+    # deterministically instead of leaking it until garbage collection.
     def __enter__(self) -> "PersistentProverCache":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- formula queries -----------------------------------------------------
+    # -- lookups and writes --------------------------------------------------
 
-    def get(self, digest: str) -> Optional[bool]:
+    def _select(self, sql: str, key: str) -> List[tuple]:
+        """Rows of one lookup, counted as a hit or a miss."""
         if self._conn is None:
-            return None
+            return []
         try:
-            row = self._conn.execute(
-                "SELECT satisfiable FROM results WHERE digest=?",
-                (digest,)).fetchone()
-        except sqlite3.Error:
-            self.io_errors += 1
-            return None
-        if row is None:
+            rows = self._conn.execute(sql, (key,)).fetchall()
+        except sqlite3.Error as error:
+            self._failed(error)
+            return []
+        if not rows:
             self.misses += 1
-            return None
+            return []
         self.hits += 1
-        return bool(row[0])
-
-    def put(self, digest: str, satisfiable: bool) -> None:
-        if self._conn is None:
-            return
-        try:
-            self._conn.execute(
-                "INSERT OR IGNORE INTO results VALUES (?, ?)",
-                (digest, 1 if satisfiable else 0))
-        except sqlite3.Error:
-            self.io_errors += 1
-            return
-        self.stores += 1
-        self._pending += 1
-        if self._pending >= _COMMIT_EVERY:
+        # Replay lookups are what make a row *hot*; gc evicts in
+        # last_used order so bumped rows survive.  The bump is
+        # write-behind: recorded here, applied by flush().
+        self._touched[key] = time.time()
+        if len(self._touched) >= _COMMIT_EVERY:
             self.flush()
+        return rows
 
-    # -- function-unit queries -----------------------------------------------
-
-    def get_unit(self, unit_key: str) -> List[Dict[str, Any]]:
-        """All stored payloads for ``unit_key`` (any deps context).
-
-        A key can legitimately carry several rows — the same function
-        body proved under different dependency contexts — so callers
-        receive every candidate and validate its recorded dependencies
-        against the current program.  Undecodable rows are skipped."""
-        if self._conn is None:
-            return []
-        try:
-            rows = self._conn.execute(
-                "SELECT payload FROM units WHERE unit_key=? "
-                "ORDER BY created DESC", (unit_key,)).fetchall()
-        except sqlite3.Error:
-            self.io_errors += 1
-            return []
-        if rows:
-            # Replay lookups are what make a unit *hot*; gc evicts in
-            # last_used order so bumped units survive.  The bump is
-            # write-behind: recorded here, applied by flush() — owners
-            # flush on close/drain so a unit replayed just before
-            # shutdown is not evicted as cold by the next gc.
-            self._touched[unit_key] = time.time()
-            if len(self._touched) >= _COMMIT_EVERY:
-                self.flush()
-        payloads = []
-        for (text,) in rows:
-            try:
-                payload = json.loads(text)
-            except (ValueError, TypeError):
-                continue
-            if isinstance(payload, dict):
-                payloads.append(payload)
-        return payloads
-
-    def put_unit(self, unit_key: str, deps_digest: str,
-                 function: str, payload: Dict[str, Any],
-                 kind: str = "unit") -> None:
+    def _insert(self, unit_key: str, deps_digest: str, function: str,
+                payload: Dict[str, Any], kind: str) -> None:
         if self._conn is None:
             return
         try:
@@ -372,17 +274,43 @@ class PersistentProverCache:
                 "INSERT OR REPLACE INTO units VALUES "
                 "(?, ?, ?, ?, ?, ?, ?)",
                 (unit_key, deps_digest, function, text, now, now, kind))
-        except sqlite3.Error:
-            self.io_errors += 1
+        except sqlite3.Error as error:
+            self._failed(error)
             return
         self._pending += 1
         if self._pending >= _COMMIT_EVERY:
             self.flush()
 
+    def get(self, key: str) -> Optional[Dict[str, Any]]:
+        """The program payload stored under ``key``, or None."""
+        rows = self._select("SELECT payload FROM units WHERE unit_key=? "
+                            "AND deps_digest=''", key)
+        payloads = _decode(rows)
+        return payloads[0] if payloads else None
+
+    def put(self, key: str, payload: Dict[str, Any]) -> None:
+        """Store (or replace) the program payload under ``key``."""
+        self._insert(key, "", "", payload, "pipeline")
+
+    def get_unit(self, unit_key: str) -> List[Dict[str, Any]]:
+        """All stored payloads for ``unit_key`` (any deps context).
+
+        A key can legitimately carry several rows — the same function
+        body proved under different dependency contexts — so callers
+        receive every candidate and validate its recorded dependencies
+        against the current program.  Undecodable rows are skipped."""
+        return _decode(self._select(
+            "SELECT payload FROM units WHERE unit_key=? "
+            "ORDER BY created DESC", unit_key))
+
+    def put_unit(self, unit_key: str, deps_digest: str,
+                 function: str, payload: Dict[str, Any]) -> None:
+        self._insert(unit_key, deps_digest, function, payload, "unit")
+
     def flush(self) -> None:
         """Apply the write-behind ``last_used`` batch and commit every
-        pending write.  Called by owners on close, at the end of each
-        check/worker job, and on graceful service drain."""
+        pending write.  Called by owners at the end of each check and
+        on close."""
         if self._conn is None or not (self._pending or self._touched):
             return
         if self._touched:
@@ -400,15 +328,6 @@ class PersistentProverCache:
             self.io_errors += 1
         self._pending = 0
 
-    def __len__(self) -> int:
-        if self._conn is None:
-            return 0
-        try:
-            return self._conn.execute(
-                "SELECT COUNT(*) FROM results").fetchone()[0]
-        except sqlite3.Error:
-            return 0
-
     # -- maintenance (``repro cache``) ---------------------------------------
 
     def stats(self) -> Dict[str, Any]:
@@ -416,9 +335,8 @@ class PersistentProverCache:
         info: Dict[str, Any] = {
             "path": self.path,
             "exists": os.path.exists(self.path),
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "size_bytes": 0,
-            "results": 0,
             "units": 0,
             "units_by_kind": {},
         }
@@ -427,19 +345,13 @@ class PersistentProverCache:
         try:
             self.flush()
             self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-            info["results"] = self._conn.execute(
-                "SELECT COUNT(*) FROM results").fetchone()[0]
-            info["units"] = self._conn.execute(
-                "SELECT COUNT(*) FROM units").fetchone()[0]
             info["units_by_kind"] = dict(self._conn.execute(
                 "SELECT kind, COUNT(*) FROM units "
                 "GROUP BY kind ORDER BY kind").fetchall())
+            info["units"] = sum(info["units_by_kind"].values())
         except sqlite3.Error:
             self.io_errors += 1
-        try:
-            info["size_bytes"] = os.path.getsize(self.path)
-        except OSError:
-            pass
+        info["size_bytes"] = self._size()
         return info
 
     def clear(self) -> None:
@@ -447,7 +359,6 @@ class PersistentProverCache:
         if self._conn is None:
             return
         try:
-            self._conn.execute("DELETE FROM results")
             self._conn.execute("DELETE FROM units")
             self._conn.commit()
             self._conn.execute("VACUUM")
@@ -459,13 +370,11 @@ class PersistentProverCache:
     def gc(self, max_mb: float) -> Dict[str, Any]:
         """Shrink the file to at most ``max_mb`` megabytes.
 
-        Evicts the least-recently-*used* function units first (they are
-        the bulky rows; ``last_used`` is bumped on every replay lookup,
-        so units that keep pricing warm re-checks survive), then the
-        formula results wholesale if still over budget, and vacuums.
-        Returns a summary of what was dropped."""
-        summary = {"deleted_units": 0, "deleted_results": 0,
-                   "size_bytes": 0}
+        Evicts the least-recently-*used* rows first (``last_used`` is
+        bumped on every replay lookup, so rows that keep pricing warm
+        re-checks survive) and vacuums.  Returns a summary of what was
+        dropped."""
+        summary = {"deleted_units": 0, "size_bytes": 0}
         if self._conn is None:
             return summary
         budget = int(max_mb * 1024 * 1024)
@@ -489,12 +398,6 @@ class PersistentProverCache:
                 # until a checkpoint; without one the main file never
                 # shrinks and the loop overshoots to empty.
                 self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-            if self._size() > budget:
-                summary["deleted_results"] = self._conn.execute(
-                    "SELECT COUNT(*) FROM results").fetchone()[0]
-                self._conn.execute("DELETE FROM results")
-                self._conn.commit()
-                self._conn.execute("VACUUM")
         except sqlite3.Error:
             self.io_errors += 1
         summary["size_bytes"] = self._size()
@@ -505,3 +408,16 @@ class PersistentProverCache:
             return os.path.getsize(self.path)
         except OSError:
             return 0
+
+
+def _decode(rows: List[tuple]) -> List[Dict[str, Any]]:
+    """The JSON-object payloads among ``rows``; others are skipped."""
+    payloads = []
+    for (text,) in rows:
+        try:
+            payload = json.loads(text)
+        except (ValueError, TypeError):
+            continue
+        if isinstance(payload, dict):
+            payloads.append(payload)
+    return payloads

@@ -84,10 +84,6 @@ class ProverStats:
     #: the decision procedure hit a resource limit (DNF blow-up or
     #: elimination step cap).
     resource_fallbacks: int = 0
-    #: Queries answered from / stored into the persistent cross-run
-    #: cache (:mod:`repro.logic.persist`), when one is attached.
-    persistent_cache_hits: int = 0
-    persistent_cache_stores: int = 0
     #: Wall-clock seconds spent computing canonical forms.
     canonicalization_seconds: float = 0.0
 
@@ -125,13 +121,10 @@ _RESULT_CACHE_LIMIT = 1 << 16
 class Prover:
     """Decision procedure for Presburger formulas with ∃/∀."""
 
-    def __init__(self, enable_cache: bool = True, persistent=None):
+    def __init__(self, enable_cache: bool = True):
         #: Result caching (raw, canonical, per-conjunct, and the
         #: per-session memo); off is the paper's cache ablation.
         self.enable_cache = enable_cache
-        #: Optional :class:`repro.logic.persist.PersistentProverCache`,
-        #: consulted after the in-memory levels and shared across runs.
-        self.persistent = persistent
         #: Deadline in ``time.monotonic()`` seconds past which every
         #: query raises :class:`ProverTimeout`; None means no limit.
         #: Monotonic, not epoch: an NTP step while a check runs must
@@ -160,8 +153,7 @@ class Prover:
         self.stats.reset()
 
     def clear_caches(self) -> None:
-        """Empty the in-memory result caches (the persistent store, if
-        any, is untouched — it is cross-run by design)."""
+        """Empty the result caches."""
         self._sat_cache.clear()
         self._canonical_cache.clear()
         self._conjunct_cache.clear()
@@ -172,11 +164,6 @@ class Prover:
         across checks without leaking state between them."""
         self.clear_caches()
         self.reset_stats()
-
-    def flush_persistent(self) -> None:
-        """Commit any batched writes to the persistent cache."""
-        if self.persistent is not None:
-            self.persistent.flush()
 
     # -- public queries ------------------------------------------------------
 
@@ -219,8 +206,8 @@ class Prover:
         """The cache-ladder body of :meth:`is_satisfiable`.
 
         Returns ``(result, source, canonical)`` where *source* names
-        the cache level that answered ("raw", "canonical",
-        "persistent", "decided", or "fallback") and *canonical* is the
+        the cache level that answered ("raw", "canonical", "decided",
+        or "fallback") and *canonical* is the
         canonical form when one was computed along the way (None
         otherwise)."""
         cache = self.enable_cache
@@ -230,27 +217,16 @@ class Prover:
                 self.stats.cache_hits += 1
                 return cached, "raw", None
         canonical: Optional[Formula] = None
-        if cache or self.persistent is not None:
+        if cache:
             t0 = time.perf_counter()
             canonical = canonicalize(f)
             self.stats.canonicalization_seconds += \
                 time.perf_counter() - t0
-        if cache:
             cached = self._canonical_cache.get(canonical)
             if cached is not None:
                 self.stats.canonical_cache_hits += 1
                 self._sat_cache.put(f, cached)
                 return cached, "canonical", canonical
-        digest: Optional[str] = None
-        if self.persistent is not None:
-            digest = canonical_digest(canonical)
-            cached = self.persistent.get(digest)
-            if cached is not None:
-                self.stats.persistent_cache_hits += 1
-                if cache:
-                    self._sat_cache.put(f, cached)
-                    self._canonical_cache.put(canonical, cached)
-                return cached, "persistent", canonical
         try:
             result = self._decide_satisfiable(f)
         except ProverError:
@@ -263,9 +239,6 @@ class Prover:
         if cache:
             self._sat_cache.put(f, result)
             self._canonical_cache.put(canonical, result)
-        if digest is not None:
-            self.persistent.put(digest, result)
-            self.stats.persistent_cache_stores += 1
         return result, "decided", canonical
 
     def is_valid(self, f: Formula) -> bool:

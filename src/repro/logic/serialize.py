@@ -1,9 +1,9 @@
 """Process-stable serialization and digests of formulas.
 
-The persistent prover cache (:mod:`repro.logic.persist`) is shared
-across runs and across the check service's shard processes, so its
-keys cannot use anything that depends on Python's per-process hash
-randomization.
+The replay store (:mod:`repro.logic.persist`) is shared across runs
+and across the check service's shard processes, so its keys — built
+from these digests — cannot use anything that depends on Python's
+per-process hash randomization.
 :func:`canonicalize` already folds away alpha-variants, commutative
 reorderings, and gcd/sign variants — but it orders ∧/∨ children by
 ``hash()``, which differs between processes.  The digest therefore
@@ -76,8 +76,8 @@ def canonical_digest(canonical: Formula) -> str:
 
 
 def formula_digest(f: Formula) -> str:
-    """Process-stable content digest of *f*'s canonical form — the key
-    of the persistent prover cache and of obligation records."""
+    """Process-stable content digest of *f*'s canonical form — part of
+    the replay store's keys and of obligation records."""
     return canonical_digest(canonicalize(f))
 
 

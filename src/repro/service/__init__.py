@@ -5,7 +5,7 @@ into a host; this package is that shape as a service.  ``repro serve``
 starts a stdlib-only HTTP/JSON server that accepts (code, spec, arch,
 options) requests, schedules them on a bounded job queue with request
 deduplication, checks them on a pool of workers that keep warm provers
-and a shared persistent cache, and exposes live metrics.  ``repro
+and a shared replay store, and exposes live metrics.  ``repro
 submit`` is the matching client; its verdicts are byte-identical to
 ``repro check --json``.
 

@@ -389,7 +389,7 @@ def default_configs(requests: int = 240, clients: int = 8,
                     cache_dir: Optional[str] = None) \
         -> List[LoadConfig]:
     """The acceptance matrix: 1-shard fresh baseline, N-shard fresh,
-    N-shard mixed-duplicate (with the shared persistent cache)."""
+    N-shard mixed-duplicate (with the shared replay store)."""
     n = shards or max(2, os.cpu_count() or 1)
     cache_path = os.path.join(cache_dir or tempfile.mkdtemp(
         prefix="repro-bench-service-"), "prover.sqlite")
@@ -407,7 +407,7 @@ def default_configs(requests: int = 240, clients: int = 8,
                    duplicate_ratio=0.6, batch=8,
                    cache_path=cache_path,
                    notes="60% duplicates via /v1/batch, shared "
-                         "persistent+unit cache"),
+                         "replay store"),
     ]
 
 

@@ -5,8 +5,7 @@ worker pool:
 
 * **dedup** — requests are keyed on ``(program digest, spec digest,
   options digest)`` using the same process-stable SHA-256 digests as
-  the persistent prover cache (:func:`repro.logic.serialize.
-  text_digest`).  A key whose verdict is already in the LRU cache is
+  the replay store (:func:`repro.logic.serialize.text_digest`).  A key whose verdict is already in the LRU cache is
   answered instantly without touching the pipeline; a key currently
   queued or running coalesces onto the in-flight job instead of
   checking the same program twice;

@@ -98,7 +98,7 @@ class ServeConfig:
     shards: int = 1
     #: Upper bound on ``POST /v1/batch`` items per request.
     batch_limit: int = 256
-    #: Shared persistent prover cache path (None = in-memory only).
+    #: Replay store path shared by every job (None = no store).
     cache_path: Optional[str] = None
     #: Default per-job wall-clock budget (None = unlimited).
     default_timeout_s: Optional[float] = None
@@ -170,7 +170,6 @@ class CheckServer:
             "s%d-" % shard_index)
         self.pool = WorkerPool(self.scheduler,
                                workers=self.config.workers,
-                               cache_path=self.config.cache_path,
                                trace_dir=self.config.trace_dir)
         if listen_socket is None:
             self.httpd = ThreadingHTTPServer(
@@ -356,7 +355,7 @@ class CheckServer:
 
     def _checker_options(self, raw) -> CheckerOptions:
         """Server defaults + the client-settable option subset.  The
-        persistent cache path is always the server's — clients must not
+        replay store path is always the server's — clients must not
         choose server file paths."""
         options = CheckerOptions(
             cache_path=self.config.cache_path,

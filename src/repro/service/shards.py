@@ -12,9 +12,9 @@ scales the service across cores the classic pre-fork way:
   accept queue (no SO_REUSEPORT bind races, no dispatcher hop).  Every
   shard owns a full warm :class:`~repro.service.server.CheckServer`
   stack — scheduler, bounded queue, LRU verdict cache, worker threads
-  with warm provers, and its own connections to the shared SQLite
-  persistent/unit caches (WAL journaling makes the file safe to
-  share across processes);
+  with warm provers, and its jobs' own connections to the shared
+  SQLite replay store (WAL journaling makes the file safe to share
+  across processes);
 * each shard also opens a private **control listener** on the loopback
   serving the same API; after the fork the parent collects the control
   ports over pipes and hands the full shard map back to every child.
@@ -25,9 +25,9 @@ scales the service across cores the classic pre-fork way:
 
 Dedup semantics across the fleet: request coalescing and the LRU
 verdict cache are per shard (duplicate submissions that land on
-different shards run twice at most), while the persistent prover and
-function-unit caches are shared through SQLite — a proof learned by
-any shard prices every shard's future work.
+different shards run twice at most), while the replay store is
+shared through SQLite — a program checked by any shard replays on
+every shard.
 
 Shutdown: SIGTERM/SIGINT to the parent forwards SIGTERM to every
 shard; each shard runs the ordinary graceful drain (stop admission,

@@ -1,12 +1,12 @@
 """The check-service worker pool.
 
 Each worker thread owns a **warm prover** — raw/canonical/conjunct
-result caches that survive across jobs — plus its own handle on the
-shared persistent SQLite cache (SQLite connections are per-thread; WAL
-journaling makes the file safely shared).  Satisfiability depends only
-on the formula, never on the submitting program, so reusing prover
-caches across requests is sound and is precisely the cross-request
-payoff of a resident service.
+result caches that survive across jobs.  Satisfiability depends only on
+the formula, never on the submitting program, so reusing prover caches
+across requests is sound and is precisely the cross-request payoff of a
+resident service.  Workers hold no replay store: each job's checker
+opens, flushes and closes its own handle on the server's
+``cache_path`` (WAL journaling makes the file safely shared).
 
 Isolation rules:
 
@@ -40,27 +40,21 @@ log = logging.getLogger("repro.service")
 
 
 class Worker(threading.Thread):
-    """One worker: warm prover + persistent-cache handle + job loop."""
+    """One worker: warm prover + job loop."""
 
     def __init__(self, index: int, scheduler: Scheduler,
-                 cache_path: Optional[str] = None,
                  trace_dir: Optional[str] = None):
         super().__init__(name="repro-worker-%d" % index, daemon=True)
         self.index = index
         self.scheduler = scheduler
-        self.cache_path = cache_path
         self.trace_dir = trace_dir
-        self._persistent = None
         self._warm: Optional[Prover] = None
 
     # -- warm state ----------------------------------------------------------
 
     def _warm_prover(self) -> Prover:
         if self._warm is None:
-            if self.cache_path:
-                from repro.logic.persist import PersistentProverCache
-                self._persistent = PersistentProverCache(self.cache_path)
-            self._warm = Prover(persistent=self._persistent)
+            self._warm = Prover()
         return self._warm
 
     def _prover_for(self, options) -> Prover:
@@ -80,8 +74,6 @@ class Worker(threading.Thread):
             if job is None:
                 break  # draining and the queue is empty
             self._run_job(job)
-        if self._persistent is not None:
-            self._persistent.close()
 
     def _run_job(self, job: Job) -> None:
         t0 = time.perf_counter()
@@ -130,12 +122,6 @@ class Worker(threading.Thread):
             # truncated trace file).
             if tracer is not None:
                 tracer.close()
-            # Push the write-behind batch (pending rows + last_used
-            # bumps) after every job so a later hard exit — a drain
-            # timeout killing the daemon thread, a shard's os._exit —
-            # loses at most the in-flight job's recency data.
-            if self._persistent is not None:
-                self._persistent.flush()
         self.scheduler.finish(job, result=payload)
         log.info("job=%s worker=%d done verdict=%s trace=%s in %.3fs",
                  job.id, self.index, payload["verdict"],
@@ -154,15 +140,13 @@ class Worker(threading.Thread):
 
 
 class WorkerPool:
-    """N workers sharing one scheduler and one persistent-cache file."""
+    """N workers sharing one scheduler."""
 
     def __init__(self, scheduler: Scheduler, workers: int = 2,
-                 cache_path: Optional[str] = None,
                  trace_dir: Optional[str] = None):
         self.scheduler = scheduler
         self.workers: List[Worker] = [
-            Worker(index, scheduler, cache_path=cache_path,
-                   trace_dir=trace_dir)
+            Worker(index, scheduler, trace_dir=trace_dir)
             for index in range(max(1, workers))
         ]
 

@@ -51,7 +51,7 @@ _ENVELOPE = {
 
 #: Cache levels a prover query can be answered from.
 QUERY_CACHE_LEVELS = (
-    "raw", "canonical", "persistent", "decided", "fallback",
+    "raw", "canonical", "decided", "fallback",
 )
 
 #: Required ``attrs`` per well-known record name.  The value is a tuple
@@ -71,7 +71,7 @@ REQUIRED_ATTRS: Dict[str, Dict[str, Tuple[type, ...]]] = {
         "seconds": (int, float),
         "result": (bool,),
     },
-    # One function unit replayed from the persistent verdict cache
+    # One function unit replayed from the replay store
     # (span); its child obligation spans carry ``replayed: True`` plus
     # the ordinary provenance, so incremental traces stay auditable.
     "function:replayed": {

@@ -1,9 +1,9 @@
 """Phase 2–4 replay (the full-pipeline incremental layer): a warm
 unchanged re-check must reconstruct the propagation fixpoint, the
 annotations, the local verdicts, and the loop-header forward facts from
-the persistent store — byte-identical to a cache-free run — and the
-``kind='pipeline'`` payloads must invalidate on exactly the inputs that
-can change them (body, CFG structure, program layout, spec,
+the replay store — byte-identical to a cache-free run — and the one
+``kind='pipeline'`` payload per program must invalidate on exactly the
+inputs that can change it (body, CFG structure, program layout, spec,
 verdict-affecting options) and on nothing else.
 """
 
@@ -78,7 +78,7 @@ class TestReplay:
             "unit_pipeline_lookups": 1, "unit_pipeline_hits": 0,
             "unit_pipeline_misses": 1,
             "unit_pipeline_replayed_functions": 0,
-            "unit_pipeline_stores": 4}
+            "unit_pipeline_stores": 1}
         assert _pipeline_stats(warm) == {
             "unit_pipeline_lookups": 1, "unit_pipeline_hits": 1,
             "unit_pipeline_misses": 0,
@@ -97,15 +97,10 @@ class TestReplay:
                       CheckerOptions(cache_path=cache))
         warm = _check(INCREMENTAL_SOURCE,
                       CheckerOptions(cache_path=cache))
-        disabled = _check(
-            INCREMENTAL_SOURCE,
-            CheckerOptions(cache_path=cache,
-                           enable_unit_cache=False))
+        assert _pipeline_stats(reference) == {}
         assert _pipeline_stats(warm)["unit_pipeline_hits"] == 1
-        assert _pipeline_stats(disabled) == {}
         want = _json_bytes(reference)
-        assert want == _json_bytes(cold) == _json_bytes(warm) \
-            == _json_bytes(disabled)
+        assert want == _json_bytes(cold) == _json_bytes(warm)
 
     def test_local_violations_replay_in_order(self, tmp_path):
         """A rejected program's local (phase 2–4) violations must come
@@ -163,8 +158,8 @@ class TestInvalidation:
         stats = _pipeline_stats(edited)
         assert stats["unit_pipeline_hits"] == 0
         assert stats["unit_pipeline_misses"] == 1
-        # ... and the miss restores the payloads under the new digests.
-        assert stats["unit_pipeline_stores"] == 4
+        # ... and the miss stores the payload under the new key.
+        assert stats["unit_pipeline_stores"] == 1
         rewarm = _check(INCREMENTAL_EDITED_SOURCE,
                         CheckerOptions(cache_path=cache))
         assert _pipeline_stats(rewarm)["unit_pipeline_hits"] == 1
@@ -238,10 +233,10 @@ for key, deps in conn.execute(
 
 class TestDigestStability:
     def test_pipeline_keys_identical_across_hash_seeds(self, tmp_path):
-        """The stored pipeline keys and dependency digests — structure
-        digests, layout digest, spec and options digests combined —
-        must not depend on Python's hash randomization: a cache written
-        by one process must hit in the next."""
+        """The stored pipeline key — structure digests, layout digest,
+        spec and options digests combined — must not depend on Python's
+        hash randomization: a cache written by one process must hit in
+        the next."""
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.dirname(os.path.abspath(__file__)))), "src")
         keys = []
@@ -255,7 +250,7 @@ class TestDigestStability:
                 capture_output=True, text=True, env=env, check=True)
             keys.append(out.stdout.strip().splitlines())
         assert keys[0] == keys[1]
-        assert len(keys[0]) == 4  # main, fone, ftwo, fthree
+        assert len(keys[0]) == 1  # one row for the whole program
 
     def test_cross_process_replay_hits(self, tmp_path):
         """End to end: a cache primed under one hash seed replays under
@@ -303,6 +298,6 @@ class TestStatsPlumbing:
                CheckerOptions(cache_path=cache))
         with PersistentProverCache(cache) as handle:
             stats = handle.stats()
-        assert stats["units_by_kind"]["pipeline"] == 4
+        assert stats["units_by_kind"]["pipeline"] == 1
         assert stats["units_by_kind"]["unit"] >= 3
         assert stats["units"] == sum(stats["units_by_kind"].values())

@@ -62,18 +62,12 @@ class TestByteIdentity:
                       CheckerOptions(cache_path=cache))
         warm = _check(INCREMENTAL_SOURCE,
                       CheckerOptions(cache_path=cache))
-        disabled = _check(
-            INCREMENTAL_SOURCE,
-            CheckerOptions(cache_path=cache,
-                           enable_unit_cache=False))
         assert warm.prover_stats["unit_hits"] > 0
-        assert disabled.prover_stats.get("unit_hits", 0) == 0
+        assert reference.prover_stats.get("unit_lookups", 0) == 0
         want = _json_bytes(reference)
-        assert want == _json_bytes(cold) == _json_bytes(warm) \
-            == _json_bytes(disabled)
+        assert want == _json_bytes(cold) == _json_bytes(warm)
         want = _fingerprint(reference)
-        assert want == _fingerprint(cold) == _fingerprint(warm) \
-            == _fingerprint(disabled)
+        assert want == _fingerprint(cold) == _fingerprint(warm)
 
     def test_unsafe_program_replays_identically(self, tmp_path):
         cache = cache_at(tmp_path)
@@ -351,13 +345,10 @@ class TestUnitGroups:
                            CheckerOptions(cache_path=cache))
         warm = _check_pair(PAIR_SOURCE,
                            CheckerOptions(cache_path=cache))
-        disabled = _check_pair(
-            PAIR_SOURCE, CheckerOptions(cache_path=cache,
-                                        enable_unit_cache=False))
         assert warm.prover_stats["unit_hits"] == 2
-        assert disabled.prover_stats.get("unit_lookups", 0) == 0
+        assert reference.prover_stats.get("unit_lookups", 0) == 0
         want = _json_bytes(reference)
-        for result in (cold, warm, disabled):
+        for result in (cold, warm):
             assert _json_bytes(result) == want
             assert _fingerprint(result) == _fingerprint(reference)
 

@@ -1,41 +1,55 @@
-"""The persistent cross-run prover cache: storage, sharing, and —
-critically — invalidation.  A stale or corrupt cache file must never
-change verdicts; it may only cost a cold start.
+"""The replay store: storage, sharing, and — critically — invalidation.
+A stale, corrupt or truncated store file must never change verdicts; it
+may only cost a cold start.  A file that is not a store must never be
+touched at all.
 """
 
+import json
+import os
 import sqlite3
 
 import pytest
 
 from repro.analysis.options import CheckerOptions
-from repro.logic.formula import conj, ge
+from repro.analysis.report import verdict_projection
+from repro.cli import main
+from repro.errors import ReproError
+from repro.logic import persist
 from repro.logic.persist import PersistentProverCache, SCHEMA_VERSION
-from repro.logic.prover import Prover
-from repro.logic.terms import Linear
+from repro.programs.sum_array import SOURCE, SPEC
+
+#: A file that passes the header test but is no database.
+SQLITE_GARBAGE = b"SQLite format 3\x00" + b"\xde\xad" * 200
 
 
-def v(name):
-    return Linear.var(name)
+def payload(tag="a"):
+    return {"blob": tag}
 
 
 class TestRoundtrip:
     def test_get_put(self, tmp_path):
         cache = PersistentProverCache(str(tmp_path / "c.sqlite"))
-        assert cache.get("d1") is None
-        cache.put("d1", True)
-        cache.put("d2", False)
-        assert cache.get("d1") is True
-        assert cache.get("d2") is False
-        assert len(cache) == 2
+        assert cache.get("k1") is None
+        cache.put("k1", payload("one"))
+        cache.put("k2", payload("two"))
+        assert cache.get("k1") == payload("one")
+        assert cache.get("k2") == payload("two")
+        assert (cache.hits, cache.misses) == (2, 1)
+        # Program payloads are pipeline rows of the one units table.
+        assert cache.stats()["units_by_kind"] == {"pipeline": 2}
+        # Same key again replaces, never duplicates.
+        cache.put("k1", payload("newer"))
+        assert cache.get("k1") == payload("newer")
+        assert cache.stats()["units"] == 2
         cache.close()
 
     def test_survives_reopen(self, tmp_path):
         path = str(tmp_path / "c.sqlite")
         first = PersistentProverCache(path)
-        first.put("digest", True)
+        first.put("key", payload())
         first.close()
         second = PersistentProverCache(path)
-        assert second.get("digest") is True
+        assert second.get("key") == payload()
         assert second.hits == 1
         second.close()
 
@@ -43,9 +57,9 @@ class TestRoundtrip:
         path = str(tmp_path / "c.sqlite")
         writer = PersistentProverCache(path)
         reader = PersistentProverCache(path)
-        writer.put("shared", False)
+        writer.put("shared", payload())
         writer.flush()
-        assert reader.get("shared") is False
+        assert reader.get("shared") == payload()
         writer.close()
         reader.close()
 
@@ -53,24 +67,46 @@ class TestRoundtrip:
 class TestInvalidation:
     def test_corrupt_file_is_discarded(self, tmp_path):
         path = str(tmp_path / "c.sqlite")
-        with open(path, "w") as handle:
-            handle.write("this is not a sqlite database at all\n")
+        with open(path, "wb") as handle:
+            handle.write(SQLITE_GARBAGE)
         cache = PersistentProverCache(path)
         assert cache.invalidations == 1
         assert cache.get("anything") is None
-        cache.put("fresh", True)
-        assert cache.get("fresh") is True
+        cache.put("fresh", payload())
+        assert cache.get("fresh") == payload()
         cache.close()
 
-    def test_version_bump_discards_results(self, tmp_path):
+    def test_corruption_found_in_use_rebuilds(self, tmp_path):
+        """Pages that only break when a lookup reads them: the lookup
+        misses, the file is rebuilt, and writes land in the new one."""
         path = str(tmp_path / "c.sqlite")
-        old = PersistentProverCache(path, schema_version=SCHEMA_VERSION)
-        old.put("stale", True)
+        cache = PersistentProverCache(path)
+        for index in range(400):
+            cache.put_unit("key-%03d" % index, "deps", "f",
+                           {"pad": "x" * 512})
+        cache.close()
+        pages = os.path.getsize(path) // 4096
+        with open(path, "r+b") as handle:  # keep the schema pages
+            handle.seek(3 * 4096)
+            handle.write(b"\xab" * 4096 * (pages - 4))
+        cache = PersistentProverCache(path)
+        assert cache.invalidations == 0
+        assert cache.get_unit("key-200") == []
+        assert cache.invalidations == 1
+        cache.put_unit("key-200", "deps", "f", {"fresh": True})
+        assert cache.get_unit("key-200") == [{"fresh": True}]
+        assert cache.stats()["units"] == 1
+        cache.close()
+
+    def test_version_bump_discards_results(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "c.sqlite")
+        old = PersistentProverCache(path)
+        old.put("stale", payload())
         old.close()
-        new = PersistentProverCache(path,
-                                    schema_version=SCHEMA_VERSION + 1)
+        monkeypatch.setattr(persist, "SCHEMA_VERSION", SCHEMA_VERSION + 1)
+        new = PersistentProverCache(path)
         assert new.invalidations == 1
-        assert new.get("stale") is None  # result discarded
+        assert new.get("stale") is None  # payload discarded
         new.close()
         # The file now carries the new version.
         conn = sqlite3.connect(path)
@@ -85,9 +121,31 @@ class TestInvalidation:
         cache = PersistentProverCache(str(target / "c.sqlite"))
         # Every operation is a total no-op, never an exception.
         assert cache.get("d") is None
-        cache.put("d", True)
+        cache.put("d", payload())
         cache.flush()
-        assert len(cache) == 0
+        assert cache.get("d") is None
+        assert cache.stats()["units"] == 0
+        cache.close()
+
+    @pytest.mark.parametrize("content", [
+        b"notes: the store lives elsewhere\nsecond line\n",
+        b"SQLite",  # a prefix of the header is not the header
+    ])
+    def test_foreign_file_is_refused_untouched(self, tmp_path, content):
+        path = tmp_path / "notes.txt"
+        path.write_bytes(content)
+        with pytest.raises(ReproError, match="notes.txt"):
+            PersistentProverCache(str(path))
+        assert path.read_bytes() == content
+        assert sorted(os.listdir(str(tmp_path))) == ["notes.txt"]
+
+    def test_empty_file_becomes_a_store(self, tmp_path):
+        path = tmp_path / "empty.sqlite"
+        path.write_bytes(b"")
+        cache = PersistentProverCache(str(path))
+        cache.put("k", payload())
+        assert cache.get("k") == payload()
+        assert cache.invalidations == 0
         cache.close()
 
 
@@ -134,19 +192,25 @@ class TestUnitTable:
         assert second.get_unit("k") == [self.payload()]
         second.close()
 
-    def test_version_bump_migrates_in_place(self, tmp_path):
-        """A schema bump keeps the file but drops the rows of *both*
-        tables — stale unit verdicts are as dangerous as stale formula
-        results."""
+    def test_version_bump_migrates_in_place(self, tmp_path,
+                                            monkeypatch):
+        """A schema bump keeps the file but drops every row — unit
+        verdicts and program payloads alike — and the satisfiability
+        table of schema 3 and earlier."""
         path = str(tmp_path / "c.sqlite")
-        old = PersistentProverCache(path, schema_version=SCHEMA_VERSION)
-        old.put("stale-result", True)
+        old = PersistentProverCache(path)
+        old.put("stale-payload", {"blob": "x"})
         old.put_unit("stale-unit", "deps", "f", self.payload())
         old.close()
-        new = PersistentProverCache(path,
-                                    schema_version=SCHEMA_VERSION + 1)
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE results (digest TEXT PRIMARY KEY, "
+                     "satisfiable INTEGER NOT NULL)")
+        conn.commit()
+        conn.close()
+        monkeypatch.setattr(persist, "SCHEMA_VERSION", SCHEMA_VERSION + 1)
+        new = PersistentProverCache(path)
         assert new.invalidations == 1
-        assert new.get("stale-result") is None
+        assert new.get("stale-payload") is None
         assert new.get_unit("stale-unit") == []
         new.put_unit("fresh", "deps", "f", self.payload())
         new.flush()
@@ -155,8 +219,11 @@ class TestUnitTable:
         conn = sqlite3.connect(path)
         row = conn.execute("SELECT value FROM meta WHERE "
                            "key='schema_version'").fetchone()
+        tables = {name for (name,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type='table'")}
         conn.close()
         assert row[0] == str(SCHEMA_VERSION + 1)
+        assert tables == {"meta", "units"}
 
     def test_wrong_column_layout_is_rebuilt(self, tmp_path):
         """A ``units`` table with an incompatible layout (e.g. written
@@ -180,54 +247,16 @@ class TestUnitTable:
 
     def test_corrupt_file_regression(self, tmp_path):
         """Corruption never raises out of the unit API — the file is
-        discarded and the store behaves as empty (the formula-result
-        regression, extended to the units table)."""
+        discarded and the store behaves as empty."""
         path = str(tmp_path / "c.sqlite")
-        with open(path, "w") as handle:
-            handle.write("not a sqlite database\n")
+        with open(path, "wb") as handle:
+            handle.write(SQLITE_GARBAGE)
         cache = PersistentProverCache(path)
         assert cache.invalidations == 1
         assert cache.get_unit("k") == []
         cache.put_unit("k", "deps", "f", self.payload())
         cache.flush()
         assert cache.get_unit("k") == [self.payload()]
-        cache.close()
-
-    def test_legacy_layout_is_migrated_in_place(self, tmp_path):
-        """A ``units`` table from before the ``last_used`` column keeps
-        its rows: the column is added in place, seeded from
-        ``created``."""
-        path = str(tmp_path / "c.sqlite")
-        seeded = PersistentProverCache(path)
-        seeded.put("result", True)
-        seeded.close()
-        conn = sqlite3.connect(path)
-        conn.execute("DROP TABLE units")
-        conn.execute("CREATE TABLE units ("
-                     "unit_key TEXT NOT NULL, "
-                     "deps_digest TEXT NOT NULL, "
-                     "function TEXT NOT NULL, "
-                     "payload TEXT NOT NULL, "
-                     "created REAL NOT NULL, "
-                     "PRIMARY KEY (unit_key, deps_digest))")
-        import json as json_mod
-        conn.execute("INSERT INTO units VALUES (?, ?, ?, ?, ?)",
-                     ("k", "deps", "f",
-                      json_mod.dumps(self.payload()), 123.0))
-        conn.commit()
-        conn.close()
-        cache = PersistentProverCache(path)
-        assert cache.migrations == 1
-        assert cache.invalidations == 0
-        assert cache.get_unit("k") == [self.payload()]  # row survived
-        assert cache.get("result") is True
-        cache.flush()
-        conn = sqlite3.connect(path)
-        columns = [row[1] for row in
-                   conn.execute("PRAGMA table_info(units)")]
-        conn.close()
-        assert "last_used" in columns
-        assert columns[-1] == "kind"
         cache.close()
 
     def test_lookup_bumps_last_used(self, tmp_path):
@@ -265,7 +294,7 @@ class TestMaintenance:
     def seeded(self, tmp_path):
         cache = PersistentProverCache(str(tmp_path / "c.sqlite"))
         for index in range(8):
-            cache.put("digest-%d" % index, True)
+            cache.put("program-%d" % index, {"blob": "x" * 256})
             cache.put_unit("key-%d" % index, "deps", "f",
                            {"schema": 1, "function": "f",
                             "obligations": [["ob", True]],
@@ -274,11 +303,13 @@ class TestMaintenance:
         return cache
 
     def test_stats_counts_both_tables(self, tmp_path):
+        """Unit verdicts and program payloads share one table; stats
+        counts them by kind."""
         cache = self.seeded(tmp_path)
         stats = cache.stats()
         assert stats["exists"] is True
-        assert stats["results"] == 8
-        assert stats["units"] == 8
+        assert stats["units_by_kind"] == {"pipeline": 8, "unit": 8}
+        assert stats["units"] == 16
         assert stats["schema_version"] == SCHEMA_VERSION
         assert stats["size_bytes"] > 0
         cache.close()
@@ -288,15 +319,14 @@ class TestMaintenance:
         cache.clear()
         stats = cache.stats()
         assert stats["exists"] is True
-        assert stats["results"] == 0
         assert stats["units"] == 0
+        assert stats["units_by_kind"] == {}
         cache.close()
 
     def test_gc_evicts_units_first(self, tmp_path):
         cache = self.seeded(tmp_path)
         report = cache.gc(max_mb=0.0)
-        assert report["deleted_units"] == 8
-        assert report["deleted_results"] == 8
+        assert report["deleted_units"] == 16
         assert cache.stats()["units"] == 0
         cache.close()
 
@@ -304,8 +334,7 @@ class TestMaintenance:
         cache = self.seeded(tmp_path)
         report = cache.gc(max_mb=64.0)
         assert report["deleted_units"] == 0
-        assert report["deleted_results"] == 0
-        assert cache.stats()["units"] == 8
+        assert cache.stats()["units"] == 16
         cache.close()
 
     def test_gc_evicts_lru_and_hot_units_survive(self, tmp_path):
@@ -337,32 +366,6 @@ class TestMaintenance:
         cache.close()
 
 
-class TestProverIntegration:
-    def query(self):
-        return conj(ge(v("x"), 0), ge(Linear({"x": -1}, 10), 0))
-
-    def test_second_prover_hits_persistent_cache(self, tmp_path):
-        path = str(tmp_path / "c.sqlite")
-        first = Prover(persistent=PersistentProverCache(path))
-        verdict = first.is_satisfiable(self.query())
-        assert first.stats.persistent_cache_stores == 1
-        first.persistent.close()
-        second = Prover(persistent=PersistentProverCache(path))
-        assert second.is_satisfiable(self.query()) == verdict
-        assert second.stats.persistent_cache_hits == 1
-        second.persistent.close()
-
-    def test_verdicts_identical_with_corrupted_cache(self, tmp_path):
-        """Corruption mid-lifecycle: verdicts match a cold run."""
-        path = str(tmp_path / "c.sqlite")
-        plain = Prover().is_satisfiable(self.query())
-        with open(path, "w") as handle:
-            handle.write("garbage")
-        prover = Prover(persistent=PersistentProverCache(path))
-        assert prover.is_satisfiable(self.query()) == plain
-        prover.persistent.close()
-
-
 class TestCheckerIntegration:
     def checked(self, tmp_path, name="sum"):
         from repro.programs import all_programs
@@ -380,119 +383,130 @@ class TestCheckerIntegration:
 
     def test_warm_run_identical_to_cold(self, tmp_path):
         program, options = self.checked(tmp_path)
-        baseline = program.check()  # no persistent cache at all
+        baseline = program.check()  # no store at all
         cold = program.check(options=options)
         warm = program.check(options=options)
         assert self.verdicts(cold) == self.verdicts(baseline)
         assert self.verdicts(warm) == self.verdicts(baseline)
-        assert cold.prover_stats["persistent_cache_stores"] > 0
-        # Warm, the function-unit layer replays the verdicts before
-        # the formula-level cache is ever consulted.
+        assert cold.prover_stats["unit_stores"] > 0
+        assert cold.prover_stats["unit_pipeline_stores"] == 1
+        # Warm, phases 2-5 replay: the prover is never asked.
         assert warm.prover_stats["unit_hits"] > 0
-
-    def test_formula_level_cache_still_warms(self, tmp_path):
-        """With unit replay disabled the formula-level persistent
-        cache carries the warm run, exactly as before the unit layer
-        existed."""
-        program, options = self.checked(tmp_path)
-        options.enable_unit_cache = False
-        baseline = program.check()
-        cold = program.check(options=options)
-        warm = program.check(options=options)
-        assert self.verdicts(cold) == self.verdicts(baseline)
-        assert self.verdicts(warm) == self.verdicts(baseline)
-        assert cold.prover_stats["persistent_cache_stores"] > 0
-        assert warm.prover_stats["persistent_cache_hits"] > 0
-        assert warm.prover_stats["persistent_cache_stores"] == 0
+        assert warm.prover_stats["unit_pipeline_hits"] == 1
+        assert warm.prover_queries == 0
 
     def test_version_bumped_cache_matches_cold_verdicts(self, tmp_path,
                                                         monkeypatch):
         program, options = self.checked(tmp_path)
         cold = program.check(options=options)
-        # Simulate a digest-definition change: bump the schema.
-        import repro.logic.persist as persist
+        # Simulate a payload-recipe change: bump the schema.
         monkeypatch.setattr(persist, "SCHEMA_VERSION",
                             persist.SCHEMA_VERSION + 1)
         bumped = program.check(options=options)
         assert self.verdicts(bumped) == self.verdicts(cold)
-        # The stale results were dropped: everything re-proved.
-        assert bumped.prover_stats["persistent_cache_hits"] == 0
-        assert bumped.prover_stats["persistent_cache_stores"] > 0
+        # The stale rows were dropped: everything re-proved.
+        assert bumped.prover_stats["unit_hits"] == 0
+        assert bumped.prover_stats["unit_pipeline_hits"] == 0
+        assert bumped.prover_stats["unit_stores"] > 0
+
+    def test_verdicts_identical_with_corrupted_cache(self, tmp_path):
+        """A corrupt store file: verdicts match a store-free run."""
+        program, options = self.checked(tmp_path)
+        plain = program.check()
+        with open(options.cache_path, "wb") as handle:
+            handle.write(SQLITE_GARBAGE)
+        assert self.verdicts(program.check(options=options)) \
+            == self.verdicts(plain)
 
 
-class TestSchemaV2Migration:
-    """v2 files (pre-``kind`` column) carry rows whose digest recipes
-    are unchanged in v3: opening one must keep every row, tag the
-    table with the ``kind`` column, and count a migration — not an
-    invalidation."""
+def _v3_store(path):
+    """A store as schema 3 wrote it: a satisfiability table beside the
+    units table, both with rows."""
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+    conn.execute("INSERT INTO meta VALUES ('schema_version', '3')")
+    conn.execute("CREATE TABLE results (digest TEXT PRIMARY KEY, "
+                 "satisfiable INTEGER NOT NULL)")
+    conn.executemany("INSERT INTO results VALUES (?, ?)",
+                     [("d%d" % i, i % 2) for i in range(32)])
+    conn.execute(persist._TABLE_DDL["units"])
+    conn.execute("INSERT INTO units VALUES ('k', 'deps', 'main', ?, "
+                 "1.0, 2.0, 'unit')", (json.dumps({"schema": 2}),))
+    conn.execute("INSERT INTO units VALUES ('p', 'deps', 'main', ?, "
+                 "1.0, 2.0, 'pipeline')", (json.dumps({"blob": ""}),))
+    conn.commit()
+    conn.close()
 
-    def seeded_v2(self, tmp_path):
-        path = str(tmp_path / "c.sqlite")
+
+def _truncated(path):
+    """A primed store cut to half its size."""
+    _prime(path)
+    size = os.path.getsize(path)
+    with open(path, "r+b") as handle:
+        handle.truncate(size // 2)
+
+
+def _rewrite_rows(kind, payload):
+    def damage(path):
+        _prime(path)
         conn = sqlite3.connect(path)
-        conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, "
-                     "value TEXT NOT NULL)")
-        conn.execute("INSERT INTO meta VALUES ('schema_version', '2')")
-        conn.execute("CREATE TABLE results (digest TEXT PRIMARY KEY, "
-                     "satisfiable INTEGER NOT NULL)")
-        conn.execute("INSERT INTO results VALUES ('d', 1)")
-        conn.execute("CREATE TABLE units ("
-                     "unit_key TEXT NOT NULL, "
-                     "deps_digest TEXT NOT NULL, "
-                     "function TEXT NOT NULL, "
-                     "payload TEXT NOT NULL, "
-                     "created REAL NOT NULL, "
-                     "last_used REAL NOT NULL, "
-                     "PRIMARY KEY (unit_key, deps_digest))")
-        import json as json_mod
-        conn.execute("INSERT INTO units VALUES (?, ?, ?, ?, ?, ?)",
-                     ("k", "deps", "f",
-                      json_mod.dumps({"schema": 1}), 1.0, 2.0))
+        conn.execute("UPDATE units SET payload=? WHERE kind=?",
+                     (payload, kind))
+        assert conn.total_changes > 0
         conn.commit()
         conn.close()
-        return path
+    return damage
 
-    def test_v2_rows_survive_the_v3_migration(self, tmp_path):
-        path = self.seeded_v2(tmp_path)
-        cache = PersistentProverCache(path)
-        assert cache.migrations == 1
-        assert cache.invalidations == 0
-        assert cache.get("d") is True
-        assert cache.get_unit("k") == [{"schema": 1}]
-        cache.close()
-        conn = sqlite3.connect(path)
-        assert conn.execute("SELECT value FROM meta WHERE "
-                            "key='schema_version'").fetchone()[0] \
-            == str(SCHEMA_VERSION)
-        columns = [row[1] for row in
-                   conn.execute("PRAGMA table_info(units)")]
-        assert columns[-1] == "kind"
-        # Pre-existing rows default to the phase-5 verdict kind.
-        assert conn.execute("SELECT kind FROM units").fetchone()[0] \
-            == "unit"
-        conn.close()
 
-    def test_migrated_file_counts_kinds(self, tmp_path):
-        path = self.seeded_v2(tmp_path)
-        cache = PersistentProverCache(path)
-        cache.put_unit("p", "deps", "f", {"schema": 1},
-                       kind="pipeline")
-        cache.flush()
-        stats = cache.stats()
-        assert stats["units_by_kind"] == {"pipeline": 1, "unit": 1}
-        cache.close()
+def _prime(path):
+    with open(path + ".s", "w") as f:
+        f.write(SOURCE)
+    with open(path + ".policy", "w") as f:
+        f.write(SPEC)
+    assert main(["check", path + ".s", path + ".policy",
+                 "--cache", path]) == 0
+    assert not os.path.exists(path + "-wal")
 
-    def test_future_version_still_invalidates(self, tmp_path):
-        path = self.seeded_v2(tmp_path)
-        conn = sqlite3.connect(path)
-        conn.execute("UPDATE meta SET value='99' "
-                     "WHERE key='schema_version'")
-        conn.commit()
-        conn.close()
-        cache = PersistentProverCache(path)
-        assert cache.invalidations == 1
-        assert cache.get("d") is None
-        assert cache.get_unit("k") == []
-        cache.close()
+
+DAMAGE = {
+    "v3-file": _v3_store,
+    "truncated": _truncated,
+    "pipeline-blob-not-a-pickle": _rewrite_rows(
+        "pipeline", json.dumps({"blob": "bm90IGEgcGlja2xl"})),
+    "pipeline-payload-not-json": _rewrite_rows("pipeline", "{not json"),
+    "unit-rows-wrong-shape": _rewrite_rows(
+        "unit", json.dumps({"schema": 2, "members": [[1]], "deps": []})),
+    "unit-rows-not-objects": _rewrite_rows("unit", "[1, 2, 3]"),
+}
+
+
+class TestDamagedStore:
+    """Stores damaged in every way a file on disk can be: a check
+    through the CLI succeeds with the store-free verdicts, and the
+    check after it replays from the repaired store."""
+
+    @staticmethod
+    def check_json(code, spec, capsys, *extra):
+        capsys.readouterr()
+        assert main(["check", code, spec, "--json"] + list(extra)) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_store_checks_like_no_store(self, tmp_path, capsys,
+                                                damage):
+        code, spec = str(tmp_path / "sum.s"), str(tmp_path / "sum.policy")
+        (tmp_path / "sum.s").write_text(SOURCE)
+        (tmp_path / "sum.policy").write_text(SPEC)
+        store = str(tmp_path / "store.sqlite")
+        DAMAGE[damage](store)
+        reference = self.check_json(code, spec, capsys)
+        first = self.check_json(code, spec, capsys, "--cache", store)
+        assert verdict_projection(first) == verdict_projection(reference)
+        second = self.check_json(code, spec, capsys, "--cache", store)
+        assert verdict_projection(second) == verdict_projection(reference)
+        assert second["prover"]["unit_pipeline_hits"] == 1
+        assert second["prover"]["unit_hits"] \
+            == second["prover"]["unit_lookups"] > 0
 
 
 class TestWriteBehindFlush:
@@ -560,11 +574,12 @@ class TestWriteBehindFlush:
 
         def run_job():
             scheduler = Scheduler()
-            pool = WorkerPool(scheduler, workers=1, cache_path=path)
+            pool = WorkerPool(scheduler, workers=1)
             pool.start()
             job = scheduler.submit(CheckRequest.build(
                 INCREMENTAL_SOURCE, INCREMENTAL_SPEC,
-                name="incremental"))
+                name="incremental",
+                options=CheckerOptions(cache_path=path)))
             scheduler.drain()
             assert pool.join(timeout_s=60.0)
             assert job.state == "completed"
@@ -576,8 +591,8 @@ class TestWriteBehindFlush:
         run_job()  # replay: bumps last_used through the drain path
 
         survivor = PersistentProverCache(path)
-        # Budget sized between the program's own rows (~70 KiB,
-        # pipeline blobs included) and ballast+program, so the LRU
+        # Budget sized between the program's own rows (pipeline blob
+        # included) and ballast+program, so the LRU
         # sweep must stop right after the ballast.
         report = survivor.gc(max_mb=0.2)
         assert report["deleted_units"] > 0

@@ -36,7 +36,7 @@ class TestDigests:
         assert timed.key != base.key
 
     def test_cache_path_does_not_change_the_key(self):
-        # The persistent cache is verdict-preserving, so it must dedup
+        # The replay store is verdict-preserving, so it must dedup
         # onto the same key.
         base = request()
         assert request(

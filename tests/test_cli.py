@@ -84,7 +84,8 @@ class TestCheck:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--no-slicing", "--no-incremental"])
+    @pytest.mark.parametrize("flag", ["--no-slicing", "--no-incremental",
+                                      "--no-unit-cache"])
     def test_prover_feature_flags_are_gone(self, files, capsys, flag):
         code, spec, __ = files
         with pytest.raises(SystemExit) as exc:

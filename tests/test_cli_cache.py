@@ -39,9 +39,10 @@ class TestStats:
         capsys.readouterr()
         assert main(["cache", "stats", "--cache", str(cache)]) == 0
         out = capsys.readouterr().out
-        assert "schema version: 3" in out
-        assert "prover results:" in out
-        assert "function units:" in out
+        assert "schema version: 4" in out
+        assert "prover results:" not in out
+        assert "replay rows:" in out
+        assert "pipeline:" in out
 
     def test_json_stats(self, files, capsys):
         code, spec, cache = files
@@ -51,9 +52,10 @@ class TestStats:
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["exists"] is True
-        assert payload["schema_version"] == 3
-        assert payload["results"] > 0
+        assert payload["schema_version"] == 4
+        assert "results" not in payload
         assert payload["units"] > 0
+        assert payload["units_by_kind"]["pipeline"] == 1
         assert payload["size_bytes"] > 0
 
     def test_json_stats_missing_file(self, files, capsys):
@@ -62,7 +64,7 @@ class TestStats:
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["exists"] is False
-        assert payload["results"] == 0
+        assert payload["units"] == 0
 
 
 class TestClear:
@@ -76,7 +78,6 @@ class TestClear:
         assert main(["cache", "stats", "--cache", str(cache),
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["results"] == 0
         assert payload["units"] == 0
 
 
@@ -88,7 +89,7 @@ class TestGc:
         assert main(["cache", "gc", "--cache", str(cache),
                      "--max-mb", "64"]) == 0
         out = capsys.readouterr().out
-        assert "dropped 0 function units, 0 prover results" in out
+        assert "dropped 0 rows" in out
 
     def test_gc_zero_budget_empties_the_store(self, files, capsys):
         code, spec, cache = files
@@ -101,5 +102,42 @@ class TestGc:
         lines = capsys.readouterr().out.splitlines()
         payload = json.loads("\n".join(
             lines[lines.index("{"):]))
-        assert payload["results"] == 0
         assert payload["units"] == 0
+
+
+class TestForeignFile:
+    """``--cache`` pointed at a file that is not a store: every command
+    exits 2 naming the file, and the file's bytes are unchanged."""
+
+    NOTES = b"line one of my notes\nline two\n"
+
+    @pytest.mark.parametrize("command", [
+        ["cache", "stats"], ["cache", "stats", "--json"],
+        ["cache", "clear"], ["cache", "gc", "--max-mb", "0"], ["check"],
+    ], ids=lambda c: " ".join(c))
+    def test_foreign_file_exits_two_untouched(self, files, capsys,
+                                              tmp_path, command):
+        code, spec, __ = files
+        notes = tmp_path / "notes.txt"
+        notes.write_bytes(self.NOTES)
+        argv = list(command)
+        if command == ["check"]:
+            argv += [str(code), str(spec)]
+        assert main(argv + ["--cache", str(notes)]) == 2
+        assert "notes.txt" in capsys.readouterr().err
+        assert notes.read_bytes() == self.NOTES
+        assert not os.path.exists(str(notes) + "-wal")
+
+    def test_serve_refuses_before_listening(self, capsys, tmp_path,
+                                            monkeypatch):
+        import repro.service.server as server
+
+        def no_server(*args, **kwargs):
+            raise AssertionError("serve started despite a foreign --cache")
+
+        monkeypatch.setattr(server, "CheckServer", no_server)
+        notes = tmp_path / "notes.txt"
+        notes.write_bytes(self.NOTES)
+        assert main(["serve", "--port", "0", "--cache", str(notes)]) == 2
+        assert "notes.txt" in capsys.readouterr().err
+        assert notes.read_bytes() == self.NOTES
