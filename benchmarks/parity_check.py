@@ -6,7 +6,8 @@ cross-backend parity programs (RISC-V) at default options — the
 reference run — and then under the configurations selected below,
 failing loudly unless the safety verdict, every per-condition proof
 outcome, and every violation are identical to the reference.  At
-least one of ``--ablations`` and ``--incremental`` is required.
+least one of ``--ablations``, ``--incremental`` and ``--dump`` is
+required.
 
 With ``--ablations`` each program also runs under the paper's
 prover cache ablation (``no-prover-cache``: every query decided from
@@ -25,14 +26,25 @@ the base program and re-checking an edited variant must replay the
 untouched functions (``unit_hits > 0``) and still match a cache-free
 check of the edited program exactly.
 
+With ``--dump FILE`` every Figure-9 program, the RV32I cases below
+and fuzz generator seeds 0-59 on both frontends (as ``--arch``
+selects) are checked store-free under a 5 s limit, and FILE gets one
+JSON record per check: the ``result_to_json`` payload
+without ``times`` and without the float prover fields (the integer
+counters stay), or just ``{"timed_out": true}`` for a check that hit
+the limit.  Two dumps made from two versions of the checker compare
+with ``diff``: a change that only buys time must leave them
+identical apart from checks that time out on one side.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/parity_check.py
         [--arch sparc|riscv|both] [--full] [--ablations]
-        [--incremental]
+        [--incremental] [--dump FILE]
 """
 
 import argparse
+import json
 import os
 import shutil
 import sys
@@ -44,6 +56,8 @@ sys.path.insert(
 
 from repro.analysis.checker import check_assembly  # noqa: E402
 from repro.analysis.options import CheckerOptions  # noqa: E402
+from repro.analysis.report import result_to_json  # noqa: E402
+from repro.logic.memo import clear_all_caches  # noqa: E402
 
 # RISC-V programs mirroring tests/ir/test_parity.py: a loop that needs
 # invariant synthesis (safe), its off-by-one variant (unsafe), and
@@ -256,7 +270,66 @@ def run_riscv(failures, ablations=False, incremental=False):
                 failures)
 
 
-def main():
+#: Per-check limit of a ``--dump`` run (seconds).
+DUMP_TIMEOUT_S = 5.0
+
+#: Fuzz generator seeds a ``--dump`` run checks on each frontend.
+DUMP_FUZZ_SEEDS = range(60)
+
+
+def dump_cases(arch):
+    """(key, source, spec text, arch) of every check ``--dump``
+    records for *arch* (``sparc``, ``riscv`` or ``both``)."""
+    from repro.fuzz.generator import ARCHS, generate_sketch, lower, \
+        spec_text
+    from repro.programs import all_programs
+    cases = []
+    if arch in ("sparc", "both"):
+        cases += [(program.name, program.source, program.spec_text,
+                   "sparc") for program in all_programs()]
+    if arch in ("riscv", "both"):
+        cases += [(name, source, spec, "riscv")
+                  for name, source, spec in RISCV_CASES]
+    for seed in DUMP_FUZZ_SEEDS:
+        sketch = generate_sketch(seed)
+        for fuzz_arch in ARCHS:
+            if arch in (fuzz_arch, "both"):
+                cases.append(("fuzz-%d/%s" % (seed, fuzz_arch),
+                              lower(sketch, fuzz_arch),
+                              spec_text(sketch, fuzz_arch), fuzz_arch))
+    return cases
+
+
+def dump_record(result):
+    """The parts of one check's ``result_to_json`` that two versions of
+    the checker must agree on."""
+    if result.timed_out:
+        return {"timed_out": True}
+    payload = result_to_json(result)
+    del payload["times"]
+    payload["prover"] = {name: value
+                         for name, value in payload["prover"].items()
+                         if not isinstance(value, float)}
+    return payload
+
+
+def write_dump(path, cases, timeout_s=DUMP_TIMEOUT_S):
+    """Check every case cold and write the records to *path*."""
+    records = {}
+    for key, source, spec, arch in cases:
+        clear_all_caches()
+        result = check_assembly(
+            source, spec, name=key, arch=arch,
+            options=CheckerOptions(timeout_s=timeout_s))
+        records[key] = dump_record(result)
+        print("%-18s %-14s %s" % (key, "dump", result.verdict))
+    with open(path, "w", encoding="utf-8") as out:
+        json.dump(records, out, indent=1, sort_keys=True)
+        out.write("\n")
+    return records
+
+
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--arch", choices=["sparc", "riscv", "both"],
                         default="both")
@@ -271,10 +344,18 @@ def main():
                              "warm, plus the edit-one-function path) "
                              "against the store-free default "
                              "configuration")
-    args = parser.parse_args()
-    if not (args.ablations or args.incremental):
-        parser.error("nothing to compare: pass --ablations and/or "
-                     "--incremental")
+    parser.add_argument("--dump", metavar="FILE",
+                        help="write each check's verdict record "
+                             "(Figure 9, the RV32I cases, fuzz seeds "
+                             "0-59) to FILE for diffing two versions")
+    args = parser.parse_args(argv)
+    if not (args.ablations or args.incremental or args.dump):
+        parser.error("nothing to compare: pass --ablations, "
+                     "--incremental and/or --dump")
+    if args.dump:
+        write_dump(args.dump, dump_cases(args.arch))
+        if not (args.ablations or args.incremental):
+            return 0
     failures = []
     if args.arch in ("sparc", "both"):
         run_sparc(args.full, failures, ablations=args.ablations,

@@ -27,7 +27,7 @@ DESIGN.md as a modeling assumption.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, FrozenSet, Optional
 
 from repro.cfg.graph import BranchCondition, Node
 from repro.errors import ProverError
@@ -201,6 +201,26 @@ class WlpTransfer(OpVisitor):
         if inst is None or q is TRUE:
             return q
         return self.visit(inst, node, q)
+
+    def writes(self, node: Node) -> FrozenSet[str]:
+        """The variables the node's wlp can rewrite: ``node_transfer``
+        returns Q itself whenever none of them is free in Q."""
+        inst = node.instruction
+        if inst is None:
+            return frozenset()
+        if isinstance(inst, Store):
+            resolution = self._resolve(node, inst)
+            if resolution is None:
+                return frozenset(location.name for location
+                                 in self._locations.memory_locations())
+            return frozenset(resolution.targets)
+        out = set()
+        register = inst.defined_register()
+        if register is not None:
+            out.add(register)
+        if inst.sets_cc:
+            out.add(ICC)
+        return frozenset(out)
 
     # -- register assignment -----------------------------------------------------
 

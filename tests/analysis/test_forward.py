@@ -2,12 +2,16 @@
 extension)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.analysis.forward as forward
 from repro import parse_spec
 from repro.analysis.forward import FactSet, ForwardBounds, _FactTransfer
 from repro.analysis.prepare import prepare
 from repro.cfg import CFG, NodeRole, build_cfg, find_loops
-from repro.logic import Prover, congruent, conj, eq, ge, implies, le
+from repro.logic import (
+    TRUE, Prover, congruent, conj, eq, ge, implies, le,
+)
 from repro.logic.formula import Cong, Geq
 from repro.logic.terms import Linear
 from repro.sparc import assemble
@@ -102,6 +106,75 @@ class TestFactSet:
         assert Prover().implies(copied.to_formula(), eq(v("y"), v("x")))
 
 
+_VARS = ["x", "y", "z"]
+_TERMS = st.tuples(
+    st.dictionaries(st.sampled_from(_VARS),
+                    st.sampled_from([-2, -1, 1, 2]), min_size=1),
+    st.integers(-3, 3)).map(lambda parts: Linear(*parts))
+_ATOMS = st.one_of(
+    _TERMS.map(lambda t: ge(t, 0)),
+    _TERMS.map(lambda t: eq(t, 0)),
+    st.tuples(_TERMS, st.integers(2, 6), st.integers(0, 5)).map(
+        lambda parts: congruent(*parts)))
+_INDEX = st.integers(0, 63)
+_FACT_OPS = st.one_of(
+    st.tuples(st.just("add"), _INDEX, _ATOMS),
+    st.tuples(st.just("kill"), _INDEX, st.sampled_from(_VARS)),
+    st.tuples(st.just("assign"), _INDEX, st.sampled_from(_VARS),
+              st.one_of(st.none(), _TERMS)),
+    st.tuples(st.just("substitute"), _INDEX, st.sampled_from(_VARS),
+              st.integers(-2, 2)),
+    st.tuples(st.just("copy"), _INDEX),
+    st.tuples(st.just("join"), _INDEX, _INDEX, st.booleans()),
+    st.tuples(st.just("equalities"), _INDEX))
+
+
+def _recomputed_equalities(facts):
+    fresh = FactSet()
+    fresh.lower = dict(facts.lower)
+    return fresh._equalities()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(_FACT_OPS, min_size=1, max_size=25))
+def test_cached_equalities_match_recomputation(ops):
+    """Whatever sequence of writes a fact set goes through, its cached
+    equality map is the one recomputed from its bounds."""
+    pool = [FactSet()]
+    for op in ops:
+        kind, facts = op[0], pool[op[1] % len(pool)]
+        if kind == "add":
+            facts.add_atom(op[2])
+        elif kind == "kill":
+            facts.kill(op[2])
+        elif kind == "assign":
+            pool.append(facts.assign(op[2], op[3]))
+        elif kind == "substitute":
+            pool.append(facts.substitute(op[2], v(op[2]) - op[3]))
+        elif kind == "copy":
+            pool.append(facts.copy())
+        elif kind == "join":
+            pool.append(facts.join(pool[op[2] % len(pool)], widen=op[3]))
+        else:
+            facts._equalities()
+        for touched in (facts, pool[-1]):
+            assert touched._equalities() == \
+                _recomputed_equalities(touched)
+    for facts in pool:
+        assert facts._equalities() == _recomputed_equalities(facts)
+
+
+def test_clear_all_caches_empties_the_direction_memos():
+    from repro.logic.memo import clear_all_caches
+    facts = FactSet()
+    facts.add_atom(eq(v("x") - v("y"), 2))
+    facts.join(facts.copy())
+    facts.kill("y")
+    assert len(forward._NEGATED) and len(forward._VARIABLES)
+    clear_all_caches()
+    assert len(forward._NEGATED) == 0 and len(forward._VARIABLES) == 0
+
+
 class TestForwardPass:
     def test_initial_constraints_reach_straightline_code(self):
         cfg, forward = facts_for("1: mov %o0,%o2\n2: retl\n3: nop", SPEC)
@@ -184,6 +257,35 @@ class TestForwardPass:
         prover = Prover()
         assert prover.implies(facts, ge(v("%g1"), 0))
         assert prover.implies(facts, le(v("%g1"), 63))
+
+
+class TestStepCap:
+    """A fixpoint stopped by the step cap publishes no facts: facts that
+    have not converged may be stronger than what holds."""
+
+    def test_capped_run_publishes_nothing(self, monkeypatch):
+        monkeypatch.setattr(forward, "MAX_FORWARD_STEPS", 10)
+        cfg, bounds = facts_for("""
+        1: clr %g3
+        2: cmp %g3,%o1
+        3: bge 7
+        4: nop
+        5: ba 2
+        6: inc %g3
+        7: retl
+        8: nop
+        """, SPEC)
+        assert bounds.before == {}
+        assert all(bounds.facts_at(uid) is TRUE for uid in cfg.nodes)
+
+    def test_capped_run_keeps_unsafe_program_rejected(self, monkeypatch):
+        from repro.programs import all_programs
+        program = next(p for p in all_programs()
+                       if p.name == "paging-policy")
+        monkeypatch.setattr(forward, "MAX_FORWARD_STEPS", 10)
+        result = program.check()
+        assert not result.safe
+        assert sorted(v.index for v in result.violations) == [7, 12]
 
 
 class TestEngineIntegration:
@@ -305,8 +407,18 @@ def _riscv_parity_cases():
     ]
 
 
+def _fuzz_cases():
+    from repro.fuzz.generator import ARCHS, generate_sketch, lower, \
+        spec_text
+    return [pytest.param(lower(generate_sketch(seed), arch),
+                         spec_text(generate_sketch(seed), arch), arch,
+                         id="fuzz-%d-%s" % (seed, arch))
+            for seed in range(20) for arch in ARCHS]
+
+
 @pytest.mark.parametrize("source, spec_text, arch",
-                         _figure9_cases() + _riscv_parity_cases())
+                         _figure9_cases() + _riscv_parity_cases()
+                         + _fuzz_cases())
 def test_fixpoint_matches_reference_loop(source, spec_text, arch):
     cfg, initial = _forward_inputs(source, spec_text, arch)
     forward = ForwardBounds(cfg, initial)

@@ -12,7 +12,7 @@ from repro.analysis.wlp import (
     operand_term,
 )
 from repro.cfg.graph import BranchCondition, Node, NodeRole
-from repro.ir.ops import ConstOp, RegOp
+from repro.ir.ops import Assign, BinOp, ConstOp, RegOp
 from repro.logic import (
     FALSE, Prover, TRUE, conj, congruent, disj, eq, ge, le, lt,
 )
@@ -28,6 +28,7 @@ from repro.typesys.state import INIT, points_to
 from repro.typesys.store import AbstractStore
 from repro.typesys.types import INT32, PointerType
 from repro.typesys.typestate import Typestate
+from tests.analysis.test_forward import _figure9_cases, _riscv_parity_cases
 
 
 def v(name, coeff=1):
@@ -465,3 +466,115 @@ def test_stack_smashing_eliminates_each_havoc_once(monkeypatch):
     result = STACK_SMASHING.check(CheckerOptions())
     assert not result.timed_out
     assert 0 < len(calls) <= 60
+
+
+# -- write sets ------------------------------------------------------------------
+
+
+class _Captured(Exception):
+    pass
+
+
+#: (source, spec text, arch) -> the engine its check builds.
+_ENGINES = {}
+
+
+def _engine_of(source, spec_text, arch):
+    """The verification engine a check builds (the check stops there),
+    built once per case."""
+    key = (source, spec_text, arch)
+    engine = _ENGINES.get(key)
+    if engine is not None:
+        return engine
+    from repro.analysis.checker import SafetyChecker
+    from repro.analysis.verify import VerificationEngine
+    from repro.policy.parser import parse_spec
+    captured = []
+    init = VerificationEngine.__init__
+
+    def capture(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        captured.append(self)
+        raise _Captured()
+
+    checker = SafetyChecker(source, parse_spec(spec_text),
+                            options=CheckerOptions(), arch=arch)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(VerificationEngine, "__init__", capture)
+        with pytest.raises(_Captured):
+            checker.check()
+    checker.close()
+    _ENGINES[key] = captured[0]
+    return captured[0]
+
+
+#: The 13 Figure-9 programs and the 4 RV32I parity cases.
+_WRITE_SET_CASES = _figure9_cases() + _riscv_parity_cases()
+
+
+def _instruction_nodes(engine):
+    return [node for _, node in sorted(engine.cfg.nodes.items())
+            if node.instruction is not None]
+
+
+def _universe(engine):
+    """Every variable a phase-5 formula over this program can mention:
+    the registers, the condition codes, the memory locations' value
+    variables, and a spec symbol."""
+    names = {ICC, "n"}
+    names.update(engine.cfg.arch.registers)
+    names.update(location.name for location
+                 in engine.preparation.locations.memory_locations())
+    for node in _instruction_nodes(engine):
+        names |= engine.transfer.writes(node)
+    return sorted(names)
+
+
+def _atoms_over(names):
+    return st.tuples(
+        st.sampled_from(names), st.sampled_from(names),
+        st.integers(-2, 2), st.integers(-4, 4),
+        st.sampled_from(["ge", "cong"])).map(_atom)
+
+
+@pytest.mark.parametrize("source, spec_text, arch", _WRITE_SET_CASES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_formula_avoiding_the_write_set_is_returned_as_is(
+        source, spec_text, arch, data):
+    engine = _engine_of(source, spec_text, arch)
+    node = data.draw(st.sampled_from(_instruction_nodes(engine)))
+    writes = engine.transfer.writes(node)
+    pool = [name for name in _universe(engine) if name not in writes]
+    q = conj(*data.draw(st.lists(_atoms_over(pool), min_size=1,
+                                 max_size=4)))
+    assert engine.transfer.node_transfer(node, q) is q
+
+
+def _keeps_its_value(op, name):
+    """``add x,0,x`` and the like: the op writes *name* with the value
+    it already has, so no formula changes (the write set may still
+    list it)."""
+    if not isinstance(op, Assign) or op.sets_cc:
+        return False
+    rs1, op2 = operand_term(op.src1), operand_term(op.src2)
+    value = {BinOp.ADD: rs1 + op2, BinOp.SUB: rs1 - op2,
+             BinOp.OR: rs1 + op2}.get(op.op)
+    return value == v(name)
+
+
+@pytest.mark.parametrize("source, spec_text, arch", _WRITE_SET_CASES)
+def test_every_written_variable_can_change_a_formula(
+        source, spec_text, arch, monkeypatch):
+    # A havoc's ∀ is kept as is: eliminating it only restates it (and
+    # md5's wide right shifts make that take seconds per node).
+    monkeypatch.setattr(wlp, "_eager_eliminate", lambda f: f)
+    engine = _engine_of(source, spec_text, arch)
+    for node in _instruction_nodes(engine):
+        for name in engine.transfer.writes(node):
+            if _keeps_its_value(node.instruction, name):
+                continue
+            candidates = [ge(v(name), 1), congruent(v(name), 4, 1),
+                          ge(v(name) - v("n"), 0)]
+            assert any(engine.transfer.node_transfer(node, q) != q
+                       for q in candidates), (node, name)
