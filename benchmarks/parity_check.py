@@ -118,7 +118,7 @@ ABLATIONS = [
 
 #: prover_stats counters of queries and conjuncts answered from a
 #: result cache; all must stay 0 with the cache off.
-CACHE_HITS = ("cache_hits", "canonical_cache_hits", "conjunct_cache_hits")
+CACHE_HITS = ("cache_hits", "conjunct_cache_hits")
 
 
 def compare_ablations(name, reference, check, failures):

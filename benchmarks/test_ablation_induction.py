@@ -54,7 +54,7 @@ class TestGeneralizationAblation:
 
 #: The prover_stats counters of queries and conjuncts answered from a
 #: result cache (the session memo counts as a raw-cache hit).
-CACHE_HITS = ("cache_hits", "canonical_cache_hits", "conjunct_cache_hits")
+CACHE_HITS = ("cache_hits", "conjunct_cache_hits")
 
 
 class TestCacheAblation:

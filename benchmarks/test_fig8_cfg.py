@@ -19,12 +19,13 @@ def test_figure8_cfg(benchmark):
     # semantics of delayed branches."
     assert len(cfg.nodes_for_index(5)) == 2
     assert len(cfg.nodes_for_index(11)) == 2
-    # Each CFG edge out of a branch carries its icc condition.
+    # Each CFG edge out of a branch carries its icc condition: the
+    # relation ``bge`` tests, and its negation on the fall-through.
     branch4 = next(n for n in cfg.nodes.values()
                    if n.index == 4 and n.role is NodeRole.NORMAL)
     conditions = sorted(str(e.condition)
                         for e in cfg.successors(branch4.uid))
-    assert conditions == ["icc: ge", "icc: not-ge"]
+    assert conditions == ["$icc >= 0", "not($icc >= 0)"]
     # One natural loop with header at line 6 and body 6..11.
     forest = find_loops(cfg, CFG.MAIN)
     assert forest.count == 1

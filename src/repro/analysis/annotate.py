@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Union
 
+from repro import budget
 from repro.cfg.graph import CFG, Node, NodeRole
 from repro.ir.ops import (
     Assign, BinOp, ConstOp, Load, MachineOp, OpVisitor, RegOp, Store,
@@ -101,18 +102,15 @@ class NodeAnnotation:
 
 
 def annotate(cfg: CFG, stores: Dict[int, AbstractStore], spec: HostSpec,
-             locations: LocationTable,
-             check_deadline=None) -> Dict[int, NodeAnnotation]:
+             locations: LocationTable) -> Dict[int, NodeAnnotation]:
     """Run Phase 3: one annotation per reachable CFG node.
 
-    ``check_deadline`` (when given) is called once per node so a check
-    over a huge program respects its wall-clock budget even before the
-    prover runs."""
+    Every node polls the check's budget, so a check over a huge
+    program respects it even before the prover runs."""
     annotator = _Annotator(cfg, stores, spec, locations)
     out: Dict[int, NodeAnnotation] = {}
     for uid in sorted(stores):
-        if check_deadline is not None:
-            check_deadline()
+        budget.check()
         node = cfg.node(uid)
         if node.instruction is None:
             continue

@@ -22,6 +22,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional, Union
 
+from repro import budget
 from repro.errors import ProverTimeout
 from repro.cfg.builder import build_cfg
 from repro.cfg.callgraph import CallGraph
@@ -116,26 +117,20 @@ class SafetyChecker:
     # -- pipeline -----------------------------------------------------------------
 
     def check(self) -> CheckResult:
-        # The budget is an absolute ``time.monotonic()`` deadline, so
-        # a wall-clock step while the check runs cannot move it.
-        self.prover.deadline = None
-        if self.options.timeout_s is not None:
-            self.prover.deadline = time.monotonic() \
-                + self.options.timeout_s
         self.prover.tracer = self.tracer
         try:
             with self.tracer.span("check", program=self.program.name,
                                   arch=self._arch_name()) as root:
                 try:
-                    result = self._check()
+                    with budget.limit(self.options.timeout_s):
+                        result = self._check()
                 except ProverTimeout:
                     result = self._timeout_result()
                 root.set(verdict=result.verdict)
             return result
         finally:
             # A warm prover reused across requests must not inherit a
-            # finished check's budget or trace sink.
-            self.prover.deadline = None
+            # finished check's trace sink.
             self.prover.tracer = NULL_TRACER
             if self.persistent is not None:
                 self.persistent.flush()
@@ -217,28 +212,22 @@ class SafetyChecker:
             t0 = time.perf_counter()
             with self.tracer.span("phase:typestate_propagation"):
                 propagation = propagate(
-                    cfg, preparation, self.spec, self.options,
-                    check_deadline=self.prover.check_deadline)
+                    cfg, preparation, self.spec, self.options)
             times.typestate_propagation = time.perf_counter() - t0
-            self.prover.check_deadline()
 
             # Phase 3 + 4: annotation and local verification.
             t0 = time.perf_counter()
             with self.tracer.span("phase:annotation"):
                 annotations = annotate(
                     cfg, propagation.inputs, self.spec,
-                    preparation.locations,
-                    check_deadline=self.prover.check_deadline)
+                    preparation.locations)
             with self.tracer.span("phase:local_verification"):
-                local_violations = verify_local(
-                    annotations,
-                    check_deadline=self.prover.check_deadline)
+                local_violations = verify_local(annotations)
                 if self.spec.automata:
                     from repro.analysis.automaton import check_automata
                     local_violations = local_violations \
                         + check_automata(cfg, self.spec)
             times.annotation_and_local = time.perf_counter() - t0
-            self.prover.check_deadline()
 
         # Phase 5: global verification — obligation generation, then
         # discharge.

@@ -30,6 +30,7 @@ from collections import deque
 from math import gcd
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from repro import budget
 from repro.cfg.graph import CFG, Edge, EdgeKind, Node
 from repro.ir.ops import (
     Assign, BinOp, ConstOp, Load, MachineOp, OpVisitor,
@@ -434,20 +435,15 @@ class ForwardBounds:
 
     Produces, per node, facts that hold whenever control reaches it —
     in particular at loop headers, where the verification engine uses
-    them as ambient invariants.
-
-    ``check_deadline`` (when given) is called once per worklist step:
-    the checker passes ``Prover.check_deadline`` so a pathological
-    fixpoint aborts with :class:`~repro.errors.ProverTimeout` instead
-    of overrunning the wall-clock budget unnoticed.
+    them as ambient invariants.  Every worklist step polls the check's
+    budget, so a pathological fixpoint aborts with
+    :class:`~repro.errors.ProverTimeout` instead of overrunning it.
     """
 
-    def __init__(self, cfg: CFG, initial: Formula,
-                 check_deadline=None):
+    def __init__(self, cfg: CFG, initial: Formula):
         self.cfg = cfg
         self.before: Dict[int, FactSet] = {}
         self._transfer_visitor = _FactTransfer()
-        self._check_deadline = check_deadline
         self._run(initial)
 
     def facts_at(self, uid: int) -> Formula:
@@ -477,8 +473,7 @@ class ForwardBounds:
         steps = 0
         while worklist and steps < MAX_FORWARD_STEPS:
             steps += 1
-            if self._check_deadline is not None:
-                self._check_deadline()
+            budget.check()
             uid = worklist.popleft()
             queued.discard(uid)
             if uid != entry:

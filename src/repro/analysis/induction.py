@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from repro import budget
 from repro.cfg.loops import Loop
 from repro.errors import ProverError
 from repro.logic.formula import (
@@ -124,7 +125,7 @@ class InductionIteration:
             # The BFS can spend long stretches in candidate generation
             # and Fourier–Motzkin elimination between prover queries;
             # without this check a tiny budget would overrun unbounded.
-            self.prover.check_deadline()
+            budget.check()
             if outcome.candidates_tried \
                     >= self.options.max_invariant_candidates:
                 break
@@ -207,7 +208,7 @@ class InductionIteration:
         wlp.  ``_step`` stops at the first candidate that closes the
         chain, and a loop-body wlp can expand to tens of thousands of
         disjuncts of which only a few hundred survive the filters."""
-        self.prover.check_deadline()
+        budget.check()
         if isinstance(body_wlp, (TrueFormula, FalseFormula)):
             yield body_wlp
             return
@@ -284,7 +285,7 @@ class InductionIteration:
         for atoms in disjuncts:
             # Elimination over many disjuncts runs long with no prover
             # query in sight; keep the budget enforced here too.
-            self.prover.check_deadline()
+            budget.check()
             constraints = Constraints.from_atoms(atoms)
             eliminate = sorted(set(constraints.variables()) & modified)
             if not eliminate:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
+from repro import budget
 from repro.errors import AnalysisError
 from repro.cfg.graph import CFG, Edge, EdgeKind, NodeRole
 from repro.policy.model import HostSpec, TrustedFunction
@@ -67,15 +68,14 @@ class PropagationResult:
 
 
 def propagate(cfg: CFG, preparation: Preparation, spec: HostSpec,
-              options: Optional[CheckerOptions] = None,
-              check_deadline=None) -> PropagationResult:
+              options: Optional[CheckerOptions] = None
+              ) -> PropagationResult:
     """Run typestate propagation to its greatest fixed point.
 
-    ``check_deadline`` (when given) is called once per worklist step:
-    the checker passes ``Prover.check_deadline`` so a pathological
-    fixpoint aborts with :class:`~repro.errors.ProverTimeout` — the
-    distinct ``undecided:timeout`` verdict — instead of overrunning the
-    wall-clock budget until the step guard trips."""
+    Every worklist step polls the check's budget
+    (:func:`repro.budget.check`), so a pathological fixpoint aborts
+    with the ``undecided:timeout`` verdict instead of overrunning the
+    budget until the step guard trips."""
     options = options or CheckerOptions()
     result = PropagationResult()
     locations = preparation.locations
@@ -89,8 +89,7 @@ def propagate(cfg: CFG, preparation: Preparation, spec: HostSpec,
         if result.steps > options.max_propagation_steps:
             raise AnalysisError("typestate propagation exceeded %d steps"
                                 % options.max_propagation_steps)
-        if check_deadline is not None:
-            check_deadline()
+        budget.check()
         uid = worklist.pop(0)
         queued.discard(uid)
         node = cfg.node(uid)

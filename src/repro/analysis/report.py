@@ -149,11 +149,10 @@ class CheckResult:
         if self.prover_stats:
             s = self.prover_stats
             lines.append(
-                "  prover: queries=%d raw-hits=%d canonical-hits=%d "
+                "  prover: queries=%d raw-hits=%d "
                 "conjunct-hits=%d/%d fallbacks=%d"
                 % (s.get("satisfiability_queries", 0),
                    s.get("cache_hits", 0),
-                   s.get("canonical_cache_hits", 0),
                    s.get("conjunct_cache_hits", 0),
                    s.get("conjunct_queries", 0),
                    s.get("resource_fallbacks", 0)))

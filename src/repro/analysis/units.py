@@ -196,21 +196,26 @@ def _render_op(op, base_index: int) -> str:
     return " ".join(parts)
 
 
-def _structure_parts(cfg: CFG, label: str) -> List[str]:
+def _structure_parts(cfg: CFG, label: str, node_context=None
+                     ) -> Tuple[List[str], Dict[int, int]]:
     """Position-independent rendering of one function's body and CFG
     edges (the store-free core shared by the phase-5 input digest and
-    the phase 2–4 structure digest)."""
+    the phase 2–4 structure digest), and the node ordinals it used.
+    *node_context*, when given, renders a line of per-node context
+    after each node's own line."""
     uids = sorted(cfg.functions[label].node_uids)
     ordinal = {uid: position for position, uid in enumerate(uids)}
     indices = [cfg.node(uid).index for uid in uids if cfg.node(uid).index]
     base_index = min(indices) if indices else 0
-    body: List[str] = []
+    parts: List[str] = []
     for uid in uids:
         node = cfg.node(uid)
         relative = node.index - base_index if node.index else -1
-        body.append("n%d i%d %s %s" % (
+        parts.append("n%d i%d %s %s" % (
             ordinal[uid], relative, node.role.value,
             _render_op(node.instruction, base_index)))
+        if node_context is not None:
+            parts.append(node_context(uid))
     edges: List[str] = []
     for uid in uids:
         for edge in cfg.successors(uid):
@@ -224,7 +229,8 @@ def _structure_parts(cfg: CFG, label: str) -> List[str]:
             edges.append("e %d %s %s %s" % (
                 ordinal[uid], dst, edge.kind.value,
                 edge.condition if edge.condition is not None else "-"))
-    return body + sorted(edges)
+    parts.extend(sorted(edges))
+    return parts, ordinal
 
 
 def function_structure_digest(cfg: CFG, label: str) -> str:
@@ -234,7 +240,8 @@ def function_structure_digest(cfg: CFG, label: str) -> str:
     (propagated stores, forward facts), so it is computable right after
     phase 1 — which is what lets the phase 2–4 payloads key on it
     without circularity."""
-    return text_digest("fnstruct", label, *_structure_parts(cfg, label))
+    return text_digest("fnstruct", label,
+                       *_structure_parts(cfg, label)[0])
 
 
 def program_layout_digest(cfg: CFG) -> str:
@@ -259,38 +266,16 @@ def function_input_digest(engine: VerificationEngine,
     facts at its loop headers (the forward-bounds pass is whole-program,
     so a caller edit can change a callee's header facts without any
     typestate change — the digest must notice)."""
-    cfg = engine.cfg
-    uids = sorted(cfg.functions[label].node_uids)
-    ordinal = {uid: position for position, uid in enumerate(uids)}
-    indices = [cfg.node(uid).index for uid in uids if cfg.node(uid).index]
-    base_index = min(indices) if indices else 0
+    inputs = engine.propagation.inputs
     # Propagation shares a handful of typestate values across thousands
     # of store entries: render each distinct typestate object once.
     rendered: Dict[int, str] = {}
-    parts: List[str] = []
-    for uid in uids:
-        node = cfg.node(uid)
-        relative = node.index - base_index if node.index else -1
-        parts.append("n%d i%d %s %s" % (
-            ordinal[uid], relative, node.role.value,
-            _render_op(node.instruction, base_index)))
-        store = engine.propagation.inputs.get(uid)
-        parts.append(store.render(memo=rendered)
-                     if store is not None else "-")
-    edges: List[str] = []
-    for uid in uids:
-        for edge in cfg.successors(uid):
-            if edge.dst in ordinal:
-                dst = str(ordinal[edge.dst])
-            else:
-                # Cross-function edge: name the peer function, never its
-                # node ordinals — an edit inside the callee must not
-                # invalidate the caller through edge numbering.
-                dst = "x:" + cfg.node(edge.dst).function
-            edges.append("e %d %s %s %s" % (
-                ordinal[uid], dst, edge.kind.value,
-                edge.condition if edge.condition is not None else "-"))
-    parts.extend(sorted(edges))
+
+    def store_line(uid: int) -> str:
+        store = inputs.get(uid)
+        return store.render(memo=rendered) if store is not None else "-"
+
+    parts, ordinal = _structure_parts(engine.cfg, label, store_line)
     for loop in sorted(engine.loops[label].loops,
                        key=lambda l: l.header):
         parts.append("h%d %s" % (

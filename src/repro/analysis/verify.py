@@ -20,6 +20,7 @@ from typing import (
     Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple,
 )
 
+from repro import budget
 from repro.cfg.graph import CFG, Edge, EdgeKind
 from repro.cfg.loops import Loop, LoopForest, find_loops
 from repro.errors import ProverError
@@ -73,16 +74,15 @@ class ProofRecord:
 # ---------------------------------------------------------------------------
 
 
-def verify_local(annotations: Dict[int, NodeAnnotation],
-                 check_deadline=None) -> List[Violation]:
+def verify_local(annotations: Dict[int, NodeAnnotation]
+                 ) -> List[Violation]:
     """Evaluate the local safety preconditions (paper Phase 4).
 
-    ``check_deadline`` (when given) is called once per annotation so
-    the loop respects the wall-clock budget on huge programs."""
+    Every annotation polls the check's budget, so the loop respects it
+    on huge programs."""
     out: List[Violation] = []
     for uid in sorted(annotations):
-        if check_deadline is not None:
-            check_deadline()
+        budget.check()
         ann = annotations[uid]
         for predicate in ann.local:
             if not predicate.holds:
@@ -232,8 +232,7 @@ class VerificationEngine:
         if self._forward is None and self.options.enable_forward_bounds:
             from repro.analysis.forward import ForwardBounds
             self._forward = ForwardBounds(
-                cfg, preparation.initial_constraints,
-                check_deadline=self.prover.check_deadline)
+                cfg, preparation.initial_constraints)
 
     def header_facts(self, loop: Loop) -> Formula:
         """Forward-propagated facts known to hold at the loop header on

@@ -45,6 +45,7 @@ from __future__ import annotations
 import time
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
+from repro import budget
 from repro.errors import ProverError
 from repro.logic.canonical import (
     ConjunctKey, canonicalize, conjunct_keys,
@@ -108,7 +109,7 @@ class PrefixSession:
         prover = self.prover
         if self._prefix_keys is None:
             return prover.is_satisfiable(conj(self.prefix, extra))
-        prover.check_deadline()
+        budget.check()
         prover.stats.satisfiability_queries += 1
         prover.stats.incremental_queries += 1
         t0 = time.perf_counter() if prover.tracer.enabled else 0.0

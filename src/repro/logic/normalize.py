@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from repro import budget
 from repro.errors import ProverError
 from repro.logic.formula import (
     And, Cong, Eq, Exists, FALSE, FalseFormula, Forall, Formula, Geq, Not,
@@ -44,6 +45,7 @@ def _nnf(f: Formula, negate: bool) -> Formula:
         key = (f, negate)
         cached = _NNF_CACHE.get(key)
         if cached is None:
+            budget.check()
             cached = _nnf_uncached(f, negate)
             _NNF_CACHE.put(key, cached)
         return cached
@@ -109,6 +111,7 @@ def _dnf(f: Formula) -> List[Conjunct]:
     if isinstance(f, (And, Or)):
         cached = _DNF_CACHE.get(f)
         if cached is None:
+            budget.check()
             cached = _dnf_uncached(f)
             _DNF_CACHE.put(f, cached)
         return cached

@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro import budget
 from repro.errors import ProverError
 from repro.logic.formula import (
     Cong, Eq, Formula, Geq, conj, disj, fresh_variable,
@@ -582,6 +583,7 @@ def _splinters(s: System, j: int, lowers: Sequence[Row],
         a = low[j]
         limit = (a * b_max - a - b_max) // b_max
         for i in range(limit + 1):
+            budget.check()
             eq = list(low)
             eq[-1] -= i
             out.append(System(s.cols, list(s.geqs), s.eqs + [eq],
@@ -617,6 +619,7 @@ def project(c: Constraints, variables: Iterable[str]
     result: List[Constraints] = []
     steps = 0
     while pending:
+        budget.check()
         steps += 1
         if steps > MAX_ELIMINATION_STEPS:
             raise ProverError("projection did not terminate")
@@ -666,6 +669,7 @@ def _sat(s: System) -> bool:
 
 
 def _sat_geqs(s: System, depth: int) -> bool:
+    budget.check()
     if depth > 60:
         raise ProverError("satisfiability recursion too deep")
     normalized = normalize(s)

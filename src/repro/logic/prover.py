@@ -9,17 +9,16 @@ conjunction Omega-test satisfiability.
 
 Result caching follows the paper's Section 5.2.3 enhancement
 ("caching in the theorem prover … represent formulas in a canonical
-form and use previous results whenever possible") at three levels:
+form and use previous results whenever possible") at two levels:
 
 1. a **raw cache** keyed on the query formula itself (with hash-consed
    nodes the lookup is a pointer-identity dict probe);
-2. a **canonical cache** keyed on :func:`repro.logic.canonical.
-   canonicalize` — alpha-variants, commutative reorderings, and
-   gcd/sign variants of a previously decided query hit here;
-3. a **conjunct cache** keyed on the canonicalized atom set of each
-   DNF conjunct — the same conjunctions reappear across hundreds of
-   queries during induction iteration, and each hit skips an entire
-   Omega-test (or difference-solver) run.  The keys are enumerated
+2. a **conjunct cache** keyed on the canonicalized atom set of each
+   DNF conjunct — alpha-variants, commutative reorderings and gcd/sign
+   variants of a decided conjunction hit here, and the same
+   conjunctions reappear across hundreds of queries during induction
+   iteration, so each hit skips an entire Omega-test (or
+   difference-solver) run.  The keys are enumerated
    lazily from the quantifier-free NNF tree, in DNF order
    (:func:`repro.logic.canonical.conjunct_keys`), so a satisfiable
    query builds only the keys up to its first satisfiable conjunct and
@@ -30,7 +29,7 @@ Every conjunct is decided through obligation slicing (independent
 variable components, each decided on its own) and the difference-solver
 fast path before the general Omega test.  ``Prover(enable_cache=False)``
 is the paper's one cache ablation: it turns off every result cache
-(the three levels above and the per-session memo of
+(the two levels above and the per-session memo of
 :class:`~repro.logic.incremental.PrefixSession`) while deciding through
 the same lazy conjunct-key path.
 """
@@ -39,9 +38,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from typing import List, Optional
+from typing import List
 
-from repro.errors import ProverError, ProverTimeout
+from repro import budget
+from repro.errors import ProverError
 from repro.logic.canonical import canonicalize, conjunct_keys
 from repro.logic.diffsolver import try_satisfiable
 from repro.logic.formula import (
@@ -64,9 +64,6 @@ class ProverStats:
     satisfiability_queries: int = 0
     #: Raw-cache hits (exact formula already decided).
     cache_hits: int = 0
-    #: Canonical-cache hits (an alpha/reordering/gcd variant of the
-    #: query was already decided).
-    canonical_cache_hits: int = 0
     #: DNF conjuncts examined, and how many were answered from the
     #: per-conjunct satisfiability cache.
     conjunct_queries: int = 0
@@ -84,8 +81,6 @@ class ProverStats:
     #: the decision procedure hit a resource limit (DNF blow-up or
     #: elimination step cap).
     resource_fallbacks: int = 0
-    #: Wall-clock seconds spent computing canonical forms.
-    canonicalization_seconds: float = 0.0
 
     def reset(self) -> None:
         for spec in fields(self):
@@ -93,12 +88,11 @@ class ProverStats:
 
     @property
     def cache_hit_rate(self) -> float:
-        """Fraction of satisfiability queries answered by the raw or
-        canonical cache (0.0 when no queries ran)."""
+        """Fraction of satisfiability queries answered by the raw
+        cache (0.0 when no queries ran)."""
         if not self.satisfiability_queries:
             return 0.0
-        return ((self.cache_hits + self.canonical_cache_hits)
-                / self.satisfiability_queries)
+        return self.cache_hits / self.satisfiability_queries
 
     @property
     def conjunct_hit_rate(self) -> float:
@@ -122,17 +116,9 @@ class Prover:
     """Decision procedure for Presburger formulas with ∃/∀."""
 
     def __init__(self, enable_cache: bool = True):
-        #: Result caching (raw, canonical, per-conjunct, and the
-        #: per-session memo); off is the paper's cache ablation.
+        #: Result caching (raw, per-conjunct, and the per-session
+        #: memo); off is the paper's cache ablation.
         self.enable_cache = enable_cache
-        #: Deadline in ``time.monotonic()`` seconds past which every
-        #: query raises :class:`ProverTimeout`; None means no limit.
-        #: Monotonic, not epoch: an NTP step while a check runs must
-        #: neither fire a spurious timeout nor extend the budget.
-        #: Set per check by the checker, cleared afterwards
-        #: so a warm prover reused across requests carries no stale
-        #: budget.
-        self.deadline: Optional[float] = None
         #: Tracing sink (:mod:`repro.trace`); the shared no-op tracer
         #: by default.  Set (and reset) by the checker per run; every
         #: trace-only computation is gated on ``tracer.enabled`` so an
@@ -141,8 +127,6 @@ class Prover:
         self.stats = ProverStats()
         self._sat_cache = BoundedCache(_RESULT_CACHE_LIMIT,
                                        registered=False)
-        self._canonical_cache = BoundedCache(_RESULT_CACHE_LIMIT,
-                                             registered=False)
         self._conjunct_cache = BoundedCache(_RESULT_CACHE_LIMIT,
                                             registered=False)
 
@@ -155,7 +139,6 @@ class Prover:
     def clear_caches(self) -> None:
         """Empty the result caches."""
         self._sat_cache.clear()
-        self._canonical_cache.clear()
         self._conjunct_cache.clear()
 
     def reset(self) -> None:
@@ -167,35 +150,18 @@ class Prover:
 
     # -- public queries ------------------------------------------------------
 
-    def check_deadline(self) -> None:
-        """Raise :class:`ProverTimeout` once the monotonic-clock budget
-        is exhausted.  Checked on every satisfiability query — the hot
-        path every proof obligation funnels through — and inside the
-        induction-iteration search loops, so a timed-out check aborts
-        within one atomic prover step."""
-        if self.deadline is not None \
-                and time.monotonic() > self.deadline:
-            raise ProverTimeout("prover monotonic-clock budget "
-                                "exhausted")
-
     def is_satisfiable(self, f: Formula) -> bool:
         """Is there an integer assignment of the free variables making
         *f* true?"""
-        self.check_deadline()
+        budget.check()
         self.stats.satisfiability_queries += 1
         if not self.tracer.enabled:
             return self._query(f)[0]
         t0 = time.perf_counter()
-        result, source, canonical = self._query(f)
+        result, source = self._query(f)
         seconds = time.perf_counter() - t0
-        if canonical is None:
-            # Trace-only canonicalization for the digest when no cache
-            # level needed it; deliberately not added to
-            # ``canonicalization_seconds`` so traced and untraced runs
-            # report identical stats (the parity tests rely on it).
-            canonical = canonicalize(f)
         self.tracer.event("prover:query",
-                          digest=canonical_digest(canonical),
+                          digest=canonical_digest(canonicalize(f)),
                           cache=source,
                           formula_size=formula_size(f),
                           seconds=seconds,
@@ -205,28 +171,14 @@ class Prover:
     def _query(self, f: Formula):
         """The cache-ladder body of :meth:`is_satisfiable`.
 
-        Returns ``(result, source, canonical)`` where *source* names
-        the cache level that answered ("raw", "canonical", "decided",
-        or "fallback") and *canonical* is the
-        canonical form when one was computed along the way (None
-        otherwise)."""
+        Returns ``(result, source)`` where *source* names the cache
+        level that answered ("raw", "decided", or "fallback")."""
         cache = self.enable_cache
         if cache:
             cached = self._sat_cache.get(f)
             if cached is not None:
                 self.stats.cache_hits += 1
-                return cached, "raw", None
-        canonical: Optional[Formula] = None
-        if cache:
-            t0 = time.perf_counter()
-            canonical = canonicalize(f)
-            self.stats.canonicalization_seconds += \
-                time.perf_counter() - t0
-            cached = self._canonical_cache.get(canonical)
-            if cached is not None:
-                self.stats.canonical_cache_hits += 1
-                self._sat_cache.put(f, cached)
-                return cached, "canonical", canonical
+                return cached, "raw"
         try:
             result = self._decide_satisfiable(f)
         except ProverError:
@@ -235,11 +187,10 @@ class Prover:
             # validity query fail safe.  Recorded (not silent) and
             # never cached: the fallback is not a semantic result.
             self.stats.resource_fallbacks += 1
-            return True, "fallback", canonical
+            return True, "fallback"
         if cache:
             self._sat_cache.put(f, result)
-            self._canonical_cache.put(canonical, result)
-        return result, "decided", canonical
+        return result, "decided"
 
     def is_valid(self, f: Formula) -> bool:
         """Is *f* true for every integer assignment of its free
@@ -341,6 +292,7 @@ class Prover:
             bound = frozenset(f.variables)
             pieces: List[Formula] = []
             for atoms in to_dnf(body):
+                budget.check()
                 # ∃x.(A ∧ B) = (∃x.A) ∧ B when B is x-free: keep the
                 # x-free residue out of the projection, which shrinks
                 # the Omega system and preserves exactness.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro import budget
 from repro.logic.formula import (
     And, Cong, Eq, Exists, FALSE, FalseFormula, Forall, Formula, Geq, Not,
     Or, TRUE, TrueFormula, conj, disj,
@@ -177,6 +178,7 @@ def _merge_complementary_guards(parts: List[Formula]) -> List[Formula]:
         for i in range(len(work)):
             if not isinstance(work[i], Or):
                 continue
+            budget.check()
             for j in range(i + 1, len(work)):
                 if not isinstance(work[j], Or):
                     continue

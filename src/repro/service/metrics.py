@@ -119,9 +119,7 @@ def _recompute_rates(prover: Dict[str, float]) -> None:
     component counters (always present, 0.0 while idle)."""
     queries = prover.get("satisfiability_queries", 0)
     prover["cache_hit_rate"] = (
-        (prover.get("cache_hits", 0)
-         + prover.get("canonical_cache_hits", 0)) / queries
-        if queries else 0.0)
+        prover.get("cache_hits", 0) / queries if queries else 0.0)
     lookups = prover.get("unit_lookups", 0)
     prover["unit_hit_rate"] = (
         prover.get("unit_hits", 0) / lookups if lookups else 0.0)

@@ -1,6 +1,6 @@
 """The check-service worker pool.
 
-Each worker thread owns a **warm prover** — raw/canonical/conjunct
+Each worker thread owns a **warm prover** — raw and per-conjunct
 result caches that survive across jobs.  Satisfiability depends only on
 the formula, never on the submitting program, so reusing prover caches
 across requests is sound and is precisely the cross-request payoff of a
@@ -12,8 +12,9 @@ Isolation rules:
 
 * a worker exception **fails the job, not the server** — the error is
   recorded on the job and the worker moves on;
-* per-job wall-clock budgets ride on ``CheckerOptions.timeout_s`` (the
-  checker aborts discharge and reports ``undecided:timeout``);
+* per-job wall-clock budgets ride on ``CheckerOptions.timeout_s``, a
+  per-thread deadline (:mod:`repro.budget`), so concurrent jobs each
+  abort on their own budget and report ``undecided:timeout``;
 * a request whose options disable the prover caches gets a throwaway
   prover so it cannot poison or bypass the warm one.
 """

@@ -51,7 +51,7 @@ _ENVELOPE = {
 
 #: Cache levels a prover query can be answered from.
 QUERY_CACHE_LEVELS = (
-    "raw", "canonical", "decided", "fallback",
+    "raw", "decided", "fallback",
 )
 
 #: Required ``attrs`` per well-known record name.  The value is a tuple

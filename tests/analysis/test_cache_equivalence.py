@@ -19,7 +19,7 @@ ENHANCED = CheckerOptions()
 UNCACHED = CheckerOptions(enable_prover_cache=False)
 
 #: Queries and conjuncts answered from a result cache.
-CACHE_HITS = ("cache_hits", "canonical_cache_hits", "conjunct_cache_hits")
+CACHE_HITS = ("cache_hits", "conjunct_cache_hits")
 
 _FAST = {p.name for p in fast_programs()}
 

@@ -369,7 +369,7 @@ def _forward_inputs(source, spec_text, arch):
     from repro.analysis.options import CheckerOptions
     captured = []
 
-    def capture(self, cfg, initial, check_deadline=None):
+    def capture(self, cfg, initial):
         captured.append((cfg, initial))
         raise _Captured()
 
@@ -426,7 +426,6 @@ def test_fixpoint_matches_reference_loop(source, spec_text, arch):
     reference.cfg = cfg
     reference.before = {}
     reference._transfer_visitor = _FactTransfer()
-    reference._check_deadline = None
     _reference_run(reference, initial)
     assert forward.before.keys() == reference.before.keys()
     for uid, facts in reference.before.items():

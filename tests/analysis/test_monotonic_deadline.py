@@ -7,10 +7,12 @@ indefinitely.  Deadlines are now ``time.monotonic()`` values
 everywhere.
 """
 
+import threading
 import time
 
 import pytest
 
+from repro import budget
 from repro.analysis.options import CheckerOptions
 from repro.cfg.loops import Loop
 from repro.errors import ProverTimeout
@@ -25,34 +27,57 @@ class TestProverDeadline:
     def test_wall_clock_step_does_not_expire_budget(self, monkeypatch):
         """An NTP step (time.time jumps forward an hour) must not
         expire a monotonic deadline that still has budget left."""
-        prover = Prover()
-        prover.deadline = time.monotonic() + 60.0
         real_time = time.time
         monkeypatch.setattr(time, "time",
                             lambda: real_time() + 3600.0)
-        prover.check_deadline()  # must not raise
-        assert prover.is_satisfiable(ge("x", 0)) is True
+        with budget.limit(60.0):
+            budget.check()  # must not raise
+            assert Prover().is_satisfiable(ge("x", 0)) is True
 
     def test_wall_clock_step_backward_does_not_extend_budget(
             self, monkeypatch):
-        prover = Prover()
-        prover.deadline = time.monotonic() - 0.001
         real_time = time.time
         monkeypatch.setattr(time, "time",
                             lambda: real_time() - 3600.0)
-        with pytest.raises(ProverTimeout):
-            prover.check_deadline()
+        with budget.limit(-0.001), pytest.raises(ProverTimeout):
+            budget.check()
 
     def test_expired_deadline_raises(self):
-        prover = Prover()
-        prover.deadline = time.monotonic() - 1.0
-        with pytest.raises(ProverTimeout):
-            prover.is_satisfiable(ge("x", 0))
+        with budget.limit(-1.0), pytest.raises(ProverTimeout):
+            Prover().is_satisfiable(ge("x", 0))
 
     def test_no_deadline_never_raises(self):
-        prover = Prover()
-        assert prover.deadline is None
-        prover.check_deadline()
+        budget.check()
+        with budget.limit(None):
+            budget.check()
+
+    def test_limit_restores_the_previous_budget(self):
+        with budget.limit(60.0):
+            with budget.limit(-1.0), pytest.raises(ProverTimeout):
+                budget.check()
+            budget.check()  # the outer, live budget is back
+        with pytest.raises(ProverTimeout), budget.limit(-1.0):
+            budget.check()
+        budget.check()  # restored on the exceptional exit too
+
+    def test_budget_is_per_thread(self):
+        """Another thread's exhausted budget is invisible here, and
+        this thread's is invisible there."""
+        seen = []
+
+        def other():
+            try:
+                budget.check()
+                seen.append("unbounded")
+            except ProverTimeout:
+                seen.append("timeout")
+
+        with budget.limit(-1.0):
+            worker = threading.Thread(target=other)
+            worker.start()
+            worker.join(60)
+        assert not worker.is_alive()
+        assert seen == ["unbounded"]
 
     def test_checker_timeout_is_immune_to_wall_clock(self, monkeypatch):
         """End-to-end: a generous timeout_s survives a wall-clock jump
@@ -67,10 +92,10 @@ class TestProverDeadline:
 
 
 class _StallingProver(Prover):
-    """A prover whose validity queries never consult the deadline —
-    simulating long stretches of candidate generation between real
-    queries.  Only the search loop's explicit check_deadline() calls
-    can interrupt a run."""
+    """A prover whose queries never poll the budget — simulating long
+    stretches of candidate generation between real queries.  Only the
+    search loop's own :func:`repro.budget.check` calls can interrupt a
+    run."""
 
     def __init__(self):
         super().__init__()
@@ -85,7 +110,7 @@ class _StallingProver(Prover):
         return True
 
     def prefix_session(self, prefix):
-        # Session queries must not consult the deadline either.
+        # Session queries must not poll the budget either.
         return _StallingSession(self)
 
 
@@ -134,9 +159,9 @@ class _StubEngine:
 
 class TestInductionDeadline:
     def test_expired_deadline_interrupts_search_promptly(self):
-        """Regression: the BFS used to check the deadline only inside
+        """Regression: the BFS used to check the budget only inside
         prover queries, so a candidate space explored between queries
-        could overrun a tiny budget unbounded.  The loop now checks at
+        could overrun a tiny budget unbounded.  The loop now polls at
         every iteration."""
         prover = _StallingProver()
         options = CheckerOptions(max_invariant_candidates=10 ** 6,
@@ -144,20 +169,19 @@ class TestInductionDeadline:
         engine = _StubEngine(prover, options)
         search = InductionIteration(engine, Loop(header=2, body={2, 3}),
                                     trials={}, depth=0)
-        prover.deadline = time.monotonic() - 1.0
         t0 = time.monotonic()
-        with pytest.raises(ProverTimeout):
+        with budget.limit(-1.0), pytest.raises(ProverTimeout):
             search.run(ge("x", 0))
         assert time.monotonic() - t0 < 5.0
 
     def test_live_deadline_lets_search_finish(self):
         prover = _StallingProver()
-        prover.deadline = time.monotonic() + 60.0
         options = CheckerOptions(max_invariant_candidates=8)
         engine = _StubEngine(prover, options)
         search = InductionIteration(engine, Loop(header=2, body={2, 3}),
                                     trials={}, depth=0)
-        outcome = search.run(ge("x", 0))
+        with budget.limit(60.0):
+            outcome = search.run(ge("x", 0))
         assert not outcome.success  # prover refutes everything
         assert prover.queries > 0
 

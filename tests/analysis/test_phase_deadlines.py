@@ -1,14 +1,15 @@
 """The wall-clock budget must be honoured *inside* phases 2–4, not
 just between them: the propagation fixpoint, the forward-bounds pass,
 the annotation sweep, and the local-verification loop each poll
-``Prover.check_deadline`` so a pathological input aborts with the
-distinct ``undecided:timeout`` verdict promptly — the pre-existing
-checks only fired at phase boundaries and inside the induction BFS.
+:func:`repro.budget.check` once per step, so a pathological input
+aborts with the distinct ``undecided:timeout`` verdict promptly.
 """
 
 import time
 
 import pytest
+
+from repro import budget
 
 from repro.analysis.annotate import annotate
 from repro.analysis.forward import ForwardBounds
@@ -18,7 +19,6 @@ from repro.analysis.propagate import propagate
 from repro.analysis.verify import verify_local
 from repro.cfg.builder import build_cfg
 from repro.errors import ProverTimeout
-from repro.logic.prover import Prover
 from repro.programs.sum_array import PROGRAM
 
 TINY = 1e-9
@@ -34,31 +34,28 @@ def phases():
 
 
 def expired():
-    prover = Prover()
-    prover.deadline = time.monotonic() - 1.0
-    return prover.check_deadline
+    """A budget that ran out a second ago."""
+    return budget.limit(-1.0)
 
 
 class TestPhaseHooks:
     def test_propagate_honours_the_deadline(self, phases):
         cfg, preparation, spec = phases
-        with pytest.raises(ProverTimeout):
-            propagate(cfg, preparation, spec, CheckerOptions(),
-                      check_deadline=expired())
+        with expired(), pytest.raises(ProverTimeout):
+            propagate(cfg, preparation, spec, CheckerOptions())
 
     def test_forward_bounds_honours_the_deadline(self, phases):
         cfg, preparation, __ = phases
-        with pytest.raises(ProverTimeout):
-            ForwardBounds(cfg, preparation.initial_constraints,
-                          check_deadline=expired())
+        with expired(), pytest.raises(ProverTimeout):
+            ForwardBounds(cfg, preparation.initial_constraints)
 
     def test_annotate_honours_the_deadline(self, phases):
         cfg, preparation, spec = phases
         propagation = propagate(cfg, preparation, spec,
                                 CheckerOptions())
-        with pytest.raises(ProverTimeout):
+        with expired(), pytest.raises(ProverTimeout):
             annotate(cfg, propagation.inputs, spec,
-                     preparation.locations, check_deadline=expired())
+                     preparation.locations)
 
     def test_verify_local_honours_the_deadline(self, phases):
         cfg, preparation, spec = phases
@@ -66,11 +63,11 @@ class TestPhaseHooks:
                                 CheckerOptions())
         annotations = annotate(cfg, propagation.inputs, spec,
                                preparation.locations)
-        with pytest.raises(ProverTimeout):
-            verify_local(annotations, check_deadline=expired())
+        with expired(), pytest.raises(ProverTimeout):
+            verify_local(annotations)
 
     def test_hooks_are_optional(self, phases):
-        # No callback: the phases run exactly as before.
+        # Outside any budget the phases run exactly as before.
         cfg, preparation, spec = phases
         propagation = propagate(cfg, preparation, spec,
                                 CheckerOptions())

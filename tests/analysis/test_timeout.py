@@ -4,6 +4,7 @@ provers, and the CLI exit-code mapping."""
 
 import pytest
 
+from repro import budget
 from repro.analysis.checker import SafetyChecker
 from repro.analysis.options import CheckerOptions
 from repro.cli import main
@@ -42,13 +43,15 @@ class TestTimeoutVerdict:
 class TestDeadlineHygiene:
     def test_warm_prover_sheds_the_deadline(self):
         # A service worker reuses one prover across jobs: a finished
-        # (even timed-out) check must not leave its budget behind.
+        # (even timed-out) check must not leave its budget behind, on
+        # the prover or on the worker's thread.
         prover = Prover()
         checker = SafetyChecker(PROGRAM.program(), PROGRAM.spec(),
                                 options=CheckerOptions(timeout_s=TINY),
                                 prover=prover)
         assert checker.check().timed_out
-        assert prover.deadline is None
+        assert not hasattr(prover, "deadline")
+        budget.check()  # the thread's budget is gone with the check
         fresh = SafetyChecker(PROGRAM.program(), PROGRAM.spec(),
                               prover=prover)
         assert fresh.check().verdict == "certified"
