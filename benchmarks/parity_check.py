@@ -36,11 +36,19 @@ the limit.  Two dumps made from two versions of the checker compare
 with ``diff``: a change that only buys time must leave them
 identical apart from checks that time out on one side.
 
+With ``--against GOLDEN`` (and ``--dump``) the fresh records are also
+compared with a committed dump, ``benchmarks/data/verdicts.json``,
+each record without its ``prover`` counters: a check the golden
+decided must decide again, with the same record.  A check the golden
+records as timed out is reported, not failed, when it now decides.
+A change that is meant to move a verdict regenerates the golden with
+``--dump benchmarks/data/verdicts.json``.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/parity_check.py
         [--arch sparc|riscv|both] [--full] [--ablations]
-        [--incremental] [--dump FILE]
+        [--incremental] [--dump FILE [--against GOLDEN]]
 """
 
 import argparse
@@ -329,6 +337,34 @@ def write_dump(path, cases, timeout_s=DUMP_TIMEOUT_S):
     return records
 
 
+def compare_golden(records, golden_path):
+    """Failures of the dump *records* against the golden dump at
+    *golden_path*, compared without their ``prover`` counters."""
+    with open(golden_path, encoding="utf-8") as source:
+        golden = json.load(source)
+    failures = []
+    for key, record in records.items():
+        want = golden.get(key)
+        if want is None:
+            failures.append("%s[no golden record]" % key)
+        elif want.get("timed_out"):
+            if not record.get("timed_out"):
+                print("%-18s %-14s %s" % (key, "against",
+                                          "decided (golden: timed out)"))
+        elif record.get("timed_out"):
+            failures.append("%s[timed out]" % key)
+        elif _without_prover(record) != _without_prover(want):
+            failures.append("%s[verdict differs]" % key)
+    print("%d of %d records match %s"
+          % (len(records) - len(failures), len(records), golden_path))
+    return failures
+
+
+def _without_prover(record):
+    return {name: value for name, value in record.items()
+            if name != "prover"}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--arch", choices=["sparc", "riscv", "both"],
@@ -348,19 +384,26 @@ def main(argv=None):
                         help="write each check's verdict record "
                              "(Figure 9, the RV32I cases, fuzz seeds "
                              "0-59) to FILE for diffing two versions")
+    parser.add_argument("--against", metavar="GOLDEN",
+                        help="with --dump: fail unless every check "
+                             "GOLDEN decided decides again with the "
+                             "same record (prover counters aside)")
     args = parser.parse_args(argv)
     if not (args.ablations or args.incremental or args.dump):
         parser.error("nothing to compare: pass --ablations, "
                      "--incremental and/or --dump")
-    if args.dump:
-        write_dump(args.dump, dump_cases(args.arch))
-        if not (args.ablations or args.incremental):
-            return 0
+    if args.against and not args.dump:
+        parser.error("--against compares a --dump: pass --dump FILE")
     failures = []
-    if args.arch in ("sparc", "both"):
+    if args.dump:
+        records = write_dump(args.dump, dump_cases(args.arch))
+        if args.against:
+            failures += compare_golden(records, args.against)
+    compare = args.ablations or args.incremental
+    if compare and args.arch in ("sparc", "both"):
         run_sparc(args.full, failures, ablations=args.ablations,
                   incremental=args.incremental)
-    if args.arch in ("riscv", "both"):
+    if compare and args.arch in ("riscv", "both"):
         run_riscv(failures, ablations=args.ablations,
                   incremental=args.incremental)
     if failures:
@@ -369,8 +412,9 @@ def main(argv=None):
     checked = [label for flag, label in (
         (args.ablations, "under the prover cache ablation"),
         (args.incremental, "across every replay-store state")) if flag]
-    print("all verdicts identical to the default configuration %s"
-          % " and ".join(checked))
+    if checked:
+        print("all verdicts identical to the default configuration %s"
+              % " and ".join(checked))
     return 0
 
 

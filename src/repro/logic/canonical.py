@@ -19,17 +19,22 @@ whenever possible."  This module is that canonical form:
 :func:`canonicalize` is equivalence-preserving: the result is a real
 :class:`Formula` usable as a cache key whose ``__eq__``/``__hash__``
 are O(1)-ish thanks to interning.  :func:`canonical_conjunct` is the
-same idea specialized to the per-conjunct satisfiability cache of the
-prover's DNF loop, where most of the repeated work lives, and
-:func:`conjunct_keys` yields those keys for a whole quantifier-free
-formula straight from its NNF tree, without building the DNF.
+same idea specialized to the prover's per-conjunct satisfiability
+cache, where most of the repeated work lives.  :func:`leaf_keys` is
+the prover's branch-and-prune search: a depth-first walk of a
+quantifier-free NNF tree that folds atoms into one running conjunct
+key, branches at each ∨, and drops every branch whose partial key a
+caller-supplied check refutes — the DNF conjuncts that survive, in DNF
+order, without building the DNF.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Tuple,
+)
 
+from repro import budget
 from repro.logic.formula import (
     And, Cong, Eq, Exists, FalseFormula, Forall, Formula, Geq, Not, Or,
     TrueFormula, conj, disj, neg,
@@ -49,12 +54,12 @@ _CANON_CACHE = BoundedCache()
 #: conjunct, else its frozenset of normalized atoms.
 ConjunctKey = Optional[FrozenSet[Formula]]
 
-#: Nodes whose DNF has at most this many conjuncts keep their key list
-#: memoized: sub-formulas recur across queries, and their lists are
-#: short.  Larger nodes are enumerated on demand and keep nothing.
-_SMALL_NODE_KEYS = 32
+#: The key of the empty conjunction (trivially satisfiable).
+EMPTY_KEY: FrozenSet[Formula] = frozenset()
 
-_KEYS_CACHE = BoundedCache(1 << 12)
+#: A prune check of :func:`leaf_keys`: True if a partial key is
+#: satisfiable, False if it is not, None if it could not be decided.
+PruneCheck = Callable[[FrozenSet[Formula]], Optional[bool]]
 
 _RANK: Dict[type, int] = {
     FalseFormula: 0, TrueFormula: 1, Geq: 2, Eq: 3, Cong: 4,
@@ -131,85 +136,75 @@ def canonical_conjunct(atoms: Iterable[Formula]) -> ConjunctKey:
     return frozenset(out)
 
 
-def conjunct_keys(f: Formula) -> Iterable[ConjunctKey]:
-    """The canonical keys of *f*'s DNF conjuncts, in DNF order:
-    ``[canonical_conjunct(c) for c in to_dnf(f)]``, without building
-    a conjunct tuple.
+def leaf_keys(f: Formula, start: FrozenSet[Formula] = EMPTY_KEY,
+              check: Optional[PruneCheck] = None
+              ) -> Iterator[Tuple[FrozenSet[Formula], bool]]:
+    """Branch-and-prune search of quantifier-free NNF *f*'s DNF.
 
-    *f* must be quantifier-free NNF.  The key of a conjunction is the
-    union of its parts' keys (None if any is None), so an And yields
-    the product of its parts' key streams, first part outermost, and an
-    Or the concatenation of its parts' streams.  Raises
-    :class:`~repro.errors.ProverError` exactly where ``to_dnf`` would,
-    before yielding anything; past that check, keys are built only as
-    the caller reads them."""
-    return _keys(f, dnf_length(f))
+    Yields ``(key, known)`` per surviving leaf, in DNF order: *key* is
+    ``start | canonical_conjunct(conjunct)``, and *known* is True when
+    *check* already found that very key satisfiable.  A conjunct with
+    an atom that normalizes to false is never reached.
 
+    One running key per path: an ∧ folds its atom children in at once
+    and queues the rest; an ∨ branches, parts left to right.  Before
+    branching, *check* decides the key if an atom joined it since the
+    last check; False prunes the subtree (every extension of an
+    unsatisfiable conjunction is unsatisfiable), None descends.  The
+    check is skipped at a path's last ∨ with at most two leaves below:
+    there it saves at most one decision, and costs one whenever the key
+    is satisfiable.  No *check* yields every leaf.
 
-def _keys(f: Formula, length: int) -> Iterable[ConjunctKey]:
-    if length > _SMALL_NODE_KEYS:
-        if isinstance(f, Or):
-            return _or_keys(f.parts)
-        if isinstance(f, And):
-            return _and_keys(f.parts)
-    return _small_keys(f)
-
-
-def _small_keys(f: Formula) -> List[ConjunctKey]:
-    if isinstance(f, (And, Or)):
-        cached = _KEYS_CACHE.get(f)
-        if cached is None:
-            cached = _small_keys_uncached(f)
-            _KEYS_CACHE.put(f, cached)
-        return cached
-    if isinstance(f, TrueFormula):
-        return [frozenset()]
-    if isinstance(f, FalseFormula):
-        return []
-    return [canonical_conjunct((f,))]
-
-
-def _small_keys_uncached(f: Formula) -> List[ConjunctKey]:
-    if isinstance(f, Or):
-        out: List[ConjunctKey] = []
-        for part in f.parts:
-            out.extend(_small_keys(part))
-        return out
-    if dnf_length(f) == 0:
-        return []  # a part is false; the other parts may be large
-    product: List[ConjunctKey] = [frozenset()]
-    for part in f.parts:
-        branches = _small_keys(part)
-        product = [None if left is None or right is None else left | right
-                   for left in product for right in branches]
-    return product
-
-
-def _or_keys(parts: Tuple[Formula, ...]) -> Iterator[ConjunctKey]:
-    for part in parts:
-        yield from _keys(part, dnf_length(part))
-
-
-def _and_keys(parts: Tuple[Formula, ...]) -> Iterator[ConjunctKey]:
-    # ``rest[i]`` counts the conjuncts of ``parts[i:]``: a None key of
-    # part i-1 stands for that many None keys of the whole product.
-    lengths = [dnf_length(part) for part in parts]
-    rest = [1] * (len(parts) + 1)
-    for index in range(len(parts) - 1, -1, -1):
-        rest[index] = rest[index + 1] * lengths[index]
-    last = len(parts) - 1
-
-    def walk(index: int, acc: FrozenSet[Formula]
-             ) -> Iterator[ConjunctKey]:
-        branches = _keys(parts[index], lengths[index])
-        if index == last:
-            for key in branches:
-                yield None if key is None else acc | key
-            return
-        for key in branches:
-            if key is None:
-                yield from repeat(None, rest[index + 1])
+    Iterative (a stack of branch points, each with a linked list of the
+    nodes still to conjoin), so depth costs no recursion; polls the
+    check budget per ∧/∨.  The caller bounds *f* with
+    :func:`~repro.logic.normalize.dnf_length`."""
+    # A branch point: the key so far, the nodes still to conjoin as a
+    # (node, rest) linked list, whether atoms joined the key since the
+    # last check, and whether the key is known satisfiable.
+    stack = [(start, (f, None), bool(start), not start)]
+    while stack:
+        key, todo, fresh, known = stack.pop()
+        new = []
+        while todo is not None:
+            node, todo = todo
+            cls = node.__class__
+            if cls is Or:
+                budget.check()
+                if new:
+                    key, new, fresh, known = key.union(new), [], True, False
+                if fresh and check is not None and (
+                        todo is not None or dnf_length(node) > 2):
+                    verdict = check(key)
+                    if verdict is False:
+                        break
+                    fresh, known = False, verdict is True
+                parts = node.parts
+                for index in range(len(parts) - 1, 0, -1):
+                    stack.append((key, (parts[index], todo), fresh, known))
+                todo = (parts[0], todo)
+                continue
+            if cls is And:
+                budget.check()
+                parts = node.parts
             else:
-                yield from walk(index + 1, acc | key)
-
-    return walk(0, frozenset())
+                parts = (node,)
+            for part in reversed(parts):
+                cls = part.__class__
+                if cls is And or cls is Or:
+                    todo = (part, todo)
+                    continue
+                atom = normalize_atom(part)
+                cls = atom.__class__
+                if cls is FalseFormula:
+                    break
+                if cls is not TrueFormula and atom not in key:
+                    new.append(atom)
+            else:
+                continue
+            break  # a false atom: no leaf below this branch point
+        else:
+            if new:
+                yield key.union(new), False
+            else:
+                yield key, known

@@ -12,28 +12,19 @@ A :class:`PrefixSession` does that work once.  At construction it
 runs quantifier elimination on the prefix and keeps each prefix
 conjunct as its canonical frozenset key (the per-conjunct cache key of
 :class:`~repro.logic.prover.Prover`).  A query then only eliminates
-its delta and decides the pairwise unions
-
-    key(p ∪ d) = key(p) | key(d)
-
-— the same keys, in the same order, that the from-scratch path would
-compute for the conjuncts of ``to_dnf(prefix ∧ delta)``, less the
-trivially false ones: concatenating
-DNF conjuncts gives the DNF of the conjunction, canonical conjunct
-keys are unions over atoms, and the pairs are walked prefix-major.  So
-both paths share the prover's conjunct cache and agree on every
-verdict by construction.  The delta's keys come lazily off its NNF
-tree (:func:`~repro.logic.canonical.conjunct_keys`) and are read once,
-during the first prefix key: a satisfiable query stops at its first
-satisfiable pair without building the rest of the delta's keys.
-Resource limits mirror the plain path: the pairwise product is
-bounded by the same ``MAX_DNF_CONJUNCTS``, checked from
-:func:`~repro.logic.normalize.dnf_length` before any key is built, and
-any :class:`~repro.errors.ProverError` degrades to the conservative
-"may be satisfiable" fallback, never cached.
+its delta and runs the prover's branch-and-prune search over it once
+per prefix key, starting from that key.  The leaves are the keys
+``key(p ∪ d) = key(p) | key(d)``, prefix-major: the conjuncts of
+``to_dnf(prefix ∧ delta)`` in order, since canonical conjunct keys are
+unions over atoms.  So both paths share the prover's conjunct cache
+and agree on every verdict by construction.  Resource limits mirror
+the plain path: the pairwise product is bounded by the same
+``MAX_DNF_CONJUNCTS`` before the search, and a resource failure
+degrades to the conservative "may be satisfiable" fallback, never
+cached.
 
 The one exception is a prefix whose own elimination or expansion
-raises :class:`~repro.errors.ProverError`: such a session routes every
+fails on a resource limit: such a session routes every
 query through ``Prover.is_satisfiable`` on the full conjunction, which
 may still decide it or hit its own resource fallback.  With the
 prover's result caching off (``Prover(enable_cache=False)``, the
@@ -43,17 +34,16 @@ cache ablation) the session keeps no memo either.
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro import budget
 from repro.errors import ProverError
-from repro.logic.canonical import (
-    ConjunctKey, canonicalize, conjunct_keys,
-)
+from repro.logic.canonical import canonicalize, leaf_keys
 from repro.logic.formula import (
     Formula, TrueFormula, conj, formula_size, neg,
 )
-from repro.logic.normalize import MAX_DNF_CONJUNCTS, dnf_length
+from repro.logic import normalize
+from repro.logic.prover import RESOURCE_ERRORS
 from repro.logic.serialize import canonical_digest
 
 __all__ = ["PrefixSession"]
@@ -79,9 +69,9 @@ class PrefixSession:
         self._prefix_keys: Optional[List[FrozenSet[Formula]]] = None
         try:
             qf = prover.eliminate_quantifiers(prefix)
-            self._prefix_keys = [key for key in conjunct_keys(qf)
-                                 if key is not None]
-        except ProverError:
+            normalize.dnf_length(qf)  # the bound, before any key
+            self._prefix_keys = [key for key, _ in leaf_keys(qf)]
+        except RESOURCE_ERRORS:
             # Run every query through the plain path instead, which
             # may still decide it or hit its own resource fallback.
             pass
@@ -135,16 +125,13 @@ class PrefixSession:
             return False, "decided"  # unsatisfiable prefix
         try:
             qf = prover.eliminate_quantifiers(extra)
-            delta_keys = conjunct_keys(qf)
-            if len(prefix_keys) * dnf_length(qf) > MAX_DNF_CONJUNCTS:
+            bound = normalize.MAX_DNF_CONJUNCTS
+            if len(prefix_keys) * normalize.dnf_length(qf) > bound:
                 raise ProverError("DNF blow-up: more than %d conjuncts"
-                                  % MAX_DNF_CONJUNCTS)
-            for key in _unions(prefix_keys, delta_keys):
-                prover.stats.conjunct_queries += 1
-                if prover._conjunct_decide_key(key):
-                    return True, "decided"
-            return False, "decided"
-        except ProverError:
+                                  % bound)
+            return any(prover._search(qf, key)
+                       for key in prefix_keys), "decided"
+        except RESOURCE_ERRORS:
             # Same conservative degradation as Prover._query: "may be
             # satisfiable" fails safe for validity, and is not cached.
             prover.stats.resource_fallbacks += 1
@@ -163,25 +150,3 @@ class PrefixSession:
             seconds=seconds,
             result=result)
 
-
-def _unions(prefix_keys: List[FrozenSet[Formula]],
-            delta_keys: Iterable[ConjunctKey]
-            ) -> Iterator[FrozenSet[Formula]]:
-    """``p | d`` for every prefix key *p* and every non-None delta key
-    *d*, prefix-major: the conjunct order of ``to_dnf(prefix ∧ delta)``.
-    The delta stream is read once, lazily, during the first prefix key;
-    its keys are kept only while more prefix keys remain to pair."""
-    first = prefix_keys[0]
-    if len(prefix_keys) == 1:
-        for key in delta_keys:
-            if key is not None:
-                yield first | key
-        return
-    read = []
-    for key in delta_keys:
-        if key is not None:
-            read.append(key)
-            yield first | key
-    for prefix_key in prefix_keys[1:]:
-        for key in read:
-            yield prefix_key | key

@@ -4,8 +4,8 @@ formulas, plus full quantifier elimination.
 The paper checks verification conditions "in a demand-driven fashion …
 one at a time" with a prover based on the Omega library.  This module
 is that prover: formulas go through NNF → quantifier elimination
-(exact integer projection, :mod:`repro.logic.omega`) → DNF → per-
-conjunction Omega-test satisfiability.
+(exact integer projection, :mod:`repro.logic.omega`) → a search for a
+satisfiable DNF conjunct, each decided by the Omega test.
 
 Result caching follows the paper's Section 5.2.3 enhancement
 ("caching in the theorem prover … represent formulas in a canonical
@@ -14,41 +14,42 @@ form and use previous results whenever possible") at two levels:
 1. a **raw cache** keyed on the query formula itself (with hash-consed
    nodes the lookup is a pointer-identity dict probe);
 2. a **conjunct cache** keyed on the canonicalized atom set of each
-   DNF conjunct — alpha-variants, commutative reorderings and gcd/sign
-   variants of a decided conjunction hit here, and the same
+   conjunction decided — alpha-variants, commutative reorderings and
+   gcd/sign variants of a decided conjunction hit here, and the same
    conjunctions reappear across hundreds of queries during induction
    iteration, so each hit skips an entire Omega-test (or
-   difference-solver) run.  The keys are enumerated
-   lazily from the quantifier-free NNF tree, in DNF order
-   (:func:`repro.logic.canonical.conjunct_keys`), so a satisfiable
-   query builds only the keys up to its first satisfiable conjunct and
-   no DNF tuple at all; the DNF bound is checked first, without
-   building anything (:func:`repro.logic.normalize.dnf_length`).
+   difference-solver) run.
 
-Every conjunct is decided through obligation slicing (independent
-variable components, each decided on its own) and the difference-solver
-fast path before the general Omega test.  ``Prover(enable_cache=False)``
-is the paper's one cache ablation: it turns off every result cache
-(the two levels above and the per-session memo of
-:class:`~repro.logic.incremental.PrefixSession`) while deciding through
-the same lazy conjunct-key path.
+A query is decided by the **branch-and-prune search**
+(:func:`repro.logic.canonical.leaf_keys`) over its quantifier-free NNF
+tree: at each ∨ the conjunction built so far is decided first, and
+when it is unsatisfiable so is every DNF conjunct extending it, so the
+subtree is pruned; the leaves left are decided in DNF order.  The DNF
+bound is checked first (:func:`repro.logic.normalize.dnf_length`).
+Every key is decided through obligation slicing (independent variable
+components, each decided and cached on its own) and the
+difference-solver fast path before the general Omega test.
+``Prover(enable_cache=False)`` is the paper's one cache ablation: it
+turns off every result cache (the two levels above and the
+per-session memo of :class:`~repro.logic.incremental.PrefixSession`)
+while deciding through the same search.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from typing import List
+from typing import FrozenSet, List, Optional
 
 from repro import budget
 from repro.errors import ProverError
-from repro.logic.canonical import canonicalize, conjunct_keys
+from repro.logic.canonical import EMPTY_KEY, canonicalize, leaf_keys
 from repro.logic.diffsolver import try_satisfiable
 from repro.logic.formula import (
     And, Cong, Eq, Exists, FalseFormula, Forall, Formula, Geq, Not, Or,
     TrueFormula, conj, disj, formula_size, neg, )
 from repro.logic.memo import BoundedCache
-from repro.logic.normalize import to_dnf, to_nnf
+from repro.logic.normalize import dnf_length, to_dnf, to_nnf
 from repro.logic.omega import (
     Constraints, constraints_to_formula, project, satisfiable,
 )
@@ -64,8 +65,8 @@ class ProverStats:
     satisfiability_queries: int = 0
     #: Raw-cache hits (exact formula already decided).
     cache_hits: int = 0
-    #: DNF conjuncts examined, and how many were answered from the
-    #: per-conjunct satisfiability cache.
+    #: Conjunct keys decided (search leaves and prune checks), and how
+    #: many were answered from the per-conjunct satisfiability cache.
     conjunct_queries: int = 0
     conjunct_cache_hits: int = 0
     difference_fast_path_hits: int = 0
@@ -110,6 +111,10 @@ class ProverStats:
 
 #: Entry limits for the per-prover result caches.
 _RESULT_CACHE_LIMIT = 1 << 16
+
+#: Failures that make a query a resource fallback: the prover's own
+#: limits, and nesting deeper than the recursive passes can follow.
+RESOURCE_ERRORS = (ProverError, RecursionError)
 
 
 class Prover:
@@ -181,8 +186,8 @@ class Prover:
                 return cached, "raw"
         try:
             result = self._decide_satisfiable(f)
-        except ProverError:
-            # Resource blow-up (DNF or elimination limits): answer
+        except RESOURCE_ERRORS:
+            # Resource blow-up (DNF, elimination or nesting limits): answer
             # conservatively — "may be satisfiable" makes every
             # validity query fail safe.  Recorded (not silent) and
             # never cached: the fallback is not a semantic result.
@@ -209,24 +214,36 @@ class Prover:
 
     def _decide_satisfiable(self, f: Formula) -> bool:
         qf = self.eliminate_quantifiers(f)
-        if isinstance(qf, TrueFormula):
-            return True
-        if isinstance(qf, FalseFormula):
-            return False
-        # Keys come lazily off the NNF tree, so a satisfiable query
-        # builds only the keys up to its first satisfiable conjunct.
-        for key in conjunct_keys(qf):
+        dnf_length(qf)  # the one DNF bound rule: raises past the bound
+        return self._search(qf, EMPTY_KEY)
+
+    def _search(self, qf: Formula, start: FrozenSet[Formula]) -> bool:
+        """Is ``start ∧ qf`` satisfiable?  *qf* is quantifier-free NNF,
+        *start* a canonical conjunct key.  A leaf's resource failure
+        propagates, to become the caller's fallback."""
+        for key, known in leaf_keys(qf, start, self._prune_check):
+            if known:
+                return True
             self.stats.conjunct_queries += 1
-            if key is not None and self._conjunct_decide_key(key):
+            if self._conjunct_decide_key(key):
                 return True
         return False
 
+    def _prune_check(self, key: FrozenSet[Formula]) -> Optional[bool]:
+        """Decide a partial conjunction of the search, or None on a
+        resource failure: the search then descends as if satisfiable."""
+        self.stats.conjunct_queries += 1
+        try:
+            return self._conjunct_decide_key(key)
+        except RESOURCE_ERRORS:
+            return None
+
     def _conjunct_decide_key(self, key) -> bool:
         """Decide a conjunct given its canonical frozenset key, through
-        the per-conjunct cache.  Shared by the from-scratch path above
-        and the delta path of
-        :class:`~repro.logic.incremental.PrefixSession`, so both hit the
-        same cache with the same keys."""
+        the per-conjunct cache.  Every leaf and prune check of
+        :meth:`_search` comes here, from a plain query and from a
+        :class:`~repro.logic.incremental.PrefixSession` alike, so both
+        hit the same cache with the same keys."""
         if not key:
             return True  # every atom folded to true
         if self.enable_cache:
@@ -250,15 +267,30 @@ class Prover:
         Obligation slicing: the conjunct is first decomposed into
         independent variable components (no variable chain connects
         them), each decided on its own — the conjunction is satisfiable
-        iff every component is.  Section 5.2.3's difference-solver fast
-        path decides a component that is a difference system by
-        negative-cycle detection; the rest go to the Omega test."""
+        iff every component is.  A component of a sliced conjunct is a
+        conjunction too, and goes through the conjunct cache on its own
+        key: the search's leaf below a satisfiable prune check then
+        re-decides only the component its new atoms joined.
+        Section 5.2.3's difference-solver fast path decides a component
+        that is a difference system by negative-cycle detection; the
+        rest go to the Omega test."""
         components = _split_components(atoms)
-        if len(components) > 1:
-            self.stats.sliced_conjuncts += 1
-            self.stats.slice_components += len(components)
-        return all(self._component_satisfiable(component)
+        if len(components) == 1:
+            return self._component_satisfiable(components[0])
+        self.stats.sliced_conjuncts += 1
+        self.stats.slice_components += len(components)
+        return all(self._cached_component(component)
                    for component in components)
+
+    def _cached_component(self, atoms) -> bool:
+        if not self.enable_cache:
+            return self._component_satisfiable(atoms)
+        key = frozenset(atoms)
+        cached = self._conjunct_cache.get(key)
+        if cached is None:
+            cached = self._component_satisfiable(atoms)
+            self._conjunct_cache.put(key, cached)
+        return cached
 
     def _component_satisfiable(self, atoms) -> bool:
         fast = try_satisfiable(atoms)

@@ -8,6 +8,7 @@ from repro.logic import (
     Prover, conj, congruent, disj, eq, exists, forall, ge, gt, implies,
     le, lt, ne, neg, TRUE, FALSE,
 )
+from repro.logic.memo import clear_all_caches
 from repro.logic.terms import Linear
 
 
@@ -186,6 +187,47 @@ class TestStatsSplit:
         assert prover.stats.satisfiability_queries == queries
         prover.is_satisfiable(ge(v("x"), 0))
         assert prover.stats.cache_hits == 0  # cache really was dropped
+
+
+def _deep_chain(depth):
+    """``a1 ∨ (b1 ∧ (a2 ∨ (b2 ∧ …)))``: *depth* ∨/∧ links, 2·depth
+    nodes deep."""
+    f = ge(v("x0"), 0)
+    for i in range(1, depth + 1):
+        f = disj(ge(v("x%d" % i), i), conj(ge(v("y%d" % i), -i), f))
+    return f
+
+
+class TestDeepNesting:
+    """A formula nested past what the recursive normal-form passes can
+    follow is a resource fallback, not a traceback."""
+
+    def setup_method(self):
+        clear_all_caches()  # no memoized subformula shortens the walk
+
+    def test_plain_query_is_an_uncached_fallback(self):
+        prover = Prover()
+        f = _deep_chain(200)
+        assert prover.is_satisfiable(f)
+        assert prover.is_satisfiable(f)
+        assert prover.stats.resource_fallbacks == 2
+        assert prover.stats.cache_hits == 0
+
+    def test_session_delta_is_an_uncached_fallback(self):
+        prover = Prover()
+        session = prover.prefix_session(ge(v("x0"), 0))
+        f = _deep_chain(200)
+        assert session.satisfiable_with(f)
+        assert session.satisfiable_with(f)
+        assert prover.stats.resource_fallbacks == 2
+        assert prover.stats.cache_hits == 0
+
+    def test_session_prefix_routes_through_the_plain_path(self):
+        prover = Prover()
+        session = prover.prefix_session(_deep_chain(200))
+        assert session.satisfiable_with(ge(v("z"), 0))
+        assert prover.stats.incremental_queries == 0
+        assert prover.stats.resource_fallbacks == 1
 
 
 _small_formula = st.recursive(
