@@ -3,10 +3,10 @@
 Defaults match the paper's prototype; the ablation benchmarks flip the
 enhancement flags to measure their effect (paper Sections 5.2.1, 5.2.3,
 and 6 discuss each).  The prover's own performance features (obligation
-slicing, incremental prefix sessions, the canonical and per-conjunct
-caches, the difference-solver fast path, formula memoization) are
-always on; ``enable_prover_cache`` is the one switch left, the paper's
-cache ablation.
+slicing, incremental prefix sessions, the difference-solver fast path,
+formula memoization) are always on; ``enable_prover_cache`` is the one
+switch left, the paper's cache ablation: the raw and per-conjunct
+caches plus the session memo.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ class CheckerOptions:
 
     #: Planned enhancement implemented here (paper Section 5.2.3:
     #: "represent formulas in a canonical form and use previous results
-    #: whenever possible"): the prover's raw, canonical-form and
-    #: per-conjunct result caches and its per-session memo.  Off
-    #: decides every query from scratch.
+    #: whenever possible"): the prover's raw and per-conjunct result
+    #: caches and its per-session memo.  Off decides every query from
+    #: scratch.
     enable_prover_cache: bool = True
 
     #: Section 6 extension: forward propagation of linear facts

@@ -2,10 +2,9 @@
 
 The measured benchmark of the whole checker is perfbench
 (``perfbench/run.py``); the verdict-parity gates are
-``benchmarks/parity_check.py``; ``repro bench --service`` load-tests
-the check service (:mod:`repro.service.loadtest`).  This module only
-re-exports the multi-function chain program that perfbench's
-``recheck`` workload imports from here.
+``benchmarks/parity_check.py``.  This module only re-exports the
+multi-function chain program that perfbench's ``recheck`` workload
+imports from here.
 """
 
 from repro.programs.incremental import (  # noqa: F401

@@ -9,8 +9,6 @@
     repro cfg CODE.s --dot                # control-flow graph (Graphviz)
     repro run CODE.s --reg %o0=7 ...      # concrete emulation
     repro fig9 [--full]                   # regenerate the paper's table
-    repro bench --service                 # sharded-service load test,
-                                          # BENCH_service.json
     repro serve [--port N] [--shards N]   # run the check service
     repro submit CODE.s SPEC.policy       # check via a running service
     repro fuzz run --jobs 4 --count 200   # differential fuzzing campaign
@@ -152,30 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="include the heavyweight rows (heap sorts, "
                            "stack-smashing, MD5)")
     fig9.set_defaults(handler=_cmd_fig9)
-
-    bench = sub.add_parser("bench", help="service load-test benchmark")
-    bench.add_argument("--output", default=None,
-                       help="report path (default: BENCH_service.json)")
-    bench.add_argument("--quiet", action="store_true",
-                       help="with --service: suppress progress lines")
-    bench.add_argument("--service", action="store_true",
-                       help="load-test the sharded check service "
-                            "(1-shard baseline, N-shard fresh, N-shard "
-                            "mixed-duplicate) and write the scaling "
-                            "scoreboard to BENCH_service.json; exits "
-                            "non-zero on any verdict-fingerprint "
-                            "mismatch")
-    bench.add_argument("--requests", type=int, default=240,
-                       metavar="N",
-                       help="with --service: submissions per "
-                            "configuration (default: 240)")
-    bench.add_argument("--clients", type=int, default=8, metavar="N",
-                       help="with --service: concurrent client "
-                            "threads (default: 8)")
-    bench.add_argument("--shards", type=int, default=0, metavar="N",
-                       help="with --service: fleet size for the "
-                            "N-shard configs (0 = max(2, cpu_count))")
-    bench.set_defaults(handler=_cmd_bench)
 
     serve = sub.add_parser("serve", help="run the resident check "
                                          "service (HTTP/JSON)")
@@ -492,23 +466,6 @@ def _cmd_run(args) -> int:
         if row:
             print("  " + "  ".join(row))
     return 0
-
-
-def _cmd_bench(args) -> int:
-    if args.service:
-        import tempfile
-
-        from repro.service.loadtest import default_configs, run_suite
-        with tempfile.TemporaryDirectory(
-                prefix="repro-bench-service-") as cache_dir:
-            configs = default_configs(
-                requests=args.requests, clients=args.clients,
-                shards=args.shards or None, cache_dir=cache_dir)
-            return run_suite(configs, args.output or "BENCH_service.json",
-                             quiet=args.quiet)
-    raise ReproError("bench needs --service; the checker's benchmark "
-                     "is perfbench: python3 perfbench/run.py "
-                     "--workload fig9")
 
 
 def _cmd_cache_stats(args) -> int:

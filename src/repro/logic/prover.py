@@ -46,8 +46,8 @@ from repro.errors import ProverError
 from repro.logic.canonical import EMPTY_KEY, canonicalize, leaf_keys
 from repro.logic.diffsolver import try_satisfiable
 from repro.logic.formula import (
-    And, Cong, Eq, Exists, FalseFormula, Forall, Formula, Geq, Not, Or,
-    TrueFormula, conj, disj, formula_size, neg, )
+    And, Exists, Forall, Formula, Not, Or, conj, disj, formula_size,
+    has_quantifier, neg, )
 from repro.logic.memo import BoundedCache
 from repro.logic.normalize import dnf_length, to_dnf, to_nnf
 from repro.logic.omega import (
@@ -313,7 +313,7 @@ class Prover:
         return self._eliminate(to_nnf(f))
 
     def _eliminate(self, f: Formula) -> Formula:
-        if isinstance(f, (TrueFormula, FalseFormula, Geq, Eq, Cong)):
+        if not has_quantifier(f):
             return f
         if isinstance(f, And):
             return conj(*(self._eliminate(p) for p in f.parts))

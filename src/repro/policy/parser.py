@@ -259,14 +259,14 @@ class _SpecParser:
             elif head == "invoke":
                 self._parse_invoke(line)
             elif head == "entry":
-                self._spec.invocation.entry_label = line.split(None, 1)[1]
+                self._spec.invocation.entry_label = self._argument(line)
             elif head == "assume":
                 self._spec.constrain(
-                    parse_constraint(line.split(None, 1)[1]))
+                    parse_constraint(self._argument(line)))
             elif head == "ensure":
                 self._spec.postcondition = conj(
                     self._spec.postcondition,
-                    parse_constraint(line.split(None, 1)[1]))
+                    parse_constraint(self._argument(line)))
             elif head == "function":
                 index = self._parse_function(line, index)
             elif head == "automaton":
@@ -278,6 +278,14 @@ class _SpecParser:
     @staticmethod
     def _strip(line: str) -> str:
         return line.split("#", 1)[0].strip()
+
+    @staticmethod
+    def _argument(line: str) -> str:
+        """The text after a keyword line's keyword (``assume X``)."""
+        parts = line.split(None, 1)
+        if len(parts) < 2:
+            raise SpecError("%r needs an argument" % parts[0])
+        return parts[1]
 
     # -- one-line forms -------------------------------------------------------
 
@@ -397,11 +405,11 @@ class _SpecParser:
             elif head == "requires":
                 fn.precondition = conj(
                     fn.precondition,
-                    parse_constraint(line.split(None, 1)[1]))
+                    parse_constraint(self._argument(line)))
             elif head == "ensures":
                 fn.postcondition = conj(
                     fn.postcondition,
-                    parse_constraint(line.split(None, 1)[1]))
+                    parse_constraint(self._argument(line)))
             elif head == "clobbers":
                 fn.clobbers = tuple(line.split()[1:])
             else:

@@ -100,3 +100,5 @@ class TestEliminationIdempotent:
         prover = Prover()
         eliminated = prover.eliminate_quantifiers(f)
         assert prover.equivalent(f, eliminated)
+        # Quantifier-free input comes back as its NNF, not rebuilt.
+        assert eliminated is to_nnf(f)

@@ -167,6 +167,15 @@ class TestSpecParsing:
         with pytest.raises(SpecError):
             parse_spec("frobnicate everything")
 
+    @pytest.mark.parametrize("text", [
+        "assume", "ensure", "entry  # label",
+        "function f {\n    requires\n}",
+        "function f {\n    ensures\n}",
+    ], ids=["assume", "ensure", "entry", "requires", "ensures"])
+    def test_keyword_without_argument_rejected(self, text):
+        with pytest.raises(SpecError, match="needs an argument"):
+            parse_spec(text)
+
     def test_unterminated_function_rejected(self):
         with pytest.raises(SpecError):
             parse_spec("function f {\nparam %o0 : int")

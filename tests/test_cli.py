@@ -1,9 +1,12 @@
 """CLI tests (direct main() invocation; no subprocesses)."""
 
+import argparse
 import json
+import re
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.programs.sum_array import SOURCE, SPEC
 
@@ -65,6 +68,14 @@ class TestCheck:
         bad.write_text("frobnicate")
         assert main(["check", str(code), str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_keyword_without_argument_exits_two(self, files, capsys):
+        code, __, tmp = files
+        bad = tmp / "bad.policy"
+        bad.write_text("assume\n")
+        assert main(["check", str(code), str(bad)]) == 2
+        assert "error: 'assume' needs an argument" \
+            in capsys.readouterr().err
 
     def test_missing_file_exits_two(self, files, capsys):
         __, spec, __tmp = files
@@ -152,14 +163,32 @@ def _argv(files, argv):
     ["check", "CODE", "SPEC", "--trace-formulas"],
     ["serve", "--jobs", "2"],
     ["submit", "CODE", "SPEC", "--jobs", "2"],
-    ["bench", "--prover-replay", "trace.jsonl"],
-], ids=["check-jobs", "check-trace-formulas", "serve-jobs", "submit-jobs",
-        "bench-replay"])
+], ids=["check-jobs", "check-trace-formulas", "serve-jobs", "submit-jobs"])
 def test_removed_flags_are_usage_errors(files, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(_argv(files, argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["bench"], ["bench", "--service"]],
+                         ids=["bench", "bench-service"])
+def test_removed_commands_are_usage_errors(capsys, argv):
+    """perfbench is the one benchmark; there is no ``repro bench``."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_usage_text_names_every_command():
+    """The module docstring's ``repro <command>`` lines and the
+    parser's subcommands name the same commands, so a deleted command
+    cannot linger in the usage text."""
+    documented = set(re.findall(r"^\s*repro (\w+)", cli.__doc__, re.M))
+    sub, = [action for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)]
+    assert documented == set(sub.choices)
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])

@@ -1,5 +1,6 @@
 """CLI surface of the tracing layer: ``check --trace``, the
-``REPRO_TRACE`` environment variable, and the ``trace`` subcommands."""
+``REPRO_TRACE`` environment variable, and the ``trace`` subcommands
+(``summarize --hotspots`` included)."""
 
 import json
 
@@ -17,6 +18,16 @@ def files(tmp_path):
     spec = tmp_path / "sum.policy"
     spec.write_text(SPEC)
     return code, spec, tmp_path
+
+
+@pytest.fixture()
+def trace_file(files, capsys):
+    code, spec, tmp = files
+    trace = tmp / "trace.jsonl"
+    assert main(["check", str(code), str(spec),
+                 "--trace", str(trace)]) == 0
+    capsys.readouterr()  # discard check output
+    return trace
 
 
 class TestCheckTrace:
@@ -49,14 +60,6 @@ class TestCheckTrace:
 
 
 class TestTraceSubcommands:
-    @pytest.fixture()
-    def trace_file(self, files, capsys):
-        code, spec, tmp = files
-        trace = tmp / "trace.jsonl"
-        main(["check", str(code), str(spec), "--trace", str(trace)])
-        capsys.readouterr()  # discard check output
-        return trace
-
     def test_validate_ok(self, trace_file, capsys):
         assert main(["trace", "validate", str(trace_file)]) == 0
         out = capsys.readouterr().out
@@ -94,3 +97,28 @@ class TestTraceSubcommands:
     def test_summarize_missing_file_exits_two(self, capsys):
         assert main(["trace", "summarize", "/nonexistent.jsonl"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestHotspots:
+    def test_summarize_hotspots(self, trace_file, capsys):
+        assert main(["trace", "summarize", str(trace_file),
+                     "--hotspots"]) == 0
+        out = capsys.readouterr().out
+        assert "hot queries" in out
+        assert "hot obligation sites" in out
+
+    def test_summarize_hotspots_json(self, trace_file, capsys):
+        assert main(["trace", "summarize", str(trace_file), "--hotspots",
+                     "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        hotspots = summary["hotspots"]
+        assert hotspots["queries_by_digest"]
+        assert hotspots["obligations_by_site"]
+        total = sum(entry["count"]
+                    for entry in hotspots["queries_by_digest"])
+        assert total <= summary["queries"]["total"]
+
+    def test_summarize_without_flag_omits_hotspots(self, trace_file,
+                                                   capsys):
+        assert main(["trace", "summarize", str(trace_file), "--json"]) == 0
+        assert "hotspots" not in json.loads(capsys.readouterr().out)
