@@ -26,8 +26,6 @@ from repro import budget
 from repro.errors import ProverTimeout
 from repro.cfg.builder import build_cfg
 from repro.cfg.callgraph import CallGraph
-from repro.cfg.graph import CFG
-from repro.cfg.loops import find_loops
 from repro.ir.frontend import get_frontend
 from repro.ir.ops import Call
 from repro.ir.program import MachineProgram
@@ -184,8 +182,9 @@ class SafetyChecker:
         # Phases 2–4 replay: with a replay store, the phase 2–4
         # artifacts of an unchanged program (body + CFG structure, spec,
         # verdict-affecting options all digest-identical) come from the
-        # store — a warm unchanged re-check is digest computation plus
-        # lookups end-to-end.
+        # store, with every function's phase-5 input digest — a warm
+        # unchanged re-check is the structure digests plus lookups
+        # end-to-end.
         pipeline = None
         replayed = None
         if self.persistent is not None:
@@ -242,6 +241,7 @@ class SafetyChecker:
                                         self.spec, self.options,
                                         self.prover, forward=forward)
             engine.tracer = self.tracer
+            payload = replayed
             if pipeline is not None and replayed is None:
                 # Freshly computed phases 2–4: persist them (the engine
                 # has just run the forward pass, so the header facts
@@ -249,15 +249,18 @@ class SafetyChecker:
                 # them — they are complete, and the next attempt with a
                 # bigger budget replays straight through to phase 5.
                 from repro.analysis.units import PipelineReplay
-                pipeline.store(PipelineReplay(
+                payload = PipelineReplay(
                     propagation, annotations, local_violations,
-                    self._header_facts(engine)))
+                    self._header_facts(engine))
+                pipeline.store(payload, engine)
+            # None without a store; an unpickled payload may lack it.
+            input_digests = getattr(payload, "input_digests", None)
             proofs, global_violations, unit_stats = \
-                self._discharge(engine, annotations)
+                self._discharge(engine, annotations, input_digests)
         times.global_verification = time.perf_counter() - t0
 
         violations = local_violations + global_violations
-        characteristics = self._characteristics(cfg, annotations)
+        characteristics = self._characteristics(engine, annotations)
         prover_stats = self.prover.stats.as_dict()
         prover_stats.update(unit_stats)
         if pipeline is not None:
@@ -276,13 +279,16 @@ class SafetyChecker:
             prover_stats=prover_stats,
         )
 
-    def _discharge(self, engine: VerificationEngine, annotations):
+    def _discharge(self, engine: VerificationEngine, annotations,
+                   input_digests):
         """Run phase 5 through the obligation engine, function unit by
         function unit: groups of units whose content digests and
         dependency context match a stored verdict replay it
-        (``unit_hits``), the rest are proved fresh.  Returns (records,
-        violations, unit-cache counters); without a replay store
-        every obligation is proved fresh and there are no counters."""
+        (``unit_hits``), the rest are proved fresh.  *input_digests*
+        (from the phase 2–4 payload) seeds the units' input digests.
+        Returns (records, violations, unit-cache counters); without a
+        replay store every obligation is proved fresh and there are no
+        counters."""
         from repro.analysis.obligations import generate_obligations
         obligations = generate_obligations(annotations)
         if self.persistent is None:
@@ -291,7 +297,7 @@ class SafetyChecker:
 
         from repro.analysis.units import UnitManager, partition_units
         manager = UnitManager(engine, self.persistent, self.options,
-                              self._arch_name())
+                              self._arch_name(), input_digests)
         units = partition_units(engine, obligations)
         groups, fresh_units = manager.lookup(units)
         fresh = list(obligations)
@@ -305,12 +311,14 @@ class SafetyChecker:
             # set: the uncached counterpart run could have interleaved
             # memo state between them, so only a full fresh run
             # reproduces it bit for bit.  The prover keeps its caches —
-            # they are truth-deterministic — so the redo is cheap.
+            # they are truth-deterministic — and the forward facts are
+            # a pure function of the program, so the redo is cheap.
             manager.abort_replay()
             groups, fresh_units = [], units
             redo = VerificationEngine(engine.cfg, engine.propagation,
                                       engine.preparation, self.spec,
-                                      self.options, self.prover)
+                                      self.options, self.prover,
+                                      forward=engine._forward)
             redo.tracer = self.tracer
             _, _, touched = self._prove(redo, obligations)
             engine._induction_runs += redo.induction_runs
@@ -340,12 +348,11 @@ class SafetyChecker:
 
     # -- characteristics (Figure 9 columns) -----------------------------------------
 
-    def _characteristics(self, cfg: CFG, annotations
+    def _characteristics(self, engine: VerificationEngine, annotations
                          ) -> ProgramCharacteristics:
         counts = self.program.counts()
         loops = inner = 0
-        for label in cfg.functions:
-            forest = find_loops(cfg, label)
+        for forest in engine.loops.values():
             loops += forest.count
             inner += forest.inner_count
         trusted = 0

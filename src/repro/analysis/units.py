@@ -23,7 +23,7 @@ its verdicts:
 The :class:`UnitManager` stores units as *groups* in the replay
 store (:meth:`repro.logic.persist.PersistentProverCache.get_unit`)
 and replays whole groups before proving; warm-path cost for an
-unchanged group is hashing plus one indexed lookup.
+unchanged group is one key hash plus one indexed lookup.
 
 **Soundness of replay.**  Induction iteration is incomplete, so the
 engine's cross-obligation memo state (proven invariants, failed
@@ -83,6 +83,15 @@ absolute indices, in program order): it pins replay to programs whose
 uids are byte-for-byte those of the producing run — e.g. two functions
 swapped in the file have unchanged per-function digests but a
 different layout, and correctly miss.
+
+The payload also carries every function's input digest, computed once
+when it is stored.  A digest is a pure function of the payload (the
+propagation stores, the header facts) and of what its key already pins
+(each function's structure, the layout, spec, options, schema and
+version), so a replayed map equals what :func:`function_input_digest`
+would compute on the replaying engine.  A warm re-check therefore seeds
+its :class:`UnitManager` with it and renders no store; an entry that is
+absent or not a string is computed as usual.
 """
 
 from __future__ import annotations
@@ -108,7 +117,7 @@ UNIT_SCHEMA = 2
 
 #: Bump when the pipeline (phase 2–4) payload layout or digest recipe
 #: changes.
-PIPELINE_SCHEMA = 2
+PIPELINE_SCHEMA = 3
 
 #: Checker options whose value can change phase-5 verdicts.  Everything
 #: else (the prover cache, tracing) is parity-gated to be
@@ -173,6 +182,11 @@ def spec_digest(spec: HostSpec) -> str:
     return text_digest("spec", *parts)
 
 
+#: Op class -> the names of its rendered dataclass fields, in field
+#: order (every field except the bookkeeping ``index``/``raw``/``text``).
+_OP_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+
 def _render_op(op, base_index: int) -> str:
     """Position-independent rendering of one IR op: dataclass fields
     except the bookkeeping ones (``index``/``raw``/``text``), with
@@ -180,19 +194,22 @@ def _render_op(op, base_index: int) -> str:
     instruction and call targets identified by label when known."""
     if op is None:
         return "<exit>"
+    names = _OP_FIELDS.get(type(op))
+    if names is None:
+        names = tuple(f.name for f in dataclasses.fields(op)
+                      if f.name not in ("index", "raw", "text"))
+        _OP_FIELDS[type(op)] = names
     parts = [op.opname]
-    for f in dataclasses.fields(op):
-        if f.name in ("index", "raw", "text"):
-            continue
-        value = getattr(op, f.name)
-        if f.name == "target":
+    for name in names:
+        value = getattr(op, name)
+        if name == "target":
             if isinstance(op, CondBranch):
                 value = "rel%+d" % (value - base_index)
             elif isinstance(op, Call) and op.target_label:
                 # The label names the callee; the absolute index would
                 # change whenever an unrelated earlier function grows.
                 continue
-        parts.append("%s=%r" % (f.name, value))
+        parts.append("%s=%r" % (name, value))
     return " ".join(parts)
 
 
@@ -327,10 +344,14 @@ class ReplayedGroup:
 class UnitManager:
     """Content-addressed lookup, replay, and storage of unit groups.
 
-    One instance per check; all digests are memoized for the run."""
+    One instance per check; all digests are memoized for the run.
+    *input_digests* seeds the function input digests (the map a phase
+    2–4 payload carries); an entry that is absent or not a string is
+    computed from the engine as usual."""
 
     def __init__(self, engine: VerificationEngine, persistent,
-                 options: CheckerOptions, arch: str):
+                 options: CheckerOptions, arch: str,
+                 input_digests: Optional[Dict[str, str]]):
         self.engine = engine
         self.persistent = persistent
         self.options = options
@@ -345,7 +366,8 @@ class UnitManager:
         }
         self._spec_digest: Optional[str] = None
         self._options_digest: Optional[str] = None
-        self._input_digests: Dict[str, str] = {}
+        self._input_digests: Dict[str, str] = \
+            dict(input_digests) if isinstance(input_digests, dict) else {}
         #: Functions claimed by accepted replay payloads; candidate
         #: payloads whose dependency sets overlap are rejected (two
         #: replayed groups sharing a dependency could have influenced
@@ -356,7 +378,7 @@ class UnitManager:
 
     def input_digest(self, label: str) -> str:
         digest = self._input_digests.get(label)
-        if digest is None:
+        if not isinstance(digest, str):
             digest = function_input_digest(self.engine, label)
             self._input_digests[label] = digest
         return digest
@@ -594,12 +616,17 @@ class PipelineReplay:
     """Phases 2–4 reconstructed from the store: the propagation
     fixpoint, the annotations, the local-verification verdicts, and the
     loop-header forward facts (uid-keyed; empty when the producing run
-    had ``enable_forward_bounds`` off — the options digest pins that)."""
+    had ``enable_forward_bounds`` off — the options digest pins that),
+    plus every function's :func:`function_input_digest`, which is a pure
+    function of these artifacts and of what the payload's key pins."""
 
     propagation: PropagationResult
     annotations: Dict[int, NodeAnnotation]
     local_violations: List[Violation]
     header_facts: Dict[int, Formula]
+    #: Label -> function input digest (filled in by
+    #: :meth:`PipelineCache.store`).
+    input_digests: Dict[str, str] = field(default_factory=dict)
 
 
 class PipelineCache:
@@ -659,8 +686,14 @@ class PipelineCache:
             len(self.cfg.functions)
         return replay
 
-    def store(self, replay: PipelineReplay) -> None:
-        """Persist freshly computed phase 2–4 artifacts."""
+    def store(self, replay: PipelineReplay,
+              engine: VerificationEngine) -> None:
+        """Persist freshly computed phase 2–4 artifacts, with the input
+        digest of every function as *engine* (built on exactly these
+        artifacts) sees it — computed here once, for this run's unit
+        keys and for every warm re-check that replays the payload."""
+        replay.input_digests = {label: function_input_digest(engine, label)
+                                for label in self.cfg.functions}
         try:
             blob = base64.b64encode(pickle.dumps(
                 replay, protocol=4)).decode("ascii")

@@ -4,15 +4,20 @@ touched-function set.
 Each sweep level resolves, once per checker, every edge out of its
 items (condition formula and target kind) and every node's wlp write
 set; a visit then reads those instead of asking the CFG, and a node
-that writes nothing free in the formula after it skips its transfer.
-Below, the visit and the edge-target lookup are patched back to the
-dynamic recipe the engine used before levels were compiled: the CFG's
-successor edges, the edge-condition formula, the sub-loop found by a
-scan of the level's sub-loops, and ``node_transfer`` on every visit.
+that writes nothing free in the formula after it skips its transfer;
+the sweep copies the formula after a pass-through node (one
+unconditional edge to a real node, no write to the formula) without a
+visit at all.  Below, the visit and the edge-target lookup are patched
+back to the dynamic recipe the engine used before levels were
+compiled: the CFG's successor edges, the edge-condition formula, the
+sub-loop found by a scan of the level's sub-loops, and
+``node_transfer`` on every visit; the levels are built without
+pass-through nodes, so every live node is visited.
 Each check must come out the same both ways.  All checks are
 store-free and unlimited.
 """
 
+import dataclasses
 import json
 from typing import Dict, List, Optional
 
@@ -106,15 +111,25 @@ def _dynamic_target(self, level, succ, w, back_formula, entry_obligations):
                         back_formula, entry_obligations)
 
 
+_build_level = VerificationEngine._build_level
+
+
+def _level_without_passes(self, function, loop):
+    return dataclasses.replace(_build_level(self, function, loop),
+                               passes={})
+
+
 # -- the comparison ---------------------------------------------------------------
 
 
 def _outcome(case, monkeypatch, dynamic):
     """Verdict projection, integer prover counters, per-obligation
-    touched sets and the number of wlp transfers of one cold check."""
+    touched sets, and the numbers of wlp transfers and of node visits
+    of one cold check."""
     source, spec_text, arch = case
     touched = {}
     transfers = []
+    visits = []
     prove = SafetyChecker._prove
     node_transfer = WlpTransfer.node_transfer
 
@@ -133,6 +148,15 @@ def _outcome(case, monkeypatch, dynamic):
         if dynamic:
             patch.setattr(VerificationEngine, "_visit", _dynamic_visit)
             patch.setattr(VerificationEngine, "_target", _dynamic_target)
+            patch.setattr(VerificationEngine, "_build_level",
+                          _level_without_passes)
+        visit = VerificationEngine._visit
+
+        def visiting(self, level, uid, *args):
+            visits.append(uid)
+            return visit(self, level, uid, *args)
+
+        patch.setattr(VerificationEngine, "_visit", visiting)
         clear_all_caches()
         checker = SafetyChecker(source, parse_spec(spec_text),
                                 options=CheckerOptions(), arch=arch)
@@ -144,7 +168,7 @@ def _outcome(case, monkeypatch, dynamic):
                             sort_keys=True)
     counters = {name: value for name, value in result.prover_stats.items()
                 if isinstance(value, int) and not isinstance(value, bool)}
-    return projection, counters, touched, len(transfers)
+    return projection, counters, touched, len(transfers), len(visits)
 
 
 def _assert_parity(case, monkeypatch):
@@ -155,6 +179,8 @@ def _assert_parity(case, monkeypatch):
     assert compiled[2] == dynamic[2]
     # The compiled sweep skips the transfers that change nothing.
     assert compiled[3] < dynamic[3]
+    # ... and the visits of pass-through nodes.
+    assert compiled[4] < dynamic[4]
 
 
 @pytest.mark.parametrize("case", [

@@ -5,16 +5,19 @@ storage format: both render through one shared helper, and each must
 stay byte-identical to its own reference recipe, copied here, or every
 store written before would silently miss."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.options import CheckerOptions
 from repro.analysis.prepare import prepare
 from repro.analysis.propagate import propagate
 from repro.analysis.units import (
-    _render_op, function_input_digest, function_structure_digest,
+    function_input_digest, function_structure_digest,
 )
 from repro.analysis.verify import VerificationEngine
 from repro.cfg.builder import build_cfg
+from repro.ir.ops import Call, CondBranch
 from repro.logic.serialize import formula_digest, text_digest
 from repro.policy.parser import parse_spec
 from repro.programs import all_programs
@@ -22,6 +25,23 @@ from repro.programs.incremental import (
     INCREMENTAL_EDITED_SOURCE, INCREMENTAL_SOURCE, INCREMENTAL_SPEC,
 )
 from repro.sparc.assembler import assemble
+
+
+def _reference_render_op(op, base_index):
+    if op is None:
+        return "<exit>"
+    parts = [op.opname]
+    for f in dataclasses.fields(op):
+        if f.name in ("index", "raw", "text"):
+            continue
+        value = getattr(op, f.name)
+        if f.name == "target":
+            if isinstance(op, CondBranch):
+                value = "rel%+d" % (value - base_index)
+            elif isinstance(op, Call) and op.target_label:
+                continue
+        parts.append("%s=%r" % (f.name, value))
+    return " ".join(parts)
 
 
 def _reference_body(cfg, label, with_stores=None):
@@ -35,7 +55,7 @@ def _reference_body(cfg, label, with_stores=None):
         relative = node.index - base_index if node.index else -1
         parts.append("n%d i%d %s %s" % (
             ordinal[uid], relative, node.role.value,
-            _render_op(node.instruction, base_index)))
+            _reference_render_op(node.instruction, base_index)))
         if with_stores is not None:
             store = with_stores.get(uid)
             parts.append(store.render() if store is not None else "-")

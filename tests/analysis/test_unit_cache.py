@@ -486,6 +486,109 @@ class TestInputDigest:
                 == _plain_input_digest(engine, label)
 
 
+def _figure9_or_chain():
+    from repro.programs import all_programs
+    cases = [pytest.param(program.source, program.spec_text,
+                          id=program.name)
+             for program in all_programs()]
+    cases.append(pytest.param(INCREMENTAL_SOURCE, INCREMENTAL_SPEC,
+                              id="chain"))
+    return cases
+
+
+class TestReplayedInputDigests:
+    """The phase 2–4 payload carries every function's input digest, so
+    a warm unchanged re-check renders no propagated store."""
+
+    def test_warm_recheck_computes_no_input_digest(self, tmp_path,
+                                                   monkeypatch):
+        from repro.analysis import units
+        from repro.cfg import loops
+        cache = cache_at(tmp_path)
+        _check(INCREMENTAL_SOURCE, CheckerOptions(cache_path=cache))
+        digests, forests = [], []
+        input_digest = units.function_input_digest
+        compute_idoms = loops.compute_idoms
+        monkeypatch.setattr(
+            units, "function_input_digest",
+            lambda engine, label: digests.append(label)
+            or input_digest(engine, label))
+        # Every ``find_loops`` call, wherever it was imported, starts
+        # with the function's dominator tree.
+        monkeypatch.setattr(
+            loops, "compute_idoms",
+            lambda cfg, label: forests.append(label)
+            or compute_idoms(cfg, label))
+        warm = _check(INCREMENTAL_SOURCE,
+                      CheckerOptions(cache_path=cache))
+        assert warm.prover_stats["unit_pipeline_hits"] == 1
+        assert warm.prover_stats["unit_hits"] \
+            == warm.prover_stats["unit_lookups"] > 0
+        assert digests == []
+        assert sorted(forests) == sorted(
+            ["<main>", "fone", "ftwo", "fthree"])
+
+    @pytest.mark.parametrize("source, spec", _figure9_or_chain())
+    def test_replayed_digests_match_the_replaying_engine(
+            self, tmp_path, monkeypatch, source, spec):
+        from repro.analysis.checker import SafetyChecker
+        from repro.analysis.units import function_input_digest
+        cache = cache_at(tmp_path)
+        check_assembly(source, spec, options=CheckerOptions(
+            cache_path=cache))
+        seen = []
+        discharge = SafetyChecker._discharge
+
+        def capturing(self, engine, annotations, input_digests):
+            seen.append((engine, input_digests))
+            return discharge(self, engine, annotations, input_digests)
+
+        monkeypatch.setattr(SafetyChecker, "_discharge", capturing)
+        warm = check_assembly(source, spec, options=CheckerOptions(
+            cache_path=cache))
+        assert warm.prover_stats["unit_pipeline_hits"] == 1
+        (engine, replayed), = seen
+        assert replayed == {
+            label: function_input_digest(engine, label)
+            for label in engine.cfg.functions}
+
+
+class TestReplayAbort:
+    """A fresh proof that walks into a replayed group's dependency set
+    discards the replay and re-proves every obligation on a new engine
+    (``unit_aborts``); the verdicts are a store-free check's."""
+
+    @pytest.mark.parametrize("source, forward_runs", [
+        # Phases 2–4 replay: the forward facts come from the store.
+        pytest.param(INCREMENTAL_SOURCE, 0, id="unchanged"),
+        # Phases 2–4 rerun: one forward pass, shared by the redo.
+        pytest.param(INCREMENTAL_EDITED_SOURCE, 1, id="edited"),
+    ])
+    def test_abort_checks_like_no_store(self, tmp_path, monkeypatch,
+                                        source, forward_runs):
+        from repro.analysis import forward
+        from repro.analysis.units import UnitManager
+        cache = cache_at(tmp_path)
+        reference = _check(source, CheckerOptions())
+        _check(INCREMENTAL_SOURCE, CheckerOptions(cache_path=cache))
+        runs = []
+
+        class CountingForward(forward.ForwardBounds):
+            def __init__(self, *args):
+                runs.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(forward, "ForwardBounds", CountingForward)
+        monkeypatch.setattr(UnitManager, "replay_conflicts",
+                            lambda self, touched, groups: bool(groups))
+        warm = _check(source, CheckerOptions(cache_path=cache))
+        assert warm.prover_stats["unit_hits"] > 0
+        assert warm.prover_stats["unit_aborts"] == 1
+        assert len(runs) == forward_runs
+        assert _fingerprint(warm) == _fingerprint(reference)
+        assert _json_bytes(warm) == _json_bytes(reference)
+
+
 @pytest.mark.bench
 class TestHeavyGroupReplay:
     @pytest.mark.parametrize("name", ["md5", "heapsort2"])

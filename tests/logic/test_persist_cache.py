@@ -4,8 +4,10 @@ may only cost a cold start.  A file that is not a store must never be
 touched at all.
 """
 
+import base64
 import json
 import os
+import pickle
 import sqlite3
 
 import pytest
@@ -458,6 +460,31 @@ def _rewrite_rows(kind, payload):
     return damage
 
 
+def _rewrite_digests(edit):
+    """A primed store whose pipeline payload's map of function input
+    digests went through *edit* (which may also delete the map)."""
+    def damage(path):
+        _prime(path)
+        conn = sqlite3.connect(path)
+        (key, text), = conn.execute(
+            "SELECT unit_key, payload FROM units "
+            "WHERE kind='pipeline'").fetchall()
+        replay = pickle.loads(base64.b64decode(json.loads(text)["blob"]))
+        assert isinstance(replay.input_digests, dict) \
+            and replay.input_digests
+        edit(replay)
+        blob = base64.b64encode(pickle.dumps(replay, protocol=4))
+        conn.execute("UPDATE units SET payload=? WHERE unit_key=?",
+                     (json.dumps({"blob": blob.decode("ascii")}), key))
+        conn.commit()
+        conn.close()
+    return damage
+
+
+def _drop_one_digest(replay):
+    del replay.input_digests[sorted(replay.input_digests)[0]]
+
+
 def _prime(path):
     with open(path + ".s", "w") as f:
         f.write(SOURCE)
@@ -479,6 +506,20 @@ DAMAGE = {
     "unit-rows-not-objects": _rewrite_rows("unit", "[1, 2, 3]"),
 }
 
+#: Pipeline rows whose map of function input digests is damaged; the
+#: unit rows are intact.
+DIGEST_DAMAGE = {
+    "absent": _rewrite_digests(
+        lambda replay: delattr(replay, "input_digests")),
+    "not-a-dict": _rewrite_digests(
+        lambda replay: setattr(replay, "input_digests", "not a map")),
+    "not-strings": _rewrite_digests(
+        lambda replay: setattr(replay, "input_digests",
+                               {label: [digest] for label, digest
+                                in replay.input_digests.items()})),
+    "missing-label": _rewrite_digests(_drop_one_digest),
+}
+
 
 class TestDamagedStore:
     """Stores damaged in every way a file on disk can be: a check
@@ -491,12 +532,16 @@ class TestDamagedStore:
         assert main(["check", code, spec, "--json"] + list(extra)) == 0
         return json.loads(capsys.readouterr().out)
 
+    @staticmethod
+    def sum_files(tmp_path):
+        (tmp_path / "sum.s").write_text(SOURCE)
+        (tmp_path / "sum.policy").write_text(SPEC)
+        return str(tmp_path / "sum.s"), str(tmp_path / "sum.policy")
+
     @pytest.mark.parametrize("damage", sorted(DAMAGE))
     def test_damaged_store_checks_like_no_store(self, tmp_path, capsys,
                                                 damage):
-        code, spec = str(tmp_path / "sum.s"), str(tmp_path / "sum.policy")
-        (tmp_path / "sum.s").write_text(SOURCE)
-        (tmp_path / "sum.policy").write_text(SPEC)
+        code, spec = self.sum_files(tmp_path)
         store = str(tmp_path / "store.sqlite")
         DAMAGE[damage](store)
         reference = self.check_json(code, spec, capsys)
@@ -507,6 +552,22 @@ class TestDamagedStore:
         assert second["prover"]["unit_pipeline_hits"] == 1
         assert second["prover"]["unit_hits"] \
             == second["prover"]["unit_lookups"] > 0
+
+    @pytest.mark.parametrize("damage", sorted(DIGEST_DAMAGE))
+    def test_damaged_digest_map_is_recomputed(self, tmp_path, capsys,
+                                              damage):
+        """The digests are recomputed from the replayed phases 2–4, so
+        the intact unit rows still replay, on this run and the next."""
+        code, spec = self.sum_files(tmp_path)
+        store = str(tmp_path / "store.sqlite")
+        DIGEST_DAMAGE[damage](store)
+        reference = self.check_json(code, spec, capsys)
+        for _ in range(2):
+            warm = self.check_json(code, spec, capsys, "--cache", store)
+            assert verdict_projection(warm) == verdict_projection(reference)
+            assert warm["prover"]["unit_pipeline_hits"] == 1
+            assert warm["prover"]["unit_hits"] \
+                == warm["prover"]["unit_lookups"] > 0
 
 
 class TestWriteBehindFlush:
