@@ -1,12 +1,13 @@
-"""Incremental constraint addition: the persistent-prefix prover API.
+"""Prover sessions: the one satisfiability query path.
 
 The induction-iteration BFS and the WLP discharge path share one
 query shape: a **fixed context** conjoined with a **small changing
 delta** — ``facts ∧ chain ∧ ¬candidate`` with the same loop-header
 facts on every query, or ``initial_constraints ∧ ¬q`` with the same
-function-entry constraints for every obligation ``q``.  The from-
-scratch pipeline re-eliminates and re-expands the whole conjunction
-each time, then re-canonicalizes every atom of every prefix conjunct.
+function-entry constraints for every obligation ``q``.  Re-eliminating
+and re-expanding the whole conjunction each time would redo the
+prefix's work, then re-canonicalize every atom of every prefix
+conjunct.
 
 A :class:`PrefixSession` does that work once.  At construction it
 runs quantifier elimination on the prefix and keeps each prefix
@@ -16,25 +17,30 @@ its delta and runs the prover's branch-and-prune search over it once
 per prefix key, starting from that key.  The leaves are the keys
 ``key(p ∪ d) = key(p) | key(d)``, prefix-major: the conjuncts of
 ``to_dnf(prefix ∧ delta)`` in order, since canonical conjunct keys are
-unions over atoms.  So both paths share the prover's conjunct cache
-and agree on every verdict by construction.  Resource limits mirror
-the plain path: the pairwise product is bounded by the same
-``MAX_DNF_CONJUNCTS`` before the search, and a resource failure
-degrades to the conservative "may be satisfiable" fallback, never
-cached.
+unions over atoms.
 
-The one exception is a prefix whose own elimination or expansion
-fails on a resource limit: such a session routes every
-query through ``Prover.is_satisfiable`` on the full conjunction, which
-may still decide it or hit its own resource fallback.  With the
-prover's result caching off (``Prover(enable_cache=False)``, the
-cache ablation) the session keeps no memo either.
+A plain query is the empty-prefix case: ``Prover.is_satisfiable(f)``
+is ``satisfiable_with(f)`` on the prover's own root session (prefix
+true, one empty prefix key).  So :meth:`PrefixSession.satisfiable_with`
+is the only place that counts a satisfiability query, answers it from
+the session's raw memo (a result cache from
+``Prover.result_cache``, which stores nothing under the cache
+ablation), bounds the pairwise DNF product by ``MAX_DNF_CONJUNCTS``,
+turns a resource failure into the conservative "may be satisfiable"
+fallback (counted, never cached), and emits ``prover:query``.  Only
+queries of sessions other than the root count as
+``incremental_queries``.
+
+A prefix whose own elimination or expansion fails on a resource limit
+makes a session that routes every query through
+``Prover.is_satisfiable`` on the full conjunction, which may still
+decide it or hit its own resource fallback.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro import budget
 from repro.errors import ProverError
@@ -57,12 +63,12 @@ class PrefixSession:
     ``refutes(extra)`` decides whether ``prefix ∧ extra`` is
     unsatisfiable (the candidate-filter shape ``atom → body`` with
     ``prefix = ¬body``).  Results are memoized per session keyed on the
-    interned delta formula, unless the prover's caching is off."""
+    interned delta formula."""
 
     def __init__(self, prover, prefix: Formula):
         self.prover = prover
         self.prefix = prefix
-        self._memo: Dict[Formula, bool] = {}
+        self._memo = prover.result_cache()
         #: Canonical frozenset keys of the prefix DNF conjuncts
         #: (trivially-false conjuncts dropped); None when the prefix
         #: was too big to pre-process.
@@ -100,17 +106,19 @@ class PrefixSession:
         if self._prefix_keys is None:
             return prover.is_satisfiable(conj(self.prefix, extra))
         budget.check()
-        prover.stats.satisfiability_queries += 1
-        prover.stats.incremental_queries += 1
+        stats = prover.stats
+        stats.satisfiability_queries += 1
+        if self is not prover._root:
+            stats.incremental_queries += 1
         t0 = time.perf_counter() if prover.tracer.enabled else 0.0
-        cached = self._memo.get(extra) if prover.enable_cache else None
-        if cached is not None:
-            prover.stats.cache_hits += 1
-            result, source = cached, "raw"
+        result = self._memo.get(extra)
+        if result is not None:
+            stats.cache_hits += 1
+            source = "raw"
         else:
             result, source = self._decide_delta(extra)
-            if source != "fallback" and prover.enable_cache:
-                self._memo[extra] = result
+            if source != "fallback":
+                self._memo.put(extra, result)
         if prover.tracer.enabled:
             self._trace_query(extra, result, source,
                               time.perf_counter() - t0)
@@ -132,15 +140,15 @@ class PrefixSession:
             return any(prover._search(qf, key)
                        for key in prefix_keys), "decided"
         except RESOURCE_ERRORS:
-            # Same conservative degradation as Prover._query: "may be
-            # satisfiable" fails safe for validity, and is not cached.
+            # Conservative degradation: "may be satisfiable" fails safe
+            # for validity, and is not cached.
             prover.stats.resource_fallbacks += 1
             return True, "fallback"
 
     def _trace_query(self, extra: Formula, result: bool, source: str,
                      seconds: float) -> None:
-        """Emit the same ``prover:query`` event the plain path would,
-        for the full conjunction the session decided."""
+        """Emit the ``prover:query`` event for the full conjunction the
+        session decided."""
         full = conj(self.prefix, extra)
         self.prover.tracer.event(
             "prover:query",

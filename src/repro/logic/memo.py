@@ -88,3 +88,14 @@ class BoundedCache:
 
     def __len__(self) -> int:
         return len(self._data)
+
+
+class NullCache(BoundedCache):
+    """A cache that stores nothing: every lookup misses.  The prover's
+    cache ablation (``Prover(enable_cache=False)``) hands these out in
+    place of its result caches."""
+
+    __slots__ = ()
+
+    def put(self, key: Hashable, value: Any) -> None:
+        pass

@@ -7,53 +7,58 @@ is that prover: formulas go through NNF → quantifier elimination
 (exact integer projection, :mod:`repro.logic.omega`) → a search for a
 satisfiable DNF conjunct, each decided by the Omega test.
 
+There is one query path.  :meth:`Prover.is_satisfiable` is
+:meth:`~repro.logic.incremental.PrefixSession.satisfiable_with` on the
+prover's own empty-prefix session, so the session is the one place
+that counts a query, memoizes its answer, applies the DNF bound,
+turns a resource failure into the conservative fallback, and emits
+the ``prover:query`` trace event.
+
 Result caching follows the paper's Section 5.2.3 enhancement
 ("caching in the theorem prover … represent formulas in a canonical
 form and use previous results whenever possible") at two levels:
 
-1. a **raw cache** keyed on the query formula itself (with hash-consed
-   nodes the lookup is a pointer-identity dict probe);
-2. a **conjunct cache** keyed on the canonicalized atom set of each
-   conjunction decided — alpha-variants, commutative reorderings and
-   gcd/sign variants of a decided conjunction hit here, and the same
-   conjunctions reappear across hundreds of queries during induction
-   iteration, so each hit skips an entire Omega-test (or
-   difference-solver) run.
+1. a **raw memo** per session keyed on the query formula itself (with
+   hash-consed nodes the lookup is a pointer-identity dict probe);
+2. a **conjunct cache** per prover keyed on the canonicalized atom set
+   of each conjunction decided — alpha-variants, commutative
+   reorderings and gcd/sign variants of a decided conjunction hit
+   here, and the same conjunctions reappear across hundreds of
+   queries during induction iteration, so each hit skips an entire
+   Omega-test (or difference-solver) run.
 
 A query is decided by the **branch-and-prune search**
-(:func:`repro.logic.canonical.leaf_keys`) over its quantifier-free NNF
-tree: at each ∨ the conjunction built so far is decided first, and
-when it is unsatisfiable so is every DNF conjunct extending it, so the
-subtree is pruned; the leaves left are decided in DNF order.  The DNF
-bound is checked first (:func:`repro.logic.normalize.dnf_length`).
-Every key is decided through obligation slicing (independent variable
-components, each decided and cached on its own) and the
-difference-solver fast path before the general Omega test.
-``Prover(enable_cache=False)`` is the paper's one cache ablation: it
-turns off every result cache (the two levels above and the
-per-session memo of :class:`~repro.logic.incremental.PrefixSession`)
-while deciding through the same search.
+(:func:`repro.logic.canonical.leaf_keys`, :meth:`Prover._search`)
+over its quantifier-free NNF tree: at each ∨ the conjunction built so
+far is decided first, and when it is unsatisfiable so is every DNF
+conjunct extending it, so the subtree is pruned; the leaves left are
+decided in DNF order.  Every key is decided through obligation
+slicing (independent variable components, each decided and cached on
+its own) and the difference-solver fast path before the general Omega
+test.  Both levels are bounded caches from
+:meth:`Prover.result_cache`; ``Prover(enable_cache=False)`` is the
+paper's one cache ablation, which hands out caches that store nothing
+(:class:`~repro.logic.memo.NullCache`) and decides through the same
+search.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, fields
 from typing import FrozenSet, List, Optional
 
 from repro import budget
 from repro.errors import ProverError
-from repro.logic.canonical import EMPTY_KEY, canonicalize, leaf_keys
+from repro.logic.canonical import leaf_keys
 from repro.logic.diffsolver import try_satisfiable
 from repro.logic.formula import (
-    And, Exists, Forall, Formula, Not, Or, conj, disj, formula_size,
+    TRUE, And, Exists, Forall, Formula, Not, Or, conj, disj,
     has_quantifier, neg, )
-from repro.logic.memo import BoundedCache
-from repro.logic.normalize import dnf_length, to_dnf, to_nnf
+from repro.logic.memo import BoundedCache, NullCache
+from repro.logic.normalize import to_dnf, to_nnf
 from repro.logic.omega import (
     Constraints, constraints_to_formula, project, satisfiable,
 )
-from repro.logic.serialize import canonical_digest
 from repro.trace import NULL_TRACER
 
 
@@ -63,7 +68,8 @@ class ProverStats:
 
     validity_queries: int = 0
     satisfiability_queries: int = 0
-    #: Raw-cache hits (exact formula already decided).
+    #: Raw-memo hits (the same session already decided the exact
+    #: query formula).
     cache_hits: int = 0
     #: Conjunct keys decided (search leaves and prune checks), and how
     #: many were answered from the per-conjunct satisfiability cache.
@@ -74,9 +80,9 @@ class ProverStats:
     #: (obligation slicing), and how many components that produced.
     sliced_conjuncts: int = 0
     slice_components: int = 0
-    #: Satisfiability queries answered through a
-    #: :class:`repro.logic.incremental.PrefixSession` delta path
-    #: instead of a full from-scratch decision.
+    #: Satisfiability queries asked of a
+    #: :class:`repro.logic.incremental.PrefixSession` other than the
+    #: prover's own root session (the plain queries).
     incremental_queries: int = 0
     #: Queries answered conservatively ("may be satisfiable") because
     #: the decision procedure hit a resource limit (DNF blow-up or
@@ -89,8 +95,8 @@ class ProverStats:
 
     @property
     def cache_hit_rate(self) -> float:
-        """Fraction of satisfiability queries answered by the raw
-        cache (0.0 when no queries ran)."""
+        """Fraction of satisfiability queries answered by a raw memo
+        (0.0 when no queries ran)."""
         if not self.satisfiability_queries:
             return 0.0
         return self.cache_hits / self.satisfiability_queries
@@ -121,19 +127,24 @@ class Prover:
     """Decision procedure for Presburger formulas with ∃/∀."""
 
     def __init__(self, enable_cache: bool = True):
-        #: Result caching (raw, per-conjunct, and the per-session
-        #: memo); off is the paper's cache ablation.
-        self.enable_cache = enable_cache
+        #: The result-cache type: bounded, or one that stores nothing
+        #: under the paper's cache ablation (``enable_cache=False``).
+        self._cache_type = BoundedCache if enable_cache else NullCache
         #: Tracing sink (:mod:`repro.trace`); the shared no-op tracer
         #: by default.  Set (and reset) by the checker per run; every
         #: trace-only computation is gated on ``tracer.enabled`` so an
         #: untraced run does zero extra work.
         self.tracer = NULL_TRACER
         self.stats = ProverStats()
-        self._sat_cache = BoundedCache(_RESULT_CACHE_LIMIT,
-                                       registered=False)
-        self._conjunct_cache = BoundedCache(_RESULT_CACHE_LIMIT,
-                                            registered=False)
+        self._conjunct_cache = self.result_cache()
+        #: The empty-prefix session that answers :meth:`is_satisfiable`
+        #: (None until the first query); it holds the raw memo.
+        self._root = None
+
+    def result_cache(self) -> BoundedCache:
+        """A fresh per-prover result cache (the conjunct cache, each
+        session's memo)."""
+        return self._cache_type(_RESULT_CACHE_LIMIT, registered=False)
 
     def reset_stats(self) -> None:
         """Zero the statistics counters *without* dropping any cache —
@@ -142,9 +153,10 @@ class Prover:
         self.stats.reset()
 
     def clear_caches(self) -> None:
-        """Empty the result caches."""
-        self._sat_cache.clear()
+        """Empty the result caches: the conjunct cache, and the raw
+        memo with the root session that holds it."""
         self._conjunct_cache.clear()
+        self._root = None
 
     def reset(self) -> None:
         """Clear all result caches and statistics — lets a shared
@@ -158,44 +170,14 @@ class Prover:
     def is_satisfiable(self, f: Formula) -> bool:
         """Is there an integer assignment of the free variables making
         *f* true?"""
-        budget.check()
-        self.stats.satisfiability_queries += 1
-        if not self.tracer.enabled:
-            return self._query(f)[0]
-        t0 = time.perf_counter()
-        result, source = self._query(f)
-        seconds = time.perf_counter() - t0
-        self.tracer.event("prover:query",
-                          digest=canonical_digest(canonicalize(f)),
-                          cache=source,
-                          formula_size=formula_size(f),
-                          seconds=seconds,
-                          result=result)
-        return result
+        return (self._root or self._root_session()).satisfiable_with(f)
 
-    def _query(self, f: Formula):
-        """The cache-ladder body of :meth:`is_satisfiable`.
-
-        Returns ``(result, source)`` where *source* names the cache
-        level that answered ("raw", "decided", or "fallback")."""
-        cache = self.enable_cache
-        if cache:
-            cached = self._sat_cache.get(f)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                return cached, "raw"
-        try:
-            result = self._decide_satisfiable(f)
-        except RESOURCE_ERRORS:
-            # Resource blow-up (DNF, elimination or nesting limits): answer
-            # conservatively — "may be satisfiable" makes every
-            # validity query fail safe.  Recorded (not silent) and
-            # never cached: the fallback is not a semantic result.
-            self.stats.resource_fallbacks += 1
-            return True, "fallback"
-        if cache:
-            self._sat_cache.put(f, result)
-        return result, "decided"
+    def _root_session(self):
+        """The prover's own empty-prefix session, built on first use
+        (after any subclass has set its state)."""
+        from repro.logic.incremental import PrefixSession
+        self._root = PrefixSession(self, TRUE)
+        return self._root
 
     def is_valid(self, f: Formula) -> bool:
         """Is *f* true for every integer assignment of its free
@@ -211,11 +193,6 @@ class Prover:
         return self.implies(a, b) and self.implies(b, a)
 
     # -- engine ------------------------------------------------------------------
-
-    def _decide_satisfiable(self, f: Formula) -> bool:
-        qf = self.eliminate_quantifiers(f)
-        dnf_length(qf)  # the one DNF bound rule: raises past the bound
-        return self._search(qf, EMPTY_KEY)
 
     def _search(self, qf: Formula, start: FrozenSet[Formula]) -> bool:
         """Is ``start ∧ qf`` satisfiable?  *qf* is quantifier-free NNF,
@@ -241,24 +218,32 @@ class Prover:
     def _conjunct_decide_key(self, key) -> bool:
         """Decide a conjunct given its canonical frozenset key, through
         the per-conjunct cache.  Every leaf and prune check of
-        :meth:`_search` comes here, from a plain query and from a
-        :class:`~repro.logic.incremental.PrefixSession` alike, so both
-        hit the same cache with the same keys."""
+        :meth:`_search` comes here, so every session hits the same
+        cache with the same keys."""
         if not key:
             return True  # every atom folded to true
-        if self.enable_cache:
-            cached = self._conjunct_cache.get(key)
-            if cached is not None:
+        return self._conjunct_lookup(key, None)
+
+    def _conjunct_lookup(self, key, component) -> bool:
+        """The one conjunct-cache lookup.  *component* is None for a
+        whole conjunct: its hit is counted, and a miss is decided in a
+        process-stable atom order — a frozenset iterates in an order
+        that depends on the hash seed and its insertion history, so
+        sorting makes the component split and the short-circuit below
+        do the same work in every process.  Otherwise *component* is
+        one slice of a conjunct, already in that order; its hit is not
+        counted."""
+        cached = self._conjunct_cache.get(key)
+        if cached is not None:
+            if component is None:
                 self.stats.conjunct_cache_hits += 1
-                return cached
-        # A frozenset iterates in an order that depends on the hash
-        # seed and on its insertion history; decide its atoms in a
-        # process-stable order so the component split and the
-        # short-circuit below do the same work in every process.
-        result = self._conjunct_satisfiable(
-            tuple(sorted(key, key=_atom_order)))
-        if self.enable_cache:
-            self._conjunct_cache.put(key, result)
+            return cached
+        if component is None:
+            result = self._conjunct_satisfiable(
+                tuple(sorted(key, key=_atom_order)))
+        else:
+            result = self._component_satisfiable(component)
+        self._conjunct_cache.put(key, result)
         return result
 
     def _conjunct_satisfiable(self, atoms) -> bool:
@@ -283,14 +268,7 @@ class Prover:
                    for component in components)
 
     def _cached_component(self, atoms) -> bool:
-        if not self.enable_cache:
-            return self._component_satisfiable(atoms)
-        key = frozenset(atoms)
-        cached = self._conjunct_cache.get(key)
-        if cached is None:
-            cached = self._component_satisfiable(atoms)
-            self._conjunct_cache.put(key, cached)
-        return cached
+        return self._conjunct_lookup(frozenset(atoms), atoms)
 
     def _component_satisfiable(self, atoms) -> bool:
         fast = try_satisfiable(atoms)

@@ -26,7 +26,6 @@ from repro.logic.formula import (
 )
 from repro.logic.memo import BoundedCache
 
-_TEXT_CACHE = BoundedCache()
 _DIGEST_CACHE = BoundedCache()
 
 
@@ -47,15 +46,9 @@ def formula_text(f: Formula) -> str:
     if isinstance(f, Cong):
         return "(cong%d %s)" % (f.modulus, f.term)
     if isinstance(f, (And, Or)):
-        cached = _TEXT_CACHE.get(f)
-        if cached is not None:
-            return cached
         tag = "and" if isinstance(f, And) else "or"
-        text = "(%s %s)" % (tag,
-                            " ".join(sorted(formula_text(p)
-                                            for p in f.parts)))
-        _TEXT_CACHE.put(f, text)
-        return text
+        return "(%s %s)" % (tag, " ".join(sorted(formula_text(p)
+                                                 for p in f.parts)))
     if isinstance(f, Not):
         return "(not %s)" % formula_text(f.part)
     if isinstance(f, (Exists, Forall)):

@@ -31,16 +31,8 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.analysis.options import CheckerOptions
-from repro.analysis.units import VERDICT_AFFECTING_OPTIONS
+from repro.analysis import units
 from repro.logic.serialize import text_digest
-
-#: CheckerOptions fields that can change a verdict; only these enter
-#: the options digest.  The function-unit store's list plus
-#: ``timeout_s``, which a unit replay may ignore but a job result may
-#: not: a budget can turn a decided verdict into
-#: ``undecided:timeout``.  ``cache_path`` and the prover
-#: cache are verdict-preserving, so they are absent.
-OPTION_DIGEST_FIELDS = VERDICT_AFFECTING_OPTIONS + ("timeout_s",)
 
 #: Request option keys a client may set; everything else (notably
 #: ``cache_path``) is server-controlled.
@@ -48,9 +40,13 @@ CLIENT_OPTION_KEYS = ("timeout_s",)
 
 
 def options_digest(options: CheckerOptions) -> str:
-    """Process-stable digest of the verdict-relevant option fields."""
-    return text_digest(*("%s=%r" % (name, getattr(options, name))
-                         for name in OPTION_DIGEST_FIELDS))
+    """Process-stable digest of the verdict-relevant option fields: the
+    function-unit store's digest plus ``timeout_s``, which a unit
+    replay may ignore but a job result may not — a budget can turn a
+    decided verdict into ``undecided:timeout``.  ``cache_path`` and
+    the prover cache are verdict-preserving, so they are absent."""
+    return text_digest(units.options_digest(options),
+                       "timeout_s=%r" % (options.timeout_s,))
 
 
 class QueueFull(Exception):

@@ -4,14 +4,14 @@ The prover decides by a depth-first search that prunes every
 extension of an unsatisfiable partial conjunction
 (:func:`repro.logic.canonical.leaf_keys`).  The eager recipe — expand
 ``to_dnf``, canonicalize every conjunct with ``canonical_conjunct``,
-then decide every key in turn (pairwise, prefix-major, for a
-:class:`~repro.logic.incremental.PrefixSession` delta) — is copied
-below and patched in.  Every check must come out with a byte-identical
-verdict projection and identical query-level ``prover_stats``:
-queries, raw-cache hits, session queries and ``resource_fallbacks``.
-The conjunct-level counters count the keys decided, prune checks
-included, so they are free to differ.  All checks are store-free and
-unlimited.
+then decide every key in turn, pairwise and prefix-major — is copied
+below and patched into :class:`~repro.logic.incremental.PrefixSession`,
+the one decide path (a plain query is its empty-prefix case).  Every
+check must come out with a byte-identical verdict projection and
+identical query-level ``prover_stats``: queries, raw-memo hits,
+session queries and ``resource_fallbacks``.  The conjunct-level
+counters count the keys decided, prune checks included, so they are
+free to differ.  All checks are store-free and unlimited.
 """
 
 import json
@@ -27,25 +27,11 @@ from repro.logic.formula import FalseFormula, TrueFormula
 from repro.logic.incremental import PrefixSession
 from repro.logic.memo import clear_all_caches
 from repro.logic.normalize import MAX_DNF_CONJUNCTS, to_dnf
-from repro.logic.prover import Prover
+from repro.logic.prover import RESOURCE_ERRORS
 from repro.policy.parser import parse_spec
 
 
 # -- the eager reference recipe ---------------------------------------------
-
-
-def _eager_decide_satisfiable(self, f):
-    qf = self.eliminate_quantifiers(f)
-    if isinstance(qf, TrueFormula):
-        return True
-    if isinstance(qf, FalseFormula):
-        return False
-    for atoms in to_dnf(qf):
-        self.stats.conjunct_queries += 1
-        key = canonical_conjunct(atoms)
-        if key is not None and self._conjunct_decide_key(key):
-            return True
-    return False
 
 
 def _eager_decide_delta(self, extra):
@@ -72,7 +58,7 @@ def _eager_decide_delta(self, extra):
                 if prover._conjunct_decide_key(prefix_key | delta_key):
                     return True, "decided"
         return False, "decided"
-    except ProverError:
+    except RESOURCE_ERRORS:
         prover.stats.resource_fallbacks += 1
         return True, "fallback"
 
@@ -81,8 +67,6 @@ def _eager_decide_delta(self, extra):
 def eager(monkeypatch):
     """A context that patches the eager recipe in while it is open."""
     def patch():
-        monkeypatch.setattr(Prover, "_decide_satisfiable",
-                            _eager_decide_satisfiable)
         monkeypatch.setattr(PrefixSession, "_decide_delta",
                             _eager_decide_delta)
     return patch

@@ -17,26 +17,18 @@ import repro.analysis.wlp as wlp
 from repro.analysis.checker import SafetyChecker
 from repro.analysis.options import CheckerOptions
 from repro.analysis.report import result_to_json, verdict_projection
-from repro.logic.memo import BoundedCache, clear_all_caches
+from repro.logic.memo import NullCache, clear_all_caches
 from repro.policy.parser import parse_spec
-
-
-class _NoMemo(BoundedCache):
-    """A cache that never keeps anything."""
-
-    def __init__(self):
-        super().__init__(registered=False)
-
-    def put(self, key, value):
-        pass
 
 
 @pytest.fixture
 def unmemoized(monkeypatch):
     """A context that patches both memos out while it is open."""
     def patch():
-        monkeypatch.setattr(wlp, "_HAVOC_CACHE", _NoMemo())
-        monkeypatch.setattr(wlp, "_CONDITION_CACHE", _NoMemo())
+        monkeypatch.setattr(wlp, "_HAVOC_CACHE",
+                            NullCache(registered=False))
+        monkeypatch.setattr(wlp, "_CONDITION_CACHE",
+                            NullCache(registered=False))
     return patch
 
 

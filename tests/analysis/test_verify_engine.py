@@ -229,6 +229,50 @@ class TestEngineBookkeeping:
         assert engine.prove_at(uid, le(v("%o2"), v("a") + 5), {}, 0)
         assert engine.induction_runs == runs
 
+    # A condition in helper reaches its entry and is re-proven at the
+    # call site in main: the proof touches both functions.
+    CALLEE_ENTRY = """
+    1: mov %o7,%g4
+    2: call helper
+    3: nop
+    4: mov %g4,%o7
+    5: retl
+    6: nop
+    helper:
+    7: retl
+    8: nop
+    """
+
+    def test_memo_hit_recharges_its_deps(self, monkeypatch):
+        # Function-unit replay is sound only if a memo hit charges the
+        # obligation with every function the memoized proof touched.
+        engine, cfg, anns = build_engine(self.CALLEE_ENTRY, BASIC_SPEC)
+        uid = node_at(cfg, anns, 7)
+        q = ge(v("%o0"), 1)
+        engine.reset_touched()
+        assert engine.prove_at(uid, q, {}, 0)
+        cold = engine.touched_snapshot()
+        assert cold == {CFG.MAIN, "helper"}
+        uncached = []
+        original = VerificationEngine._prove_at_function_entry_uncached
+        monkeypatch.setattr(
+            VerificationEngine, "_prove_at_function_entry_uncached",
+            lambda self, *args: uncached.append(args) or original(
+                self, *args))
+        engine.reset_touched()
+        assert engine.prove_at(uid, q, {}, 0)
+        assert uncached == []  # answered by the function-entry memo
+        assert engine.touched_snapshot() == cold
+
+    def test_uncacheable_key_is_not_stored(self):
+        engine, _, _ = build_engine("retl\nnop", BASIC_SPEC)
+        memo = {}
+        calls = []
+        for _ in range(2):
+            assert engine._memoized(memo, None,
+                                    lambda: calls.append(1) or True)
+        assert memo == {} and len(calls) == 2
+
 
 # ---------------------------------------------------------------------------
 # sliced sweeps

@@ -169,14 +169,21 @@ class TestCaching:
         assert prover.stats.satisfiability_queries == 1
 
 
+def _root_memo(prover):
+    return (prover._root or prover._root_session())._memo
+
+
 class TestStatsSplit:
     def test_reset_stats_keeps_caches(self):
+        # The service worker's warm prover resets its stats per job
+        # and keeps answering from the same root memo.
         prover = Prover()
         f = conj(ge(v("x"), 0), ge(v("y"), 2))
         prover.is_satisfiable(f)
         prover.reset_stats()
         assert prover.stats.satisfiability_queries == 0
-        prover.is_satisfiable(f)  # still answered from the raw cache
+        assert len(_root_memo(prover)) == 1
+        prover.is_satisfiable(f)  # still answered from the root memo
         assert prover.stats.cache_hits == 1
 
     def test_clear_caches_keeps_stats(self):
@@ -185,8 +192,66 @@ class TestStatsSplit:
         queries = prover.stats.satisfiability_queries
         prover.clear_caches()
         assert prover.stats.satisfiability_queries == queries
+        assert len(_root_memo(prover)) == 0
+        assert len(prover._conjunct_cache) == 0
         prover.is_satisfiable(ge(v("x"), 0))
         assert prover.stats.cache_hits == 0  # cache really was dropped
+
+
+class TestOneQueryPath:
+    """``Prover.is_satisfiable`` is the prover's own empty-prefix
+    session; every query goes through ``PrefixSession.satisfiable_with``
+    and its result caches."""
+
+    MIXED = [
+        ("plain", conj(ge(v("x"), 0), le(v("x"), 5))),
+        ("session", le(v("y"), 3)),
+        ("plain", conj(ge(v("x"), 1), le(v("x"), 0))),  # unsat
+        ("session", disj(lt(v("y"), 0), eq(v("x"), v("y")))),
+        ("plain", exists(("t",), conj(ge(v("t"), 0), eq(v("t"), v("n"))))),
+        ("session", conj(gt(v("x"), 7), le(v("x"), 9))),
+    ]
+
+    def _answers(self, prover, session):
+        return [prover.is_satisfiable(f) if kind == "plain"
+                else session.satisfiable_with(f)
+                for kind, f in self.MIXED]
+
+    def test_ablated_prover_keeps_nothing(self):
+        prover = Prover(enable_cache=False)
+        session = prover.prefix_session(ge(v("y"), 0))
+        first = self._answers(prover, session)
+        assert self._answers(prover, session) == first
+        assert first == self._answers(Prover(), Prover().prefix_session(
+            ge(v("y"), 0)))
+        stats = prover.stats
+        assert stats.cache_hits == stats.conjunct_cache_hits == 0
+        assert stats.conjunct_queries > 0
+        assert len(_root_memo(prover)) == 0
+        assert len(session._memo) == 0
+        assert len(prover._conjunct_cache) == 0
+
+    def test_root_session_queries_are_not_incremental(self):
+        prover = Prover()
+        prover.is_satisfiable(ge(v("x"), 0))
+        assert prover.stats.incremental_queries == 0
+        # Any other session counts, a true prefix included.
+        prover.prefix_session(TRUE).satisfiable_with(ge(v("x"), 0))
+        assert prover.stats.incremental_queries == 1
+        assert prover.stats.satisfiability_queries == 2
+
+    def test_session_memo_is_bounded(self, monkeypatch):
+        import repro.logic.prover as prover_module
+        monkeypatch.setattr(prover_module, "_RESULT_CACHE_LIMIT", 8)
+        prover = Prover()
+        session = prover.prefix_session(ge(v("x"), 0))
+        for k in range(40):
+            session.satisfiable_with(le(v("x"), k))
+            assert len(session._memo) <= 8
+        for k in range(40):
+            prover.is_satisfiable(le(v("y"), k))
+        assert len(_root_memo(prover)) <= 8
+        assert len(prover._conjunct_cache) <= 8
 
 
 def _deep_chain(depth):

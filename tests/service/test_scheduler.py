@@ -50,6 +50,15 @@ class TestDigests:
         assert digest == options_digest(CheckerOptions())
         assert len(digest) == 64
 
+    def test_options_digest_is_the_unit_digest_plus_the_budget(self):
+        # Every option the replay store keys on moves the dedup key;
+        # so does the budget, and nothing verdict-preserving does.
+        base = options_digest(CheckerOptions())
+        assert options_digest(CheckerOptions(max_call_depth=1)) != base
+        assert options_digest(CheckerOptions(timeout_s=2.0)) != base
+        assert options_digest(
+            CheckerOptions(enable_prover_cache=False)) == base
+
 
 class TestDedup:
     def test_verdict_cache_answers_resubmission(self):
