@@ -22,13 +22,18 @@ copies, uses the mask/shift ranges for ``and``/``srl``, and kills facts
 about registers whose new value is not affine.  The join is a widening-
 free intersection — the atom set only shrinks, so the fixpoint
 terminates without further machinery.
+
+The pass computes facts only at the nodes that reach a loop header:
+the engine reads them nowhere else, and an unrolled callee body that
+control leaves only by a RETURN edge (md5's ``MD5Transform``) would
+otherwise be most of the work.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from math import gcd
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro import budget
 from repro.cfg.graph import CFG, Edge, EdgeKind, Node
@@ -416,6 +421,20 @@ class _FactTransfer(OpVisitor):
         return facts
 
 
+def _reaching(cfg: CFG, targets: Iterable[int]) -> Set[int]:
+    """The nodes from which some node of *targets* is reachable (the
+    targets included), along every edge kind the forward pass follows:
+    all but RETURN."""
+    seen = set(targets)
+    stack = list(seen)
+    while stack:
+        for edge in cfg.predecessors(stack.pop()):
+            if edge.kind is not EdgeKind.RETURN and edge.src not in seen:
+                seen.add(edge.src)
+                stack.append(edge.src)
+    return seen
+
+
 class ReplayedForward:
     """A ``facts_at`` provider reconstructed from stored loop-header
     facts (the phase 2–4 replay path).  The verification engine only
@@ -433,18 +452,22 @@ class ReplayedForward:
 class ForwardBounds:
     """Worklist forward propagation of :class:`FactSet` over the CFG.
 
-    Produces, per node, facts that hold whenever control reaches it —
-    in particular at loop headers, where the verification engine uses
-    them as ambient invariants.  Every worklist step polls the check's
-    budget, so a pathological fixpoint aborts with
+    Produces, per node that reaches a loop header, facts that hold
+    whenever control reaches it — in particular at the *headers*, where
+    the verification engine uses them as ambient invariants.  Nodes
+    that reach no header are never computed: a node's facts depend only
+    on its predecessors, and every predecessor of a node that reaches a
+    header reaches it too, so the headers' facts are those of the pass
+    over the whole CFG.  Every worklist step polls the check's budget,
+    so a pathological fixpoint aborts with
     :class:`~repro.errors.ProverTimeout` instead of overrunning it.
     """
 
-    def __init__(self, cfg: CFG, initial: Formula):
+    def __init__(self, cfg: CFG, initial: Formula, headers: Iterable[int]):
         self.cfg = cfg
         self.before: Dict[int, FactSet] = {}
         self._transfer_visitor = _FactTransfer()
-        self._run(initial)
+        self._run(initial, _reaching(cfg, headers))
 
     def facts_at(self, uid: int) -> Formula:
         facts = self.before.get(uid)
@@ -455,16 +478,22 @@ class ForwardBounds:
     #: Recomputations of one node before widening kicks in.
     WIDENING_DELAY = 3
 
-    def _run(self, initial: Formula) -> None:
-        """Pull-style fixpoint: each node's facts are recomputed as the
-        join over its predecessors' *current* outputs, so stale path
-        contributions are replaced rather than accumulated.
+    def _run(self, initial: Formula, kept: Set[int]) -> None:
+        """Pull-style fixpoint over the *kept* nodes: each node's facts
+        are recomputed as the join over its predecessors' *current*
+        outputs, so stale path contributions are replaced rather than
+        accumulated.
 
         The worklist is FIFO.  Widening depends on how often a node was
         recomputed, so the visit order shapes the facts themselves, not
         just the time to reach them: a reverse-postorder worklist gives
-        different facts at 375 of the 2,195 Figure-9 nodes."""
+        different facts at 375 of the 2,195 Figure-9 nodes.  Leaving
+        the other nodes off the queue does not reorder the kept ones, so
+        their visit counts, and with them the widening, are those of
+        the pass over every node."""
         entry = self.cfg.entry_uid
+        if entry not in kept:
+            return
         self.before[entry] = FactSet.from_formula(initial)
         after: Dict[int, FactSet] = {}
         visits: Dict[int, int] = {}
@@ -508,7 +537,7 @@ class ForwardBounds:
                 continue
             after[uid] = out_facts
             for edge in self.cfg.successors(uid):
-                if edge.kind is EdgeKind.RETURN:
+                if edge.kind is EdgeKind.RETURN or edge.dst not in kept:
                     continue
                 if edge.dst not in queued:
                     queued.add(edge.dst)

@@ -74,6 +74,7 @@ class ConstraintParser:
                                                       binds tighter)
         clause  := comparison | '(' formula ')'
         comparison := sum REL sum | sum 'mod' NUM ('='|'==') NUM
+                                                     (modulus >= 2)
         sum     := term (('+'|'-') term)*
         term    := NUM | NUM '*'? atom | atom
         atom    := register | symbol | 'null' (= 0)
@@ -154,9 +155,12 @@ class ConstraintParser:
         left = self._sum()
         if self._peek() == "mod":
             self._next()
-            modulus = int(self._next())
+            modulus = self._number()
+            if modulus < 2:
+                raise SpecError("congruence modulus must be >= 2, got %d"
+                                " in %r" % (modulus, self._text))
             self._expect("=", "==")
-            residue = int(self._next())
+            residue = self._number()
             return congruent(left, modulus, residue)
         op = self._expect("<=", ">=", "==", "!=", "=", "<", ">")
         right = self._sum()
@@ -164,6 +168,13 @@ class ConstraintParser:
             "<=": le, ">=": ge, "==": eq, "=": eq, "!=": ne,
             "<": lt, ">": gt,
         }[op](left, right)
+
+    def _number(self) -> int:
+        token = self._next()
+        if not token.isdigit():
+            raise SpecError("expected a number, got %r in %r"
+                            % (token, self._text))
+        return int(token)
 
     def _sum(self) -> Linear:
         total = self._term()

@@ -21,12 +21,33 @@ def v(name, coeff=1):
     return Linear.var(name, coeff)
 
 
-def facts_for(source, spec_text):
+def facts_for(source, spec_text, directed=False):
+    """The CFG of *source* and its forward pass: directed at the loop
+    headers, or else at every node (so every node reached from the
+    entry is computed)."""
     program = assemble(source)
     spec = parse_spec(spec_text)
     preparation = prepare(spec)
     cfg = build_cfg(program, trusted_labels=set(spec.functions))
-    return cfg, ForwardBounds(cfg, preparation.initial_constraints)
+    targets = loop_headers(cfg) if directed else cfg.nodes
+    return cfg, ForwardBounds(cfg, preparation.initial_constraints,
+                              targets)
+
+
+def loop_headers(cfg):
+    return [loop.header for label in cfg.functions
+            for loop in find_loops(cfg, label).loops]
+
+
+class _CountingBudget:
+    """Stands in for :mod:`repro.budget` inside the forward module: one
+    ``check`` per worklist step."""
+
+    def __init__(self):
+        self.steps = 0
+
+    def check(self):
+        self.steps += 1
 
 
 def facts_at_index(cfg, forward, index):
@@ -259,22 +280,34 @@ class TestForwardPass:
         assert prover.implies(facts, le(v("%g1"), 63))
 
 
-class TestStepCap:
-    """A fixpoint stopped by the step cap publishes no facts: facts that
-    have not converged may be stronger than what holds."""
-
-    def test_capped_run_publishes_nothing(self, monkeypatch):
-        monkeypatch.setattr(forward, "MAX_FORWARD_STEPS", 10)
-        cfg, bounds = facts_for("""
+#: A counter loop: its header is the CFG's one loop header.
+COUNTER_LOOP = """
         1: clr %g3
         2: cmp %g3,%o1
         3: bge 7
         4: nop
         5: ba 2
         6: inc %g3
-        7: retl
-        8: nop
-        """, SPEC)
+"""
+
+
+class TestStepCap:
+    """A fixpoint stopped by the step cap publishes no facts: facts that
+    have not converged may be stronger than what holds.  The cap counts
+    the steps of the pass directed at the loop headers."""
+
+    def directed_steps(self, monkeypatch, source):
+        counting = _CountingBudget()
+        with monkeypatch.context() as patch:
+            patch.setattr(forward, "budget", counting)
+            facts_for(source, SPEC, directed=True)
+        return counting.steps
+
+    def test_capped_run_publishes_nothing(self, monkeypatch):
+        source = COUNTER_LOOP + "7: retl\n8: nop\n"
+        assert self.directed_steps(monkeypatch, source) > 10
+        monkeypatch.setattr(forward, "MAX_FORWARD_STEPS", 10)
+        cfg, bounds = facts_for(source, SPEC, directed=True)
         assert bounds.before == {}
         assert all(bounds.facts_at(uid) is TRUE for uid in cfg.nodes)
 
@@ -282,10 +315,33 @@ class TestStepCap:
         from repro.programs import all_programs
         program = next(p for p in all_programs()
                        if p.name == "paging-policy")
+        counting = _CountingBudget()
+        monkeypatch.setattr(forward, "budget", counting)
+        program.check()
+        assert counting.steps > 10
         monkeypatch.setattr(forward, "MAX_FORWARD_STEPS", 10)
         result = program.check()
         assert not result.safe
         assert sorted(v.index for v in result.violations) == [7, 12]
+
+    def test_nodes_past_the_loop_do_not_count(self, monkeypatch):
+        # A straight-line tail after the loop reaches no header: it
+        # pushes the pass over every node past the cap, but the
+        # directed pass converges and publishes the full pass's facts.
+        tail = "".join("%d: add %%g1,1,%%g1\n" % i for i in range(7, 27))
+        source = COUNTER_LOOP + tail + "27: retl\n28: nop\n"
+        full_cfg, full = facts_for(source, SPEC)
+        (header,) = loop_headers(full_cfg)
+        assert full.facts_at(header) is not TRUE
+        cap = 50
+        assert self.directed_steps(monkeypatch, source) <= cap
+        monkeypatch.setattr(forward, "MAX_FORWARD_STEPS", cap)
+        __, capped_full = facts_for(source, SPEC)
+        assert capped_full.before == {}
+        __, directed = facts_for(source, SPEC, directed=True)
+        assert len(directed.before) < len(full.before)
+        assert str(directed.facts_at(header)) == \
+            str(full.facts_at(header))
 
 
 class TestEngineIntegration:
@@ -363,14 +419,14 @@ class _Captured(Exception):
 
 
 def _forward_inputs(source, spec_text, arch):
-    """The CFG and initial facts a check hands the forward pass (the
-    check stops there)."""
+    """The CFG, initial facts and loop headers a check hands the
+    forward pass (the check stops there)."""
     from repro.analysis.checker import SafetyChecker
     from repro.analysis.options import CheckerOptions
     captured = []
 
-    def capture(self, cfg, initial):
-        captured.append((cfg, initial))
+    def capture(self, cfg, initial, headers):
+        captured.append((cfg, initial, list(headers)))
         raise _Captured()
 
     checker = SafetyChecker(source, parse_spec(spec_text),
@@ -408,25 +464,62 @@ def _riscv_parity_cases():
 
 
 def _fuzz_cases():
+    """Fuzz seeds 0-59 on both ISAs; seeds from 20 on run under the
+    ``bench`` marker."""
     from repro.fuzz.generator import ARCHS, generate_sketch, lower, \
         spec_text
     return [pytest.param(lower(generate_sketch(seed), arch),
                          spec_text(generate_sketch(seed), arch), arch,
-                         id="fuzz-%d-%s" % (seed, arch))
-            for seed in range(20) for arch in ARCHS]
+                         id="fuzz-%d-%s" % (seed, arch),
+                         marks=[pytest.mark.bench] if seed >= 20 else [])
+            for seed in range(60) for arch in ARCHS]
+
+
+def _reference(cfg, initial):
+    reference = ForwardBounds.__new__(ForwardBounds)
+    reference.cfg = cfg
+    reference.before = {}
+    reference._transfer_visitor = _FactTransfer()
+    _reference_run(reference, initial)
+    return reference
 
 
 @pytest.mark.parametrize("source, spec_text, arch",
                          _figure9_cases() + _riscv_parity_cases()
                          + _fuzz_cases())
 def test_fixpoint_matches_reference_loop(source, spec_text, arch):
-    cfg, initial = _forward_inputs(source, spec_text, arch)
-    forward = ForwardBounds(cfg, initial)
-    reference = ForwardBounds.__new__(ForwardBounds)
-    reference.cfg = cfg
-    reference.before = {}
-    reference._transfer_visitor = _FactTransfer()
-    _reference_run(reference, initial)
-    assert forward.before.keys() == reference.before.keys()
+    """The pass at every node equals the reference loop everywhere; the
+    pass directed at the loop headers equals it wherever it computed
+    facts, and at every header."""
+    cfg, initial, headers = _forward_inputs(source, spec_text, arch)
+    reference = _reference(cfg, initial)
+    full = ForwardBounds(cfg, initial, cfg.nodes)
+    assert full.before.keys() == reference.before.keys()
     for uid, facts in reference.before.items():
-        assert forward.before[uid] == facts, uid
+        assert full.before[uid] == facts, uid
+    directed = ForwardBounds(cfg, initial, headers)
+    assert directed.before.keys() <= reference.before.keys()
+    for uid, facts in directed.before.items():
+        assert reference.before[uid] == facts, uid
+    for header in headers:
+        assert str(directed.facts_at(header)) == \
+            str(reference.facts_at(header)), header
+
+
+def test_md5_pass_skips_the_transform_body():
+    """md5's one callee, the unrolled ``transform``, is left only by a
+    RETURN edge, which the pass never follows: none of its nodes reaches
+    a loop header, so none is computed."""
+    from repro.programs import all_programs
+    program = next(p for p in all_programs() if p.name == "md5")
+    cfg, initial, headers = _forward_inputs(
+        program.source, program.spec_text, "sparc")
+    directed = ForwardBounds(cfg, initial, headers)
+    full = ForwardBounds(cfg, initial, cfg.nodes)
+    assert len(directed.before) <= 60 < len(full.before)
+    assert all(cfg.node(uid).function != "transform"
+               for uid in directed.before)
+    assert headers
+    for header in headers:
+        assert str(directed.facts_at(header)) == \
+            str(full.facts_at(header)), header

@@ -47,7 +47,7 @@ class TestPhaseHooks:
     def test_forward_bounds_honours_the_deadline(self, phases):
         cfg, preparation, __ = phases
         with expired(), pytest.raises(ProverTimeout):
-            ForwardBounds(cfg, preparation.initial_constraints)
+            ForwardBounds(cfg, preparation.initial_constraints, cfg.nodes)
 
     def test_annotate_honours_the_deadline(self, phases):
         cfg, preparation, spec = phases

@@ -44,6 +44,16 @@ class TestConstraintParser:
         assert isinstance(f, Cong)
         assert f.term.constant == -3
 
+    @pytest.mark.parametrize("text", [
+        "n mod>= 1", "n mod 4 == -1", "n mod -4 == 1", "n mod 4 == x",
+        "n mod 0 == 0", "n mod 1 == 0", "n mod", "n mod 4",
+    ])
+    def test_bad_mod_clause_rejected(self, text):
+        with pytest.raises(SpecError):
+            parse_constraint(text)
+        with pytest.raises(SpecError):
+            parse_spec("assume %s\n" % text)
+
     def test_null_is_zero(self):
         f = parse_constraint("%o0 != null")
         assert "%o0" in f.free_variables()

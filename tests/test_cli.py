@@ -77,6 +77,21 @@ class TestCheck:
         assert "error: 'assume' needs an argument" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("clause, message", [
+        ("n mod>= 1", "expected a number, got '>='"),
+        ("n mod 4 == -1", "expected a number, got '-'"),
+        ("n mod 0 == 0", "congruence modulus must be >= 2, got 0"),
+    ])
+    def test_bad_mod_clause_exits_two(self, files, capsys, clause,
+                                      message):
+        code, spec, tmp = files
+        bad = tmp / "bad.policy"
+        bad.write_text(spec.read_text() + "\nassume %s\n" % clause)
+        assert main(["check", str(code), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s" % message)
+        assert "Traceback" not in err
+
     def test_missing_file_exits_two(self, files, capsys):
         __, spec, __tmp = files
         assert main(["check", "/nonexistent.s", str(spec)]) == 2
