@@ -46,7 +46,7 @@ from repro.logic.formula import (
 from repro.logic.normalize import to_dnf, to_nnf
 from repro.logic.omega import Constraints, project_real
 from repro.logic.serialize import formula_text
-from repro.logic.simplify import simplify
+from repro.logic.simplify import simplify, simplify_conjunction
 from repro.trace import NULL_TRACER
 from repro.trace.tracer import clip
 
@@ -261,8 +261,13 @@ class InductionIteration:
             return  # DNF blow-up: no disjunct candidates
         if len(conjuncts) <= 1:
             return
-        yield from fresh(sorted((conj(*parts) for parts in conjuncts),
-                                key=self._rank))
+        # Ranked as atom tuples, each distinct one simplified when the
+        # search reaches it: the unsimplified conjunctions of up to
+        # 50,000 disjuncts are never built.
+        yield from fresh(simplify_conjunction(parts) for parts in
+                         sorted(dict.fromkeys(
+                             tuple(dict.fromkeys(parts))
+                             for parts in conjuncts), key=_conjunct_rank))
 
     def generalizations(self, f: Formula) -> List[Formula]:
         """The paper's generalization: ``¬(elimination(¬f))`` where
@@ -316,8 +321,15 @@ class InductionIteration:
         return (formula_size(f), len(f.free_variables()))
 
 
+def _conjunct_rank(parts: Tuple[Formula, ...]) -> Tuple[int, int]:
+    """``_rank(conj(*parts))`` of a DNF conjunct (a tuple of atoms),
+    without building the conjunction."""
+    return (len(set(parts)) or 1,
+            len(frozenset().union(*(a.free_variables() for a in parts))))
+
+
 def _collect_atoms(f: Formula) -> List[Formula]:
-    from repro.logic.formula import And, Exists, Forall, Not, Or
+    from repro.logic.formula import And, Exists, Forall, Not, NotCong, Or
     if isinstance(f, (And, Or)):
         out: List[Formula] = []
         for p in f.parts:
@@ -327,7 +339,7 @@ def _collect_atoms(f: Formula) -> List[Formula]:
         return _collect_atoms(f.part)
     if isinstance(f, (Exists, Forall)):
         return []
-    if isinstance(f, (Geq, Eq, Cong)):
+    if isinstance(f, (Geq, Eq, Cong, NotCong)):
         return [f]
     return []
 

@@ -26,7 +26,6 @@ never inspects ``raw``.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -110,6 +109,19 @@ class AddrExpr:
 Operand = Union[RegOp, ConstOp]
 
 
+def reindexed(item, index: int):
+    """*item*, a frozen dataclass with an ``index`` field, at one-based
+    *index*: the item itself when it is already there, else a shallow
+    copy with only ``index`` changed (``dataclasses.replace`` would run
+    ``__init__`` on every field again)."""
+    if item.index == index:
+        return item
+    copy = object.__new__(item.__class__)
+    copy.__dict__.update(item.__dict__)
+    copy.__dict__["index"] = index
+    return copy
+
+
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -153,7 +165,7 @@ class MachineOp:
         return self.describe()
 
     def with_index(self, index: int) -> "MachineOp":
-        return dataclasses.replace(self, index=index)
+        return reindexed(self, index)
 
     def __str__(self) -> str:
         return self.render()

@@ -3,7 +3,8 @@ test, quantifier elimination, and the theorem prover."""
 
 from repro.logic.canonical import canonical_conjunct, canonicalize
 from repro.logic.formula import (
-    And, Cong, Eq, Exists, FALSE, Forall, Formula, Geq, Not, Or, TRUE,
+    And, Cong, Eq, Exists, FALSE, Forall, Formula, Geq, Not, NotCong, Or,
+    TRUE,
     congruent, conj, disj, eq, exists, forall, formula_size,
     fresh_variable, ge, gt, has_quantifier, implies, le, lt, ne, neg,
 )
@@ -19,7 +20,7 @@ from repro.logic.terms import Linear, ONE, ZERO, linear
 
 __all__ = [
     "And", "Cong", "Eq", "Exists", "FALSE", "Forall", "Formula", "Geq",
-    "Not", "Or", "TRUE",
+    "Not", "NotCong", "Or", "TRUE",
     "canonical_conjunct", "canonicalize",
     "congruent", "conj", "disj", "eq", "exists", "forall",
     "formula_size", "fresh_variable", "ge", "gt", "has_quantifier",

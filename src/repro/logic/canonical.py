@@ -36,8 +36,8 @@ from typing import (
 
 from repro import budget
 from repro.logic.formula import (
-    And, Cong, Eq, Exists, FalseFormula, Forall, Formula, Geq, Not, Or,
-    TrueFormula, conj, disj, neg,
+    And, Cong, Eq, Exists, FalseFormula, Forall, Formula, Geq, Not,
+    NotCong, Or, TrueFormula, conj, disj, neg,
 )
 from repro.logic.memo import BoundedCache
 from repro.logic.normalize import dnf_length
@@ -63,7 +63,7 @@ PruneCheck = Callable[[FrozenSet[Formula]], Optional[bool]]
 
 _RANK: Dict[type, int] = {
     FalseFormula: 0, TrueFormula: 1, Geq: 2, Eq: 3, Cong: 4,
-    And: 5, Or: 6, Not: 7, Exists: 8, Forall: 9,
+    And: 5, Or: 6, Not: 7, Exists: 8, Forall: 9, NotCong: 10,
 }
 
 
@@ -94,9 +94,9 @@ def _canon(f: Formula, env: Dict[str, str], depth: int) -> Formula:
     if isinstance(f, (Geq, Eq)):
         term = f.term.rename(env) if env else f.term
         return normalize_atom(f.__class__(term))
-    if isinstance(f, Cong):
+    if isinstance(f, (Cong, NotCong)):
         term = f.term.rename(env) if env else f.term
-        return normalize_atom(Cong(term, f.modulus))
+        return normalize_atom(f.__class__(term, f.modulus))
     if isinstance(f, And):
         parts = sorted((_canon(p, env, depth) for p in f.parts),
                        key=_order_key)

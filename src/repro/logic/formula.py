@@ -6,11 +6,13 @@ quantifiers ∀ and ∃" (Section 1), i.e. Presburger arithmetic, extended
 with congruence atoms (used for address-alignment conditions, which the
 Omega library also supports via stride constraints).
 
-Atoms are normalized to three shapes over a :class:`Linear` term *e*:
+Atoms are normalized to four shapes over a :class:`Linear` term *e*:
 
 * ``Geq(e)``  — e ≥ 0
 * ``Eq(e)``   — e = 0
 * ``Cong(e, m)`` — e ≡ 0 (mod m), m ≥ 2
+* ``NotCong(e, m)`` — e ≢ 0 (mod m): the negation of a congruence
+  is one atom, never a disjunction of residues
 
 Smart constructors (:func:`conj`, :func:`disj`, :func:`neg` …) flatten
 and constant-fold so that formula trees stay small.
@@ -289,15 +291,15 @@ class Eq(_Atom):
         return "Eq(term=%r)" % (self.term,)
 
 
-class Cong(Formula):
-    """``term ≡ 0 (mod modulus)``; used for alignment conditions."""
+class _Congruence(Formula):
+    """Shared machinery of the congruence atoms (Cong / NotCong)."""
 
     __slots__ = ("term", "modulus", "_hash", "_free")
 
-    def __new__(cls, term: Linear, modulus: int) -> "Cong":
+    def __new__(cls, term: Linear, modulus: int) -> "_Congruence":
         if modulus < 2:
             raise ValueError("congruence modulus must be >= 2")
-        key = (Cong, term, modulus)
+        key = (cls, term, modulus)
         if _INTERNING[0]:
             cached = _INTERN_TABLE.get(key)
             if cached is not None:
@@ -318,20 +320,13 @@ class Cong(Formula):
             self._free = free
         return free
 
-    def substitute(self, var: str, replacement: Linear) -> Formula:
-        return _fold_cong(self.term.substitute(var, replacement),
-                          self.modulus)
-
-    def rename(self, mapping: Mapping[str, str]) -> Formula:
-        return _fold_cong(self.term.rename(mapping), self.modulus)
-
     def __reduce__(self):
-        return (Cong, (self.term, self.modulus))
+        return (self.__class__, (self.term, self.modulus))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if other.__class__ is not Cong:
+        if other.__class__ is not self.__class__:
             return NotImplemented
         if self._hash != other._hash:
             return False
@@ -340,11 +335,44 @@ class Cong(Formula):
     def __hash__(self) -> int:
         return self._hash
 
+    def __repr__(self) -> str:
+        return "%s(term=%r, modulus=%d)" % (self.__class__.__name__,
+                                            self.term, self.modulus)
+
+
+class Cong(_Congruence):
+    """``term ≡ 0 (mod modulus)``; used for alignment conditions."""
+
+    __slots__ = ()
+
+    def substitute(self, var: str, replacement: Linear) -> Formula:
+        return _fold_cong(self.term.substitute(var, replacement),
+                          self.modulus)
+
+    def rename(self, mapping: Mapping[str, str]) -> Formula:
+        return _fold_cong(self.term.rename(mapping), self.modulus)
+
     def __str__(self) -> str:
         return "%s ≡ 0 (mod %d)" % (self.term, self.modulus)
 
-    def __repr__(self) -> str:
-        return "Cong(term=%r, modulus=%d)" % (self.term, self.modulus)
+
+class NotCong(_Congruence):
+    """``term ≢ 0 (mod modulus)``: a negated congruence, kept as one
+    atom (the Omega kernel lowers it to the bounded remainder
+    ∃q. 1 ≤ term − modulus·q ≤ modulus − 1).  :func:`neg` builds it for
+    a modulus of at least 3; mod 2 it is the congruence term − 1 ≡ 0."""
+
+    __slots__ = ()
+
+    def substitute(self, var: str, replacement: Linear) -> Formula:
+        return _fold_not_cong(self.term.substitute(var, replacement),
+                              self.modulus)
+
+    def rename(self, mapping: Mapping[str, str]) -> Formula:
+        return _fold_not_cong(self.term.rename(mapping), self.modulus)
+
+    def __str__(self) -> str:
+        return "%s ≢ 0 (mod %d)" % (self.term, self.modulus)
 
 
 class _Junction(Formula):
@@ -625,6 +653,14 @@ def _fold_cong(term: Linear, modulus: int) -> Formula:
     return Cong(term, modulus)
 
 
+def _fold_not_cong(term: Linear, modulus: int) -> Formula:
+    if term.is_constant:
+        return FALSE if term.constant % modulus == 0 else TRUE
+    if modulus == 2:
+        return Cong(term - 1, 2)
+    return NotCong(term, modulus)
+
+
 def conj(*parts: Formula) -> Formula:
     flat = []
     seen = set()
@@ -680,8 +716,9 @@ def neg(part: Formula) -> Formula:
     if isinstance(part, Eq):
         return disj(Geq(part.term - 1), Geq(part.term.scale(-1) - 1))
     if isinstance(part, Cong):
-        return disj(*(Cong(part.term - r, part.modulus)
-                      for r in range(1, part.modulus)))
+        return _fold_not_cong(part.term, part.modulus)
+    if isinstance(part, NotCong):
+        return Cong(part.term, part.modulus)
     return Not(part)
 
 
@@ -799,8 +836,8 @@ def _rename_everywhere(f: Formula, old: str, new: str) -> Formula:
         return Geq(f.term.rename({old: new}))
     if isinstance(f, Eq):
         return Eq(f.term.rename({old: new}))
-    if isinstance(f, Cong):
-        return Cong(f.term.rename({old: new}), f.modulus)
+    if isinstance(f, _Congruence):
+        return f.__class__(f.term.rename({old: new}), f.modulus)
     if isinstance(f, And):
         return And(tuple(_rename_everywhere(p, old, new) for p in f.parts))
     if isinstance(f, Or):

@@ -5,10 +5,12 @@ integers every negated atom has a positive rewriting:
 
 * ¬(e ≥ 0)        →  −e − 1 ≥ 0
 * ¬(e = 0)        →  (e − 1 ≥ 0) ∨ (−e − 1 ≥ 0)
-* ¬(e ≡ 0 mod m)  →  ⋁_{r=1}^{m−1}  e − r ≡ 0 (mod m)
+* ¬(e ≡ 0 mod m)  →  e ≢ 0 (mod m), one :class:`NotCong` atom (mod 2:
+  e − 1 ≡ 0), and ¬(e ≢ 0 mod m) → e ≡ 0 (mod m)
 * ¬∃x.φ → ∀x.¬φ,  ¬∀x.φ → ∃x.¬φ
 
-so NNF formulas contain no :class:`Not` nodes at all.  DNF conversion
+so NNF formulas contain no :class:`Not` nodes at all, and negation
+never multiplies atoms beyond the two halves of a ≠.  DNF conversion
 applies to quantifier-free NNF formulas and is guarded by a size limit
 (the paper controls the same blow-up by simplifying at junction points
 during VC generation).
@@ -22,7 +24,7 @@ from repro import budget
 from repro.errors import ProverError
 from repro.logic.formula import (
     And, Cong, Eq, Exists, FALSE, FalseFormula, Forall, Formula, Geq, Not,
-    Or, TRUE, TrueFormula, conj, disj,
+    NotCong, Or, TRUE, TrueFormula, conj, disj, neg,
 )
 from repro.logic.memo import BoundedCache
 
@@ -32,6 +34,11 @@ MAX_DNF_CONJUNCTS = 50_000
 #: Memo caches keyed on interned nodes (hashing is O(1)); bounded.
 _NNF_CACHE = BoundedCache()
 _DNF_CACHE = BoundedCache(1 << 12)
+#: Longer DNFs are not memoized: an induction candidate stream can
+#: expand a loop-body wlp into tens of thousands of conjuncts, and
+#: keeping those lists set a check's peak memory (fuzz seed 51 on
+#: SPARC: 48 MB peak resident with them, 36 MB without).
+_DNF_CACHE_MAX_CONJUNCTS = 4096
 _SIZE_CACHE = BoundedCache()
 
 
@@ -65,11 +72,8 @@ def _nnf_uncached(f: Formula, negate: bool) -> Formula:
         if not negate:
             return f
         return disj(Geq(f.term - 1), Geq(f.term.scale(-1) - 1))
-    if isinstance(f, Cong):
-        if not negate:
-            return f
-        return disj(*(Cong(f.term - r, f.modulus)
-                      for r in range(1, f.modulus)))
+    if isinstance(f, (Cong, NotCong)):
+        return neg(f) if negate else f
     if isinstance(f, Not):
         return _nnf(f.part, not negate)
     if isinstance(f, And):
@@ -89,7 +93,7 @@ def _nnf_uncached(f: Formula, negate: bool) -> Formula:
     raise TypeError("unexpected formula %r" % (f,))
 
 
-#: A DNF conjunct: just a tuple of atoms (Geq / Eq / Cong).
+#: A DNF conjunct: just a tuple of atoms (Geq / Eq / Cong / NotCong).
 Conjunct = Tuple[Formula, ...]
 
 
@@ -113,7 +117,8 @@ def _dnf(f: Formula) -> List[Conjunct]:
         if cached is None:
             budget.check()
             cached = _dnf_uncached(f)
-            _DNF_CACHE.put(f, cached)
+            if len(cached) <= _DNF_CACHE_MAX_CONJUNCTS:
+                _DNF_CACHE.put(f, cached)
         return cached
     return _dnf_uncached(f)
 
@@ -123,7 +128,7 @@ def _dnf_uncached(f: Formula) -> List[Conjunct]:
         return [()]
     if isinstance(f, FalseFormula):
         return []
-    if isinstance(f, (Geq, Eq, Cong)):
+    if isinstance(f, (Geq, Eq, Cong, NotCong)):
         return [(f,)]
     if isinstance(f, Or):
         out: List[Conjunct] = []
@@ -166,7 +171,7 @@ def _dnf_size(f: Formula) -> Tuple[int, int]:
             cached = _dnf_size_uncached(f)
             _SIZE_CACHE.put(f, cached)
         return cached
-    if isinstance(f, (Geq, Eq, Cong, TrueFormula)):
+    if isinstance(f, (Geq, Eq, Cong, NotCong, TrueFormula)):
         return 1, 0
     if isinstance(f, FalseFormula):
         return 0, 0

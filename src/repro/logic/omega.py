@@ -27,7 +27,12 @@ The ingredients, exactly as in Pugh's paper:
   coincide and elimination is exact in one step.
 
 Congruence atoms ``e ≡ 0 (mod m)`` are lowered to equalities
-``e − m·q = 0`` with fresh existential ``q``.
+``e − m·q = 0`` with fresh existential ``q``.  A negated congruence
+``e ≢ 0 (mod m)`` stays one row through substitution and
+normalization, and is lowered only when it still mentions a variable
+being eliminated: to the bounded remainder ``1 ≤ e − m·q ≤ m − 1``
+(Pugh's treatment of strides), unless that variable occurs nowhere
+else, when the row is simply true for some value of it.
 
 **Representation.**  :class:`Constraints` (lists of hash-consed
 :class:`~repro.logic.terms.Linear` terms) is the interface: formula
@@ -50,12 +55,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro import budget
 from repro.errors import ProverError
 from repro.logic.formula import (
-    Cong, Eq, Formula, Geq, conj, disj, fresh_variable,
+    Cong, Eq, Formula, Geq, NotCong, conj, disj, fresh_variable,
 )
 from repro.logic.terms import Linear
 
@@ -67,11 +74,13 @@ MAX_CONSTRAINTS = 4_000
 @dataclass
 class Constraints:
     """One conjunction: ``geqs`` (e ≥ 0), ``eqs`` (e = 0), ``congs``
-    ((e, m): e ≡ 0 mod m).  ``None`` results elsewhere mean *unsat*."""
+    ((e, m): e ≡ 0 mod m), ``ncongs`` ((e, m): e ≢ 0 mod m).  ``None``
+    results elsewhere mean *unsat*."""
 
     geqs: List[Linear] = field(default_factory=list)
     eqs: List[Linear] = field(default_factory=list)
     congs: List[Tuple[Linear, int]] = field(default_factory=list)
+    ncongs: List[Tuple[Linear, int]] = field(default_factory=list)
 
     # -- construction --------------------------------------------------------
 
@@ -85,6 +94,8 @@ class Constraints:
                 c.eqs.append(atom.term)
             elif isinstance(atom, Cong):
                 c.congs.append((atom.term, atom.modulus))
+            elif isinstance(atom, NotCong):
+                c.ncongs.append((atom.term, atom.modulus))
             else:
                 raise ProverError("not an atom: %r" % (atom,))
         return c
@@ -93,6 +104,7 @@ class Constraints:
         atoms: List[Formula] = [Geq(t) for t in self.geqs]
         atoms += [Eq(t) for t in self.eqs]
         atoms += [Cong(t, m) for t, m in self.congs]
+        atoms += [NotCong(t, m) for t, m in self.ncongs]
         return conj(*atoms)
 
     # -- inspection -------------------------------------------------------------
@@ -103,13 +115,13 @@ class Constraints:
             out |= set(term.variables())
         for term in self.eqs:
             out |= set(term.variables())
-        for term, __ in self.congs:
+        for term, __ in self.congs + self.ncongs:
             out |= set(term.variables())
         return out
 
     @property
     def is_trivially_true(self) -> bool:
-        return not self.geqs and not self.eqs and not self.congs
+        return not (self.geqs or self.eqs or self.congs or self.ncongs)
 
     # -- substitution ---------------------------------------------------------------
 
@@ -118,6 +130,7 @@ class Constraints:
             [t.substitute(var, replacement) for t in self.geqs],
             [t.substitute(var, replacement) for t in self.eqs],
             [(t.substitute(var, replacement), m) for t, m in self.congs],
+            [(t.substitute(var, replacement), m) for t, m in self.ncongs],
         )
 
 
@@ -130,23 +143,31 @@ Row = List[int]
 
 class System:
     """A conjunction over a shared sorted column index: ``geqs``
-    (row ≥ 0), ``eqs`` (row = 0), ``congs`` ((row, m): row ≡ 0 mod m)."""
+    (row ≥ 0), ``eqs`` (row = 0), ``congs`` ((row, m): row ≡ 0 mod m),
+    ``ncongs`` ((row, m): row ≢ 0 mod m)."""
 
-    __slots__ = ("cols", "geqs", "eqs", "congs")
+    __slots__ = ("cols", "geqs", "eqs", "congs", "ncongs")
 
     def __init__(self, cols: List[str], geqs: List[Row],
-                 eqs: List[Row], congs: List[Tuple[Row, int]]):
+                 eqs: List[Row], congs: List[Tuple[Row, int]],
+                 ncongs: List[Tuple[Row, int]]):
         self.cols = cols
         self.geqs = geqs
         self.eqs = eqs
         self.congs = congs
+        self.ncongs = ncongs
 
     def copy(self) -> "System":
-        return System(self.cols, list(self.geqs), list(self.eqs),
-                      list(self.congs))
+        return self.with_geqs(list(self.geqs))
+
+    def with_geqs(self, geqs: List[Row]) -> "System":
+        """The same system with *geqs* as its inequalities."""
+        return System(self.cols, geqs, list(self.eqs), list(self.congs),
+                      list(self.ncongs))
 
     def size(self) -> int:
-        return len(self.geqs) + len(self.eqs) + len(self.congs)
+        return (len(self.geqs) + len(self.eqs) + len(self.congs)
+                + len(self.ncongs))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +192,8 @@ def from_constraints(c: Constraints) -> System:
     return System(cols,
                   [row_of(t) for t in c.geqs],
                   [row_of(t) for t in c.eqs],
-                  [(row_of(t), m) for t, m in c.congs])
+                  [(row_of(t), m) for t, m in c.congs],
+                  [(row_of(t), m) for t, m in c.ncongs])
 
 
 def to_constraints(s: System) -> Constraints:
@@ -185,7 +207,8 @@ def to_constraints(s: System) -> Constraints:
 
     return Constraints([linear_of(r) for r in s.geqs],
                        [linear_of(r) for r in s.eqs],
-                       [(linear_of(r), m) for r, m in s.congs])
+                       [(linear_of(r), m) for r, m in s.congs],
+                       [(linear_of(r), m) for r, m in s.ncongs])
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +236,9 @@ def _occurs(s: System, j: int) -> bool:
         if row[j]:
             return True
     for row, __ in s.congs:
+        if row[j]:
+            return True
+    for row, __ in s.ncongs:
         if row[j]:
             return True
     return False
@@ -278,7 +304,34 @@ def normalize(s: System) -> Optional[System]:
         if key not in seen_cong:
             seen_cong.add(key)
             congs.append((row, m))
-    out = System(s.cols, geqs, eqs, congs)
+    ncongs: List[Tuple[Row, int]] = []
+    seen_ncong: Set[tuple] = set()
+    for row, m in s.ncongs:
+        row = [k % m for k in row]
+        # row ≢ 0 (mod m) with g = gcd(coefficients, m): true when g
+        # does not divide the constant, else row/g ≢ 0 (mod m/g).
+        g = gcd(_content(row, n), m)
+        if row[n] % g:
+            continue
+        if g > 1:
+            row = [k // g for k in row]
+            m //= g
+        if m == 1:
+            return None
+        if m == 2:
+            # Odd: the congruence row − 1 ≡ 0 (mod 2), one equality
+            # once lowered.
+            row[n] = (row[n] - 1) % 2
+            key = (tuple(row), 2)
+            if key not in seen_cong:
+                seen_cong.add(key)
+                congs.append((row, 2))
+            continue
+        key = (tuple(row), m)
+        if key not in seen_ncong:
+            seen_ncong.add(key)
+            ncongs.append((row, m))
+    out = System(s.cols, geqs, eqs, congs, ncongs)
     if out.size() > MAX_CONSTRAINTS:
         raise ProverError("constraint explosion (%d atoms)" % out.size())
     return out
@@ -316,6 +369,9 @@ def _occurrences(s: System, j: int) -> int:
     for row, __ in s.congs:
         if row[j]:
             count += 1
+    for row, __ in s.ncongs:
+        if row[j]:
+            count += 1
     return count
 
 
@@ -334,7 +390,8 @@ def _substitute(s: System, j: int, repl: Row) -> System:
     return System(s.cols,
                   [sub(r) for r in s.geqs],
                   [sub(r) for r in s.eqs],
-                  [(sub(r), m) for r, m in s.congs])
+                  [(sub(r), m) for r, m in s.congs],
+                  [(sub(r), m) for r, m in s.ncongs])
 
 
 def _scale_out(s: System, j: int, a: int, rest: Row) -> System:
@@ -342,7 +399,8 @@ def _scale_out(s: System, j: int, a: int, rest: Row) -> System:
 
     A row with x-coefficient b is multiplied by |a| (order-preserving),
     after which ``b·|a|·x = b·sign(a)·(a·x)`` is replaced by
-    ``−b·sign(a)·rest``; a congruence's modulus scales with it.
+    ``−b·sign(a)·rest``; a congruence's modulus (negated or not) scales
+    with it.
     """
     mag = abs(a)
     sign = 1 if a > 0 else -1
@@ -361,6 +419,7 @@ def _scale_out(s: System, j: int, a: int, rest: Row) -> System:
         [rewrite(r) for r in s.geqs],
         [rewrite(r) for r in s.eqs],
         [(rewrite(r), m * (mag if r[j] else 1)) for r, m in s.congs],
+        [(rewrite(r), m * (mag if r[j] else 1)) for r, m in s.ncongs],
     )
 
 
@@ -455,7 +514,8 @@ def _add_column(s: System, name: str) -> Tuple[System, int]:
     return System(cols,
                   [widen(r) for r in s.geqs],
                   [widen(r) for r in s.eqs],
-                  [(widen(r), m) for r, m in s.congs]), pos
+                  [(widen(r), m) for r, m in s.congs],
+                  [(widen(r), m) for r, m in s.ncongs]), pos
 
 
 def _lower_congruences(s: System, remove: Set[str]
@@ -480,16 +540,53 @@ def _lower_congruences(s: System, remove: Set[str]
     return s, fresh
 
 
+def _lower_negated(s: System, remove: Set[str]
+                   ) -> Tuple[System, Set[str]]:
+    """Lower the negated congruences that mention a variable being
+    eliminated.  ``∃x. row ≢ 0 (mod m)`` is true when x (its
+    coefficient is nonzero mod m) occurs in no other row — x and x + 1
+    cannot both make row ≡ 0 — so such a row is dropped.  Any other
+    becomes the bounded remainder ``row − m·q − 1 ≥ 0`` and
+    ``m·q + m − 1 − row ≥ 0`` with a fresh quotient ``q``, over the
+    symmetric residues of its coefficients (a coefficient m − 1 is the
+    unit −1, which the inequality elimination takes exactly)."""
+    rcols = [j for j, v in enumerate(s.cols) if v in remove]
+    touched = [i for i, (row, __) in enumerate(s.ncongs)
+               if any(row[j] for j in rcols)]
+    if not touched:
+        return s, set()
+    s = s.copy()
+    fresh: Set[str] = set()
+    for i in sorted(touched, reverse=True):
+        row, m = s.ncongs.pop(i)
+        if any(row[j] and not _occurs(s, j) for j in rcols):
+            continue
+        row = [k - m if 2 * k > m else k for k in row]
+        q = fresh_variable("$q")
+        fresh.add(q)
+        s, pos = _add_column(s, q)
+        rcols = [j + (j >= pos) for j in rcols]
+        low = list(row)
+        low.insert(pos, -m)
+        low[-1] -= 1
+        high = [-k for k in row]
+        high.insert(pos, m)
+        high[-1] += m - 1
+        s.geqs.extend((low, high))
+    return s, fresh
+
+
 def _resolve(s: System, eliminable: Set[str]
              ) -> Optional[Tuple[System, Set[str]]]:
     """Iterate congruence lowering and equality elimination to a
-    fixpoint.
+    fixpoint, then lower the negated congruences.
 
     Congruences mentioning an eliminable variable become equalities with
     fresh quotient variables (themselves eliminable); equality
-    elimination may mint new congruences.  On exit no equality or
-    congruence mentions an eliminable variable.  Returns the resolved
-    system and the full eliminable set, or ``None`` if unsat.
+    elimination may mint new congruences.  On exit no equality,
+    congruence or negated congruence mentions an eliminable variable.
+    Returns the resolved system and the full eliminable set, or
+    ``None`` if unsat.
     """
     eliminable = set(eliminable)
     for __ in range(MAX_ELIMINATION_STEPS):
@@ -501,7 +598,8 @@ def _resolve(s: System, eliminable: Set[str]
         s = solved
         emask = [j for j, v in enumerate(s.cols) if v in eliminable]
         if not any(any(row[j] for j in emask) for row, __ in s.congs):
-            return s, eliminable
+            s, fresh = _lower_negated(s, eliminable)
+            return s, eliminable | fresh
     raise ProverError("equality/congruence resolution did not terminate")
 
 
@@ -548,12 +646,10 @@ def _exact_single_step(s: System, j: int) -> Optional[System]:
     one side has all-unit coefficients; None when not applicable."""
     lowers, uppers, rest = _split_bounds(s, j)
     if not lowers or not uppers:
-        return System(s.cols, rest, list(s.eqs), list(s.congs))
+        return s.with_geqs(rest)
     if all(r[j] == 1 for r in lowers) \
             or all(r[j] == -1 for r in uppers):
-        return System(s.cols,
-                      rest + _shadow(lowers, uppers, j, False),
-                      list(s.eqs), list(s.congs))
+        return s.with_geqs(rest + _shadow(lowers, uppers, j, False))
     return None
 
 
@@ -573,32 +669,67 @@ def _pick_variable(s: System, live: List[int]) -> int:
     return best_j
 
 
-def _splinters(s: System, j: int, lowers: Sequence[Row],
-               uppers: Sequence[Row]) -> List[System]:
-    """The equality cases ``low = i`` that, with the dark shadow, cover
-    every integer solution the real shadow admits for column *j*."""
-    out = []
+def _splinter_limits(lowers: Sequence[Row], uppers: Sequence[Row],
+                     j: int) -> List[Tuple[Row, int]]:
+    """Each lower bound with the largest ``i`` of its splinters."""
     b_max = max(-r[j] for r in uppers)
-    for low in lowers:
-        a = low[j]
-        limit = (a * b_max - a - b_max) // b_max
+    return [(low, (low[j] * b_max - low[j] - b_max) // b_max)
+            for low in lowers]
+
+
+def _splinters(s: System, j: int, lowers: Sequence[Row],
+               uppers: Sequence[Row]) -> Iterator[System]:
+    """The equality cases ``low = i`` that, with the dark shadow, cover
+    every integer solution the real shadow admits for column *j*;
+    generated lazily, so a search that stops early never builds the
+    rest."""
+    for low, limit in _splinter_limits(lowers, uppers, j):
         for i in range(limit + 1):
             budget.check()
             eq = list(low)
             eq[-1] -= i
-            out.append(System(s.cols, list(s.geqs), s.eqs + [eq],
-                              list(s.congs)))
-    return out
+            yield System(s.cols, list(s.geqs), s.eqs + [eq],
+                         list(s.congs), list(s.ncongs))
+
+
+def _dark_is_real(lowers: Sequence[Row], uppers: Sequence[Row],
+                  j: int) -> bool:
+    """Whether each dark-shadow row states what its real-shadow row
+    does: the (a−1)(b−1) slack is absorbed by gcd tightening, or the
+    row is ground and keeps its truth value.  Then the dark shadow is
+    the exact projection and no splinter is needed (a stride pair
+    ``m·x ≤ e ≤ m·x + m − 1`` is the common case)."""
+    for low in lowers:
+        a = low[j]
+        for up in uppers:
+            b = -up[j]
+            slack = (a - 1) * (b - 1)
+            if not slack:
+                continue
+            combined = [lk * b + uk * a for lk, uk in zip(low, up)]
+            c = combined[-1]
+            g = _content(combined, len(combined) - 1)
+            if g == 0:
+                if (c >= 0) != (c >= slack):
+                    return False
+            elif c // g != (c - slack) // g:
+                return False
+    return True
 
 
 def _hard_split(s: System, j: int) -> List[System]:
     """Dark shadow plus splinters: the exact projection when neither
     bound side has all-unit coefficients."""
     lowers, uppers, rest = _split_bounds(s, j)
-    dark = System(s.cols,
-                  rest + _shadow(lowers, uppers, j, True),
-                  list(s.eqs), list(s.congs))
-    return [dark] + _splinters(s, j, lowers, uppers)
+    dark = s.with_geqs(rest + _shadow(lowers, uppers, j, True))
+    if _dark_is_real(lowers, uppers, j):
+        return [dark]
+    # Each piece costs a projection step: a split with more splinters
+    # than the step cap cannot finish, so fail before building them.
+    limits = _splinter_limits(lowers, uppers, j)
+    if sum(limit + 1 for __, limit in limits) > MAX_ELIMINATION_STEPS:
+        raise ProverError("projection did not terminate")
+    return [dark] + list(_splinters(s, j, lowers, uppers))
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +795,7 @@ def _sat(s: System) -> bool:
     if normalized is None:
         return False
     s = normalized
-    assert not s.eqs and not s.congs
+    assert not s.eqs and not s.congs and not s.ncongs
     return _sat_geqs(s, 0)
 
 
@@ -683,19 +814,16 @@ def _sat_geqs(s: System, depth: int) -> bool:
     j = _pick_variable(s, live)
     lowers, uppers, rest = _split_bounds(s, j)
     if not lowers or not uppers:
-        return _sat_geqs(
-            System(s.cols, rest, list(s.eqs), list(s.congs)), depth + 1)
+        return _sat_geqs(s.with_geqs(rest), depth + 1)
     exact = _exact_single_step(s, j)
     if exact is not None:
         return _sat_geqs(exact, depth + 1)
-    dark = System(s.cols,
-                  rest + _shadow(lowers, uppers, j, True),
-                  list(s.eqs), list(s.congs))
+    dark = s.with_geqs(rest + _shadow(lowers, uppers, j, True))
     if _sat_geqs(dark, depth + 1):
         return True
-    real = System(s.cols,
-                  rest + _shadow(lowers, uppers, j, False),
-                  list(s.eqs), list(s.congs))
+    if _dark_is_real(lowers, uppers, j):
+        return False
+    real = s.with_geqs(rest + _shadow(lowers, uppers, j, False))
     if not _sat_geqs(real, depth + 1):
         return False
     # Disagreement: decide by splinters.
@@ -715,7 +843,8 @@ def project_real(c: Constraints, variables: Iterable[str]) -> Constraints:
     ``generalize(f) = ¬ eliminate(¬f)``, where eliminate removes
     variables with plain FM.  Congruences and equalities mentioning an
     eliminated variable are dropped after being used for substitution
-    where possible (a sound over-approximation of ∃).
+    where possible (a sound over-approximation of ∃), as are negated
+    congruences mentioning one.
     """
     s = from_constraints(c)
     for var in variables:
@@ -732,7 +861,8 @@ def project_real(c: Constraints, variables: Iterable[str]) -> Constraints:
             if lowers and uppers else []
         s = System(s.cols, rest + combined,
                    [r for r in s.eqs if not r[pos]],
-                   [(r, m) for r, m in s.congs if not r[pos]])
+                   [(r, m) for r, m in s.congs if not r[pos]],
+                   [(r, m) for r, m in s.ncongs if not r[pos]])
     normalized = normalize(s)
     if normalized is None:
         return Constraints(geqs=[Linear.const(-1)])

@@ -21,8 +21,8 @@ import hashlib
 
 from repro.logic.canonical import canonicalize
 from repro.logic.formula import (
-    And, Cong, Eq, Exists, FalseFormula, Forall, Formula, Geq, Not, Or,
-    TrueFormula,
+    And, Cong, Eq, Exists, FalseFormula, Forall, Formula, Geq, Not,
+    NotCong, Or, TrueFormula,
 )
 from repro.logic.memo import BoundedCache
 
@@ -45,6 +45,8 @@ def formula_text(f: Formula) -> str:
         return "(=0 %s)" % (f.term,)
     if isinstance(f, Cong):
         return "(cong%d %s)" % (f.modulus, f.term)
+    if isinstance(f, NotCong):
+        return "(ncong%d %s)" % (f.modulus, f.term)
     if isinstance(f, (And, Or)):
         tag = "and" if isinstance(f, And) else "or"
         return "(%s %s)" % (tag, " ".join(sorted(formula_text(p)

@@ -15,12 +15,12 @@ sibling atoms.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro import budget
 from repro.logic.formula import (
     And, Cong, Eq, Exists, FALSE, FalseFormula, Forall, Formula, Geq, Not,
-    Or, TRUE, TrueFormula, conj, disj,
+    NotCong, Or, TRUE, TrueFormula, conj, disj,
 )
 from repro.logic.memo import BoundedCache
 from repro.logic.terms import Linear
@@ -41,7 +41,7 @@ def simplify(f: Formula) -> Formula:
     Results for composite nodes are memoized keyed on the interned node
     — the verification engine re-simplifies the same junction formulas
     constantly (every sweep, every induction run)."""
-    if isinstance(f, (TrueFormula, FalseFormula, Geq, Eq, Cong)):
+    if isinstance(f, (TrueFormula, FalseFormula, Geq, Eq, Cong, NotCong)):
         return normalize_atom(f)
     cached = _SIMPLIFY_CACHE.get(f)
     if cached is None:
@@ -68,9 +68,16 @@ def _simplify_uncached(f: Formula) -> Formula:
     raise TypeError("unexpected formula %r" % (f,))
 
 
+def simplify_conjunction(atoms: Sequence[Formula]) -> Formula:
+    """``simplify(conj(*atoms))`` for quantifier-free atoms (a DNF
+    conjunct), without building or memoizing the unsimplified
+    conjunction."""
+    return _simplify_and([normalize_atom(a) for a in atoms])
+
+
 def normalize_atom(f: Formula) -> Formula:
     """gcd-normalize a single atom, folding to true/false when ground."""
-    if isinstance(f, (Geq, Eq, Cong)):
+    if isinstance(f, (Geq, Eq, Cong, NotCong)):
         cached = _ATOM_CACHE.get(f)
         if cached is None:
             cached = _normalize_atom_uncached(f)
@@ -102,15 +109,18 @@ def _normalize_atom_uncached(f: Formula) -> Formula:
         if term.coefficient(lead) < 0:
             term = term.scale(-1)
         return Eq(term)
-    if isinstance(f, Cong):
+    if isinstance(f, (Cong, NotCong)):
+        m = f.modulus
         term = f.term
-        if term.is_constant:
-            return TRUE if term.constant % f.modulus == 0 else FALSE
-        coeffs = {v: c % f.modulus for v, c in term.coefficients.items()}
-        folded = Linear(coeffs, term.constant % f.modulus)
+        cls = f.__class__
+        if cls is NotCong and m == 2:
+            term, cls = term - 1, Cong  # odd is ≡ 1 (mod 2)
+        coeffs = {v: c % m for v, c in term.coefficients.items()}
+        folded = Linear(coeffs, term.constant % m)
         if folded.is_constant:
-            return TRUE if folded.constant % f.modulus == 0 else FALSE
-        return Cong(folded, f.modulus)
+            return TRUE if (folded.constant == 0) == (cls is Cong) \
+                else FALSE
+        return cls(folded, m)
     return f
 
 
@@ -149,15 +159,6 @@ def _simplify_and(parts: List[Formula]) -> Formula:
         other = strongest.get(negkey)
         if other is not None and constant + other < 0:
             return FALSE
-    # Congruence contradiction: t + c ≡ 0 and t + c' ≡ 0 (mod m) with
-    # c ≢ c' pin the same linear part to two different residues.
-    residues: Dict[Tuple[int, Tuple[Tuple[str, int], ...]], int] = {}
-    for p in others:
-        if isinstance(p, Cong):
-            key2 = (p.modulus, _linear_key(p.term))
-            r = p.term.constant % p.modulus
-            if residues.setdefault(key2, r) != r:
-                return FALSE
     others = _merge_complementary_guards(others)
     result = conj(*(atoms + others))
     return result
@@ -239,18 +240,6 @@ def _simplify_or(parts: List[Formula]) -> Formula:
         other = weakest.get(negkey)
         if other is not None and constant + other >= -1:
             return TRUE
-    # Complete residue system: t + r ≡ 0 (mod m) for every r in [0, m)
-    # covers ℤ.  Negating an alignment congruence fans it into the m−1
-    # other residues, so a second negation (or a join of branch arms)
-    # routinely rebuilds the full fan; without this rule those
-    # tautological fans survive into loop wlps and grind the prover.
-    fans: Dict[Tuple[int, Tuple[Tuple[str, int], ...]], set] = {}
-    for p in others:
-        if isinstance(p, Cong):
-            seen = fans.setdefault((p.modulus, _linear_key(p.term)), set())
-            seen.add(p.term.constant % p.modulus)
-            if len(seen) == p.modulus:
-                return TRUE
     atoms: List[Formula] = [
         Geq(Linear(dict(key), constant))
         for key, constant in weakest.items()

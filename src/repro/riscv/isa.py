@@ -12,8 +12,10 @@ slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
+
+from repro.ir.ops import reindexed
 
 #: R-type and I-type ALU mnemonics (shared name set; ``op`` selects).
 ALU_OPS: Tuple[str, ...] = (
@@ -66,7 +68,7 @@ class RvInstruction:
     source_text: str = ""
 
     def with_index(self, index: int) -> "RvInstruction":
-        return replace(self, index=index)
+        return reindexed(self, index)
 
     # -- structure ----------------------------------------------------------
 

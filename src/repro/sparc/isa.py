@@ -19,6 +19,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
+from repro.ir.ops import reindexed
 from repro.sparc import registers
 
 
@@ -309,7 +310,7 @@ class Instruction:
         return "%s %s, %s, %s" % (op, self.rs1, self.op2, self.rd)
 
     def with_index(self, index: int) -> "Instruction":
-        return replace(self, index=index)
+        return reindexed(self, index)
 
 
 # Convenience constructors --------------------------------------------------

@@ -17,10 +17,8 @@ from repro.analysis.options import CheckerOptions
 from repro.analysis.wlp import WlpTransfer
 from repro.cfg.builder import build_cfg
 from repro.errors import ProverTimeout
-from repro.logic.formula import ge
 from repro.logic.prover import Prover
-from repro.logic.terms import Linear
-from repro.policy.parser import parse_spec
+from repro.policy.parser import parse_constraint, parse_spec
 from repro.programs import all_programs, fast_programs
 from repro.programs.sum_array import SPEC as SUM_SPEC
 from repro.typesys.locations import LocationTable
@@ -29,16 +27,33 @@ from tests.analysis.test_forward import _riscv_parity_cases
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__)))), "src")
 
-#: A wide right shift feeding an array index: eliminating the guarded
-#: havoc of ``srl`` fans each mod-1024 congruence into its residues,
-#: and without a budget inside that elimination the check never ends.
+#: Twelve register pairs bounding the intervals of :func:`_intervals`.
+_BOUNDS = ("%l0 %l1 %l2 %l3 %l4 %l5 %l6 %l7 %i0 %i1 %i2 %i3 "
+           "%i4 %i5 %g2 %g3 %g4 %g5 %o2 %o3 %o4 %o5 %g6 %g7").split()
+
+
+def _intervals(register):
+    """The spec text "*register* lies in one of twelve intervals"."""
+    return " or ".join("(%s >= %s and %s <= %s)" % (
+        register, _BOUNDS[2 * i], register, _BOUNDS[2 * i + 1])
+        for i in range(12))
+
+
+#: A right shift feeding a trusted call whose precondition puts the
+#: result in one of twelve intervals.  Eliminating the guarded havoc of
+#: ``srl`` expands the negated precondition into 2^12 DNF pieces, and
+#: simplifying the eliminated result takes minutes (each extra
+#: interval costs ~4x), so without a budget the check does not end in
+#: any test's lifetime.
 SRL_SOURCE = """
-srl %o1,10,%g1
-sll %g1,2,%g1
-ld [%o0+%g1],%g2
+srl %o1,10,%o0
+call F
+nop
 retl
 nop
 """
+SRL_SPEC = SUM_SPEC + "function F {\n    requires %s\n}\n" % (
+    _intervals("%o0"),)
 
 #: The slack a timed-out check may take past its budget.
 SLACK_S = 0.5
@@ -47,8 +62,8 @@ SLACK_S = 0.5
 def test_srl_program_times_out_in_a_subprocess(tmp_path):
     code = tmp_path / "srl.s"
     code.write_text(SRL_SOURCE)
-    spec = tmp_path / "sum.policy"
-    spec.write_text(SUM_SPEC)
+    spec = tmp_path / "srl.policy"
+    spec.write_text(SRL_SPEC)
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
     t0 = time.monotonic()
@@ -76,14 +91,17 @@ def _md5_node(index):
 
 @pytest.mark.parametrize("index", [75, 93, 129])
 def test_md5_srl_transfer_honours_the_budget(index):
-    """Each of these ``srl ...,%g7`` transfers takes seconds without a
-    budget; the havoc elimination inside it must poll the budget."""
+    """Each of these ``srl ...,%g7`` transfers, applied to "%g7 lies in
+    one of twelve intervals", takes minutes without a budget (see
+    :data:`SRL_SOURCE`); the havoc elimination inside it must poll the
+    budget."""
     node = _md5_node(index)
     assert node.instruction.render().startswith("srl")
     transfer = WlpTransfer({}, LocationTable())
+    post = parse_constraint(_intervals("%g7"))
     t0 = time.monotonic()
     with budget.limit(0.2), pytest.raises(ProverTimeout):
-        transfer.node_transfer(node, ge(Linear.var("%g7"), 1))
+        transfer.node_transfer(node, post)
     assert time.monotonic() - t0 < 1.0
 
 
@@ -140,7 +158,7 @@ def test_concurrent_service_jobs_keep_their_own_budgets():
 
     def run(name, seconds):
         jobs[name] = submit(server.url, build_payload(
-            SRL_SOURCE, SUM_SPEC, name=name, timeout_s=seconds,
+            SRL_SOURCE, SRL_SPEC, name=name, timeout_s=seconds,
             wait=False), poll_interval_s=0.05, total_timeout_s=30)
 
     try:

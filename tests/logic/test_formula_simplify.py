@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.logic import Prover
 from repro.logic.formula import (
-    And, Cong, Eq, Exists, FALSE, Forall, Geq, Not, Or, TRUE,
-    conj, congruent, disj, eq, exists, forall, ge, gt, implies, le, lt,
-    ne, neg,
+    And, Cong, Eq, Exists, FALSE, Forall, Geq, Not, NotCong, Or, TRUE,
+    conj, congruent, disj, eq, exists, forall, formula_size, ge, gt,
+    implies, le, lt, ne, neg,
 )
 from repro.logic.normalize import to_dnf, to_nnf
 from repro.logic.simplify import simplify
@@ -86,10 +86,12 @@ class TestNNF:
         f = to_nnf(neg(eq(v("x"), 0)))
         assert isinstance(f, Or) and len(f.parts) == 2
 
-    def test_negated_congruence_enumerates_residues(self):
+    def test_negated_congruence_is_one_atom(self):
         f = to_nnf(neg(congruent(v("x"), 4)))
-        assert isinstance(f, Or) and len(f.parts) == 3
-        assert all(isinstance(p, Cong) for p in f.parts)
+        assert f == NotCong(v("x"), 4)
+        assert to_nnf(neg(f)) == congruent(v("x"), 4)
+        # Mod 2 the negation is the other residue.
+        assert to_nnf(neg(congruent(v("x"), 2))) == congruent(v("x"), 2, 1)
 
     def test_no_not_nodes_remain(self):
         f = neg(conj(ge(v("x"), 0), neg(disj(eq(v("y"), 1),
@@ -147,6 +149,14 @@ class TestSimplify:
         f = simplify(Geq(Linear({"x": 2}, 4)))
         assert f == Geq(Linear({"x": 1}, 2))
 
+    def test_negated_congruence_atoms_fold(self):
+        assert simplify(NotCong(Linear({"x": 9}, 10), 4)) \
+            == NotCong(Linear({"x": 1}, 2), 4)
+        # Mod 2, x + 3 is odd exactly when x is even.
+        assert simplify(NotCong(Linear({"x": 1}, 3), 2)) == Cong(v("x"), 2)
+        assert simplify(NotCong(Linear({"x": 4}, 8), 4)) == FALSE
+        assert simplify(NotCong(Linear({"x": 4}, 9), 4)) == TRUE
+
 
 _formulas = st.recursive(
     st.builds(
@@ -162,7 +172,31 @@ _formulas = st.recursive(
     max_leaves=5)
 
 
+_congruence_formulas = st.recursive(
+    st.builds(
+        lambda coeffs, const, modulus: congruent(
+            Linear(coeffs, const), modulus),
+        st.dictionaries(st.sampled_from(["p", "q"]),
+                        st.integers(-4, 4), min_size=1, max_size=2),
+        st.integers(-9, 9),
+        st.integers(2, 8)) | _formulas,
+    lambda children: st.one_of(
+        st.builds(lambda a, b: conj(a, b), children, children),
+        st.builds(lambda a, b: disj(a, b), children, children),
+        st.builds(neg, children)),
+    max_leaves=5)
+
+
 class TestSimplifyProperties:
+    @given(_congruence_formulas)
+    @settings(max_examples=80, deadline=None)
+    def test_negation_builds_no_residue_fan(self, f):
+        # Negation dissolves an atom into at most two (the halves of a
+        # ≠); a negated congruence is one NotCong atom.
+        negated = to_nnf(neg(f))
+        assert formula_size(negated) <= 2 * formula_size(f)
+        assert Prover().equivalent(neg(f), negated)
+
     @given(_formulas)
     @settings(max_examples=80, deadline=None)
     def test_simplify_preserves_equivalence(self, f):

@@ -13,6 +13,11 @@ agree on whole solution sets, not only on the sat/unsat bit:
 * ``eliminate_equalities`` is exact projection of the variables it
   removes.
 
+Negated congruences (moduli 2-8) get their own seeded systems, alone
+and with the atoms above, and their own formulas under ∃ and ∀ for
+:meth:`Prover.eliminate_quantifiers`: a fixed set runs in tier-1 and a
+wider seed range under the ``bench`` marker.
+
 :func:`test_oracle_reaches_dark_shadow_and_splinters` keeps the suite
 honest about coverage: the seeded systems must reach the dark-shadow/
 splinter projection and the splinter branch of satisfiability.
@@ -23,7 +28,11 @@ import random
 
 import pytest
 
-from repro.logic import omega
+from repro.errors import ProverError
+from repro.logic import Prover, conj, disj, exists, forall, ge, le, omega
+from repro.logic.formula import (
+    And, Cong, Eq, FalseFormula, Geq, NotCong, Or, TrueFormula,
+)
 from repro.logic.omega import (
     Constraints, eliminate_equalities, from_constraints, project,
     project_real, satisfiable, to_constraints,
@@ -41,6 +50,11 @@ _BOX_RANGE = range(-BOX, BOX + 1)
 #: Wider than the box, so a projected piece admitting a point outside
 #: it is caught too.
 _WINDOW = range(-BOX - 2, BOX + 3)
+
+#: Seeds of the negated-congruence systems and formulas: tier-1 and
+#: the wider ``bench`` range.
+NEGATED_SEEDS = range(200)
+NEGATED_BENCH_SEEDS = range(200, 2000)
 
 
 def _linear(rng):
@@ -70,10 +84,25 @@ def _system(seed):
     return c
 
 
+def _negated_system(seed):
+    """One to three negated congruences, moduli 2-8, alone in the box
+    or added to a :func:`_system`."""
+    rng = random.Random(613_000 + seed)
+    if rng.random() < 0.3:
+        c = Constraints(geqs=[Linear({v: sign}, BOX) for v in VARIABLES
+                              for sign in (1, -1)])
+    else:
+        c = _system(seed)
+    for __ in range(rng.randint(1, 3)):
+        c.ncongs.append((_linear(rng), rng.randint(2, 8)))
+    return c
+
+
 def _holds(c, env):
     return (all(t.evaluate(env) >= 0 for t in c.geqs)
             and all(t.evaluate(env) == 0 for t in c.eqs)
-            and all(t.evaluate(env) % m == 0 for t, m in c.congs))
+            and all(t.evaluate(env) % m == 0 for t, m in c.congs)
+            and all(t.evaluate(env) % m for t, m in c.ncongs))
 
 
 def _solutions(c):
@@ -84,22 +113,56 @@ def _solutions(c):
 
 @pytest.mark.parametrize("seed", range(CASES))
 def test_backends_agree_structurally(seed):
-    c = _system(seed)
+    assert _check_against_enumeration(_system(seed))
+
+
+@pytest.mark.parametrize("seed", NEGATED_SEEDS)
+def test_negated_congruences_agree_with_enumeration(seed):
+    _check_against_enumeration(_negated_system(seed))
+
+
+@pytest.mark.bench
+@pytest.mark.parametrize("seed", NEGATED_BENCH_SEEDS)
+def test_negated_congruences_agree_with_enumeration_wide(seed):
+    _check_against_enumeration(_negated_system(seed))
+
+
+def test_negated_projections_rarely_reach_the_step_cap():
+    """Three negated congruences on z with coefficients up to 5 can
+    need more projection pieces than ``MAX_ELIMINATION_STEPS`` allows
+    one ``project`` call (a resource failure, which the prover turns
+    into its conservative fallback): 2 of the 200 tier-1 systems, 22 of
+    seeds 0-1999."""
+    capped = [seed for seed in NEGATED_SEEDS
+              if not _check_against_enumeration(_negated_system(seed))]
+    assert len(capped) <= 2, capped
+
+
+def _check_against_enumeration(c):
+    """Satisfiability, exact projection of z and the real shadow of *c*
+    against enumeration.  False when ``project`` stops at its step cap
+    (satisfiability and the real shadow are still checked)."""
     solutions = _solutions(c)
     assert satisfiable(c) == bool(solutions)
 
     shadow = {(p["x"], p["y"]) for p in solutions}
-    pieces = project(c, ["z"])
+    try:
+        pieces = project(c, ["z"])
+    except ProverError as error:
+        assert "did not terminate" in str(error)
+        pieces = None
     real = project_real(c, ["z"])
-    for piece in pieces:
+    for piece in pieces or ():
         assert piece.variables() <= {"x", "y"}
     assert real.variables() <= {"x", "y"}
     for vx, vy in itertools.product(_WINDOW, repeat=2):
         env = {"x": vx, "y": vy}
         want = (vx, vy) in shadow
-        assert any(_holds(p, env) for p in pieces) == want, (vx, vy)
+        if pieces is not None:
+            assert any(_holds(p, env) for p in pieces) == want, (vx, vy)
         if want:
             assert _holds(real, env), (vx, vy)
+    return pieces is not None
 
 
 @pytest.mark.parametrize("seed", range(0, CASES, 10))
@@ -157,3 +220,79 @@ def test_oracle_reaches_dark_shadow_and_splinters(monkeypatch):
         satisfiable(_system(seed))
     assert calls["hard_split"] > 0
     assert calls["splinters"] > 0
+
+
+def _atom(rng):
+    term = _linear(rng)
+    kind = rng.random()
+    if kind < 0.5:
+        return NotCong(term, rng.randint(2, 8))
+    if kind < 0.7:
+        return Cong(term, rng.randint(2, 8))
+    return Geq(term)
+
+
+def _negated_formula(seed):
+    """A random ∧/∨ of two to four atoms over x, y, z, half of them
+    negated congruences."""
+    rng = random.Random(721_000 + seed)
+    f = _atom(rng)
+    for __ in range(rng.randint(1, 3)):
+        f = (conj if rng.random() < 0.5 else disj)(f, _atom(rng))
+    return f
+
+
+def _evaluate(f, env):
+    if isinstance(f, TrueFormula):
+        return True
+    if isinstance(f, FalseFormula):
+        return False
+    if isinstance(f, Geq):
+        return f.term.evaluate(env) >= 0
+    if isinstance(f, Eq):
+        return f.term.evaluate(env) == 0
+    if isinstance(f, Cong):
+        return f.term.evaluate(env) % f.modulus == 0
+    if isinstance(f, NotCong):
+        return f.term.evaluate(env) % f.modulus != 0
+    if isinstance(f, And):
+        return all(_evaluate(p, env) for p in f.parts)
+    if isinstance(f, Or):
+        return any(_evaluate(p, env) for p in f.parts)
+    raise TypeError(f)
+
+
+def _check_quantified(seed):
+    """∃z and ∀z over the box, eliminated, against enumeration of z at
+    every (x, y) of the window.  False when an elimination stops at the
+    projection step cap."""
+    body = _negated_formula(seed)
+    in_box = conj(ge(Linear.var("z"), -BOX), le(Linear.var("z"), BOX))
+    try:
+        some = Prover().eliminate_quantifiers(
+            exists(["z"], conj(in_box, body)))
+        every = Prover().eliminate_quantifiers(
+            forall(["z"], disj(~in_box, body)))
+    except ProverError as error:
+        assert "did not terminate" in str(error)
+        return False
+    for f in (some, every):
+        assert "z" not in f.free_variables()
+    for vx, vy in itertools.product(_WINDOW, repeat=2):
+        values = [_evaluate(body, {"x": vx, "y": vy, "z": vz})
+                  for vz in _BOX_RANGE]
+        env = {"x": vx, "y": vy}
+        assert _evaluate(some, env) == any(values), (vx, vy)
+        assert _evaluate(every, env) == all(values), (vx, vy)
+    return True
+
+
+@pytest.mark.parametrize("seed", NEGATED_SEEDS)
+def test_negated_congruences_under_quantifiers(seed):
+    assert _check_quantified(seed)
+
+
+@pytest.mark.bench
+@pytest.mark.parametrize("seed", NEGATED_BENCH_SEEDS)
+def test_negated_congruences_under_quantifiers_wide(seed):
+    _check_quantified(seed)

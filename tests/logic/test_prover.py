@@ -1,7 +1,6 @@
 """Prover tests: validity, quantifiers, caching, and the paper's
 Section 5.2.2 derivation."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.logic import (
@@ -92,14 +91,11 @@ class TestQuantifiers:
         assert not self.prover.is_valid(
             f.substitute("x", Linear.const(-5)))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "Prover._eliminate negates a Forall body that is already NNF: "
-        "each residue disjunct h-%o0-r = 0 (mod 8) becomes a 7-way "
-        "residue fan, 7^7 conjuncts > MAX_DNF_CONJUNCTS"))
     def test_alpha_variants_of_a_residue_forall_are_equivalent(self):
         # wlp of `and %o0,7,%o0` under %o0 >= 0.  is_valid meets each
         # variant only negated (a small ∃); equivalent also meets the ∀
-        # itself, and eliminating it gives up on the DNF bound.
+        # itself, whose elimination negates the congruence guard twice:
+        # one NotCong atom and back, not a 7-way residue fan per pass.
         o0 = v("%o0")
 
         def variant(h):

@@ -6,7 +6,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.logic import Prover, conj, disj, eq, exists, forall, ge, le, lt
-from repro.logic.formula import Cong, Eq, Formula, Geq
+from repro.logic.formula import Cong, Eq, Formula, Geq, NotCong
 from repro.logic.normalize import to_nnf
 from repro.logic.terms import Linear
 
@@ -46,6 +46,8 @@ def _evaluate(f: Formula, env) -> bool:
         return f.term.evaluate(env) == 0
     if isinstance(f, Cong):
         return f.term.evaluate(env) % f.modulus == 0
+    if isinstance(f, NotCong):
+        return f.term.evaluate(env) % f.modulus != 0
     if isinstance(f, And):
         return all(_evaluate(p, env) for p in f.parts)
     if isinstance(f, Or):
